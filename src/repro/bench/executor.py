@@ -49,9 +49,10 @@ class BenchTask:
     profile_seed: int = 0
     run_kind: str = "test"
     run_seed: int = 0
-    #: simulation engine ("legacy" / "fast" / "compiled"; None = default
-    #: resolution).  Engines are bit-identical, so this changes *how* the
-    #: cell simulates, never what it reports.
+    #: simulation engine ("legacy" / "fast" / "compiled" / "ooo"; None =
+    #: default resolution).  The in-order engines are bit-identical, so
+    #: among them this changes *how* the cell simulates, never what it
+    #: reports; "ooo" reports its own cycles and energy.
     engine: Optional[str] = None
 
     def label(self) -> str:
@@ -193,17 +194,16 @@ def _execute(task: BenchTask) -> TaskOutcome:
         engine=task.engine,
     )
     cache = harness.get_disk_cache()
-    memo_key = (
-        task.workload,
-        harness._config_key(task.config),
-        task.profile_kind,
-        task.profile_seed,
-        task.run_kind,
-        task.run_seed,
-        task.engine,
-    )
     try:
-        outcome.cached = memo_key in harness._RUN_CACHE or (
+        outcome.cached = harness.is_memoized(
+            task.workload,
+            task.config,
+            profile_kind=task.profile_kind,
+            profile_seed=task.profile_seed,
+            run_kind=task.run_kind,
+            run_seed=task.run_seed,
+            engine=task.engine,
+        ) or (
             cache is not None
             and cache.contains_run(
                 _workload_source(task.workload),

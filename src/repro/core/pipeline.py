@@ -13,7 +13,7 @@ import hashlib
 import json
 import os
 from dataclasses import asdict, dataclass, field, replace
-from typing import Callable, Optional, Union
+from typing import Callable, ClassVar, Optional, Union
 
 from repro.arch.cache import CacheGeometry
 from repro.arch.dts import BITWIDTH_AWARE_SLACK, DTSModel
@@ -82,6 +82,17 @@ class CompilerConfig:
     #: many speculative regions falls back to BASELINE codegen (0 = no cap)
     max_spec_regions: int = 0
 
+    # -- slices: which stage reads which knob ---------------------------------
+    #: knobs only the simulated machine reads: a change re-simulates the
+    #: same binary, never recompiles it
+    MACHINE_KNOBS: ClassVar[tuple] = ("l1_kb", "l1_ways", "l2_kb", "l2_ways")
+    #: knobs only the post-hoc energy model reads (``repro.arch.dts``): a
+    #: change rescales the same event counts, never re-simulates
+    ENERGY_KNOBS: ClassVar[tuple] = (
+        "voltage_scaling", "dts_alpha", "dts_bitwidth_aware",
+    )
+    # every other field except ``name`` is a compile knob
+
     def __post_init__(self) -> None:
         validate_slice_width(self.slice_width)
         self.cache_geometry().validate()
@@ -122,6 +133,19 @@ class CompilerConfig:
     def stable_hash(self) -> str:
         """SHA-256 over the canonical fingerprint."""
         blob = json.dumps(self.fingerprint(), sort_keys=True)
+        return hashlib.sha256(blob.encode()).hexdigest()
+
+    def compile_key(self) -> str:
+        """SHA-256 over the compile slice of the fingerprint.
+
+        Leaves out :attr:`MACHINE_KNOBS` and :attr:`ENERGY_KNOBS`, which
+        the compiler never reads: configs with equal compile keys compile
+        to the same binary.
+        """
+        data = self.fingerprint()
+        for knob in self.MACHINE_KNOBS + self.ENERGY_KNOBS:
+            del data[knob]
+        blob = json.dumps(data, sort_keys=True)
         return hashlib.sha256(blob.encode()).hexdigest()
 
     # -- presets matching the artifact configs -------------------------------
@@ -243,9 +267,13 @@ class CompiledBinary:
         explicit ``engine`` says otherwise.
 
         ``engine`` picks the execution engine ("legacy" / "fast" /
-        "compiled"); None defers to ``REPRO_MACHINE_ENGINE`` and the
-        historical defaults.  All engines produce bit-identical results
+        "compiled" / "ooo"); None defers to ``REPRO_MACHINE_ENGINE`` and
+        the historical defaults.  The in-order engines produce
+        bit-identical results; "ooo" is held to their committed view
         (docs/engines.md).
+
+        The result holds event counts only, whatever the config's energy
+        knobs: DTS energy is ``self.config.dts_model().apply(result)``.
 
         ``faults`` attaches a :class:`repro.faults.FaultSession` to the
         machine; ``step_limit`` overrides the default watchdog (fault
@@ -264,10 +292,7 @@ class CompiledBinary:
             fast=True if (obs and engine is None) else None,
             geometry=self.config.cache_geometry(), faults=faults, **kwargs,
         )
-        result = machine.run()
-        if self.config.voltage_scaling == "timesqueezing":
-            result.dts_energy = self.config.dts_model().apply(result)
-        return result
+        return machine.run()
 
     def interpret(
         self, inputs: Optional[dict] = None, entry: str = "main", trace: bool = False

@@ -5,6 +5,18 @@ profile input, run input) simulation with its energy breakdown and compiler
 statistics.  Records are cached per-process so the per-figure drivers can
 share runs (each figure touches the same baseline runs, for instance).
 
+Below the record memo, each stage is memoized on only the slice of the
+config it reads (:attr:`CompilerConfig.MACHINE_KNOBS`,
+:attr:`CompilerConfig.ENERGY_KNOBS`, everything else compiles):
+
+* the compiled artifact on the compile slice
+  (:meth:`CompilerConfig.compile_key`) — configs that differ only in
+  cache geometry or DTS knobs compile once;
+* the :class:`SimResult` on the compile slice plus the cache geometry —
+  configs that differ only in DTS knobs simulate once;
+* energy per record, from the record's own config, as a pure function of
+  the event counts.
+
 Profiling defaults to the *run* input, mirroring the paper's main results
 (§2 footnote: all values use the provided large input); the RQ6 sensitivity
 experiments override ``profile_kind``.
@@ -12,7 +24,7 @@ experiments override ``profile_kind``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Optional
 
 from repro.arch.energy import EnergyBreakdown
@@ -72,7 +84,13 @@ def _config_key(config: CompilerConfig) -> str:
     return config.stable_hash()
 
 
+#: compiled artifacts, keyed on the compile slice
+_ARTIFACT_CACHE: dict = {}
+#: per-config views of those artifacts, keyed on the full config
 _BINARY_CACHE: dict = {}
+#: simulations, keyed on the compile slice, cache geometry and run inputs
+_SIM_CACHE: dict = {}
+#: finished records, keyed by :func:`_run_key`
 _RUN_CACHE: dict = {}
 
 #: optional persistent layer under the per-process memoizer — a
@@ -93,7 +111,9 @@ def get_disk_cache():
 
 def clear_caches() -> None:
     """Clear the in-process memoizers (the disk cache is untouched)."""
+    _ARTIFACT_CACHE.clear()
     _BINARY_CACHE.clear()
+    _SIM_CACHE.clear()
     _RUN_CACHE.clear()
 
 
@@ -104,18 +124,63 @@ def get_binary(
     profile_kind: str = "test",
     profile_seed: int = 0,
 ) -> CompiledBinary:
-    """Compile (memoized) a workload under a configuration."""
+    """Compile (memoized) a workload under a configuration.
+
+    Configs with the same compile slice share one compiled artifact
+    (module, linked image, profile, squeeze results, stats).  Each config
+    still gets its own :class:`CompiledBinary` around it, memoized per
+    full config, so ``run()`` simulates under that config's cache
+    geometry and ``fingerprint()`` covers every knob.
+    """
     key = (workload_name, _config_key(config), profile_kind, profile_seed)
-    cached = _BINARY_CACHE.get(key)
-    if cached is not None:
-        return cached
-    workload = get_workload(workload_name)
-    profile_inputs = workload.inputs(profile_kind, profile_seed)
-    binary = compile_binary(
-        workload.source, config, profile_inputs=profile_inputs, name=workload_name
-    )
+    binary = _BINARY_CACHE.get(key)
+    if binary is not None:
+        return binary
+    artifact_key = (workload_name, config.compile_key(), profile_kind, profile_seed)
+    artifact = _ARTIFACT_CACHE.get(artifact_key)
+    if artifact is None:
+        workload = get_workload(workload_name)
+        profile_inputs = workload.inputs(profile_kind, profile_seed)
+        binary = compile_binary(
+            workload.source, config, profile_inputs=profile_inputs, name=workload_name
+        )
+        _ARTIFACT_CACHE[artifact_key] = binary
+    else:
+        binary = replace(artifact, config=config)
     _BINARY_CACHE[key] = binary
     return binary
+
+
+def _run_key(
+    workload_name, config, profile_kind, profile_seed, run_kind, run_seed, engine
+) -> tuple:
+    return (
+        workload_name,
+        _config_key(config),
+        profile_kind,
+        profile_seed,
+        run_kind,
+        run_seed,
+        engine,
+    )
+
+
+def is_memoized(
+    workload_name: str,
+    config: CompilerConfig,
+    *,
+    profile_kind: str = "test",
+    profile_seed: int = 0,
+    run_kind: str = "test",
+    run_seed: int = 0,
+    engine: Optional[str] = None,
+) -> bool:
+    """Whether :func:`run` with these arguments returns a record from the
+    in-process memo, without compiling, simulating or reading the disk."""
+    key = _run_key(
+        workload_name, config, profile_kind, profile_seed, run_kind, run_seed, engine
+    )
+    return key in _RUN_CACHE
 
 
 def run(
@@ -141,17 +206,15 @@ def run(
     in-order lookup.  The engine enters the in-process memo key so that
     engine-comparison harness code measuring a specific engine is not
     short-circuited by a record produced under another one.
+
+    A record whose config shares its compile slice and cache geometry
+    with an earlier run reuses that run's simulation; only its energy is
+    computed anew, from its own config.
     """
     from repro.arch.machine import timing_model
 
-    key = (
-        workload_name,
-        _config_key(config),
-        profile_kind,
-        profile_seed,
-        run_kind,
-        run_seed,
-        engine,
+    key = _run_key(
+        workload_name, config, profile_kind, profile_seed, run_kind, run_seed, engine
     )
     cached = _RUN_CACHE.get(key)
     if cached is not None:
@@ -175,7 +238,23 @@ def run(
         workload_name, config, profile_kind=profile_kind, profile_seed=profile_seed
     )
     inputs = workload.inputs(run_kind, run_seed)
-    sim = binary.run(inputs, engine=engine)
+    # engine as in the run memo; timing so REPRO_OOO_* sizes partition it
+    # the way they partition the disk cache
+    sim_key = (
+        workload_name,
+        config.compile_key(),
+        config.cache_geometry(),
+        profile_kind,
+        profile_seed,
+        run_kind,
+        run_seed,
+        engine,
+        timing,
+    )
+    sim = _SIM_CACHE.get(sim_key)
+    if sim is None:
+        sim = binary.run(inputs, engine=engine)
+        _SIM_CACHE[sim_key] = sim
     expected = workload.expected_output(inputs)
     record = RunRecord(
         workload=workload_name,

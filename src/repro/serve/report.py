@@ -110,7 +110,7 @@ def _compile_error(stage: str, exc: Exception) -> dict:
     )
 
 
-def _sim_section(sim) -> dict:
+def _sim_section(sim, config) -> dict:
     energy = sim.energy()
     section = {
         "output": list(sim.output),
@@ -135,8 +135,8 @@ def _sim_section(sim) -> dict:
         },
         "energy_total_pj": round(energy.total, _ROUND),
     }
-    dts_energy = getattr(sim, "dts_energy", None)
-    if dts_energy is not None:
+    if config.voltage_scaling == "timesqueezing":
+        dts_energy = config.dts_model().apply(sim)
         section["dts_energy_total_pj"] = round(dts_energy.total, _ROUND)
     return section
 
@@ -386,7 +386,7 @@ def execute_request(canonical: dict, key: str) -> dict:
             "fallback_functions": sorted(binary.linked.fallback_functions),
             "pass_stats": binary.pass_stats,
         },
-        "result": _sim_section(sim),
+        "result": _sim_section(sim, config),
     }
 
     if opts["attribution"]:

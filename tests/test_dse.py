@@ -50,7 +50,7 @@ def _reset_disk_cache():
 def _sims_identical(a, b) -> None:
     """Assert two SimResults agree on every persisted field, bit for bit."""
     for f in dataclasses.fields(SimResult):
-        if f.name in ("memory", "obs", "dts_energy", "slice_width"):
+        if f.name in ("memory", "obs", "slice_width"):
             continue  # engine/observer state, not event counts
         if f.name == "counters":
             for cf in dataclasses.fields(EnergyCounters):

@@ -1,5 +1,7 @@
 """Harness internals and the report generator."""
 
+import dataclasses
+
 import pytest
 
 from repro.core import CompilerConfig
@@ -10,6 +12,29 @@ from repro.eval.harness import (
     get_binary,
     run,
 )
+from repro.passes.expander import ExpanderConfig
+
+#: one non-default value per compile knob — a field missing here and from
+#: both non-compile slices fails test_every_config_field_has_one_slice
+COMPILE_VARIANTS = {
+    "isa": "ARM_BS",
+    "middle_end": "2cfg-max",
+    "expander": ExpanderConfig(unroll_factor=2),
+    "compare_elimination": False,
+    "bitmask_elision": False,
+    "invert_handler_weights": True,
+    "slice_width": 16,
+    "squeeze_ops": ("add",),
+    "min_hotness": 0.1,
+    "confidence_margin": 1,
+    "max_spec_regions": 3,
+}
+MACHINE_VARIANTS = {"l1_kb": 16, "l1_ways": 2, "l2_kb": 512, "l2_ways": 4}
+ENERGY_VARIANTS = {
+    "voltage_scaling": "timesqueezing",
+    "dts_alpha": 1.6,
+    "dts_bitwidth_aware": True,
+}
 
 
 def test_benchmark_roster_matches_registry():
@@ -29,6 +54,70 @@ def test_config_key_ignores_name():
     a = _config_key(CompilerConfig.baseline())
     b = _config_key(CompilerConfig.baseline(name="renamed"))
     assert a == b
+
+
+def test_every_config_field_has_one_slice():
+    fields = {f.name for f in dataclasses.fields(CompilerConfig)} - {"name"}
+    machine = set(CompilerConfig.MACHINE_KNOBS)
+    energy = set(CompilerConfig.ENERGY_KNOBS)
+    assert machine == set(MACHINE_VARIANTS)
+    assert energy == set(ENERGY_VARIANTS)
+    assert not machine & energy
+    assert fields - machine - energy == set(COMPILE_VARIANTS)
+
+
+def test_compile_key_reads_only_compile_knobs():
+    base = CompilerConfig.baseline()
+    for knob, value in {**MACHINE_VARIANTS, **ENERGY_VARIANTS}.items():
+        other = dataclasses.replace(base, **{knob: value})
+        assert other.compile_key() == base.compile_key(), knob
+        assert other.stable_hash() != base.stable_hash(), knob
+    for knob, value in COMPILE_VARIANTS.items():
+        other = dataclasses.replace(base, **{knob: value})
+        assert other.compile_key() != base.compile_key(), knob
+
+
+def test_machine_knobs_share_the_compiled_artifact():
+    clear_caches()
+    small = CompilerConfig.bitspec("max", l1_kb=4)
+    large = CompilerConfig.bitspec("max", l1_kb=16)
+    a = get_binary("crc32", small)
+    b = get_binary("crc32", large)
+    assert a is not b and get_binary("crc32", large) is b
+    assert a.linked is b.linked and a.module is b.module
+    assert a.config is small and b.config is large
+    assert a.config.cache_geometry().l1_kb == 4
+    assert b.config.cache_geometry().l1_kb == 16
+    shared = b.fingerprint()
+    assert a.fingerprint() != shared
+    clear_caches()
+    assert get_binary("crc32", large).fingerprint() == shared
+
+
+def test_energy_knob_sweep_simulates_once(monkeypatch):
+    from repro.arch.machine import Machine
+
+    configs = [CompilerConfig.bitspec("max")] + [
+        CompilerConfig.dts_bitspec("max", dts_alpha=alpha, dts_bitwidth_aware=aware)
+        for alpha in (1.1, 1.3, 1.6)
+        for aware in (False, True)
+    ]
+    simulations = []
+    machine_run = Machine.run
+
+    def counting_run(self, *args, **kwargs):
+        simulations.append(self)
+        return machine_run(self, *args, **kwargs)
+
+    clear_caches()
+    monkeypatch.setattr(Machine, "run", counting_run)
+    records = [run("bitcount", config) for config in configs]
+    assert len(simulations) == 1
+    assert len({record.total_energy for record in records}) == len(configs)
+    for config, record in zip(configs, records):
+        clear_caches()
+        assert record.total_energy == run("bitcount", config).total_energy
+    assert len(simulations) == 1 + len(configs)
 
 
 def test_binary_cache_shared_across_run_inputs():
