@@ -39,13 +39,12 @@ from __future__ import annotations
 import base64
 import hashlib
 import json
-import os
-import tempfile
 import zlib
 from dataclasses import dataclass
 from typing import Optional
 
 from repro.arch.cache import CacheGeometry, MemoryHierarchy
+from repro.core.documents import atomic_write
 
 SNAPSHOT_VERSION = 1
 
@@ -251,25 +250,11 @@ class Snapshot:
             raise SnapshotError(f"malformed snapshot document: {exc}") from exc
 
     def save(self, path: str) -> None:
-        """Atomically write the snapshot (temp file + fsync + rename)."""
-        directory = os.path.dirname(os.path.abspath(path))
-        os.makedirs(directory, exist_ok=True)
-        payload = json.dumps(
-            self.to_dict(), sort_keys=True, separators=(",", ":")
+        """Atomically write the snapshot (compact JSON)."""
+        atomic_write(
+            path,
+            json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":")).encode(),
         )
-        fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
-        try:
-            with os.fdopen(fd, "w") as handle:
-                handle.write(payload)
-                handle.flush()
-                os.fsync(handle.fileno())
-            os.replace(tmp, path)
-        except BaseException:
-            try:
-                os.unlink(tmp)
-            except OSError:
-                pass
-            raise
 
     @classmethod
     def load(cls, path: str) -> "Snapshot":

@@ -141,20 +141,19 @@ def committed_view(sim: SimResult) -> dict:
     return view
 
 
+def _env_engine() -> str:
+    """``REPRO_MACHINE_ENGINE``, validated; ``""`` when unset."""
+    env = os.environ.get("REPRO_MACHINE_ENGINE", "").strip().lower()
+    if env and env not in ENGINES:
+        raise ValueError(f"REPRO_MACHINE_ENGINE={env!r}: expected one of {ENGINES}")
+    return env
+
+
 def default_engine() -> str:
     """The engine a ``Machine(engine=None)`` run resolves to from the
-    environment alone, ignoring per-run overrides (``obs``, ``fast=``,
-    trace hooks).  Used by cache layers to partition on timing model."""
-    env = os.environ.get("REPRO_MACHINE_ENGINE", "").strip().lower()
-    if env:
-        if env not in ENGINES:
-            raise ValueError(
-                f"REPRO_MACHINE_ENGINE={env!r}: expected one of {ENGINES}"
-            )
-        return env
-    if os.environ.get("REPRO_MACHINE_LEGACY", "") == "1":
-        return "legacy"
-    return "fast"
+    environment alone, ignoring per-run overrides (``obs``, trace
+    hooks).  Used by cache layers to partition on timing model."""
+    return _env_engine() or "fast"
 
 
 def timing_model(engine: Optional[str]) -> str:
@@ -222,10 +221,8 @@ class Machine:
       ``REPRO_MACHINE_ENGINE=ooo``.
 
     Engine selection precedence: an explicit ``engine=`` argument, then
-    the boolean ``fast=`` compatibility argument, then the
-    ``REPRO_MACHINE_ENGINE`` environment variable, then the historical
-    defaults (``fast=None`` selects the fast path unless a trace hook is
-    installed or ``REPRO_MACHINE_LEGACY=1`` is set in the environment).
+    the ``REPRO_MACHINE_ENGINE`` environment variable, then the default:
+    the fast path, or the legacy path when a trace hook is installed.
 
     ``obs=True`` attaches a per-pc event sample to ``SimResult.obs`` for
     :mod:`repro.obs`.  Observability is a fast-path feature: the sample
@@ -241,7 +238,6 @@ class Machine:
         *,
         step_limit: int = 400_000_000,
         trace_hook=None,
-        fast: Optional[bool] = None,
         obs: bool = False,
         geometry: Optional[CacheGeometry] = None,
         faults=None,
@@ -262,43 +258,28 @@ class Machine:
         self.geometry = geometry
         #: optional debug callback: trace_hook(pc, regs) before each step
         self.trace_hook = trace_hook
-        self.fast = fast
         #: collect a per-pc PcSample on SimResult.obs (fast path only)
         self.obs = obs
         if engine is not None and engine not in ENGINES:
             raise ValueError(
                 f"unknown engine {engine!r}: expected one of {ENGINES}"
             )
-        #: explicit engine selection ("legacy" / "fast" / "compiled");
-        #: None resolves at run() time (env vars, fast=, obs, trace_hook)
+        #: explicit engine selection ("legacy" / "fast" / "compiled" /
+        #: "ooo"); None resolves at run() time (env var, obs, trace_hook)
         self.engine = engine
 
     def resolve_engine(self) -> str:
         """The engine :meth:`run` will use, after all defaulting rules."""
         if self.engine is not None:
             return self.engine
-        if self.fast is True:
-            return "fast"
-        if self.fast is False:
-            return "legacy"
-        env = os.environ.get("REPRO_MACHINE_ENGINE", "").strip().lower()
-        if env:
-            if env not in ENGINES:
-                raise ValueError(
-                    f"REPRO_MACHINE_ENGINE={env!r}: expected one of {ENGINES}"
-                )
-            if env in ("legacy", "ooo") and self.obs:
-                # obs is a batching-path feature; the env default cannot
-                # force an engine that cannot produce a PcSample
-                return "fast"
-            return env
+        env = _env_engine()
         if self.obs:
-            return "fast"
-        if self.trace_hook is not None:
+            # obs is a batching-path feature; the env default cannot
+            # force an engine that cannot produce a PcSample
+            return "fast" if env in ("", "legacy", "ooo") else env
+        if self.trace_hook is not None and not env:
             return "legacy"
-        if os.environ.get("REPRO_MACHINE_LEGACY", "") == "1":
-            return "legacy"
-        return "fast"
+        return env or "fast"
 
     def run(self, *, checkpoint_at=None, resume_from=None) -> SimResult:
         """Execute the program; returns a :class:`SimResult`.

@@ -26,12 +26,12 @@ from __future__ import annotations
 
 import argparse
 import datetime
-import json
 import sys
 from pathlib import Path
 
 from repro.bench.executor import BenchTask, run_matrix
-from repro.core.pipeline import CompilerConfig
+from repro.core.documents import write_document
+from repro.core.pipeline import PRESETS, resolve_config
 from repro.eval.harness import BENCHMARKS
 
 #: named workload rosters
@@ -41,16 +41,7 @@ ROSTERS = {
 }
 
 #: named configuration presets available to --configs
-CONFIG_FACTORIES = {
-    "baseline": CompilerConfig.baseline,
-    "bitspec-max": lambda: CompilerConfig.bitspec("max"),
-    "bitspec-avg": lambda: CompilerConfig.bitspec("avg"),
-    "bitspec-min": lambda: CompilerConfig.bitspec("min"),
-    "nospec": CompilerConfig.nospec,
-    "thumb": CompilerConfig.thumb,
-    "dts": CompilerConfig.dts,
-    "dts-bitspec-max": lambda: CompilerConfig.dts_bitspec("max"),
-}
+CONFIG_FACTORIES = PRESETS
 
 DEFAULT_CONFIGS = ("baseline", "bitspec-max", "thumb")
 DEFAULT_CACHE_DIR = ".benchcache"
@@ -129,7 +120,7 @@ def _run_compare(args, workloads, config, engines) -> int:
     output = args.output or Path(
         f"BENCH_{datetime.date.today().isoformat()}.json"
     )
-    output.write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
+    write_document(output, report)
 
     reference = body["reference"]
     agg = body["aggregate"]["engines"]
@@ -224,10 +215,10 @@ def main(argv=None) -> int:
         parser.error(f"unknown workloads: {', '.join(unknown)}")
 
     config_names = [c.strip() for c in args.configs.split(",") if c.strip()]
-    unknown = [c for c in config_names if c not in CONFIG_FACTORIES]
-    if unknown:
-        parser.error(f"unknown configs: {', '.join(unknown)}")
-    configs = [CONFIG_FACTORIES[c]() for c in config_names]
+    try:
+        configs = [resolve_config(c) for c in config_names]
+    except ValueError as exc:
+        parser.error(str(exc))
 
     if args.compare_engines:
         engines = tuple(
@@ -293,7 +284,7 @@ def main(argv=None) -> int:
     output = args.output or Path(
         f"BENCH_{datetime.date.today().isoformat()}.json"
     )
-    output.write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
+    write_document(output, report)
 
     print(
         f"{stats.tasks} tasks ({stats.ok} ok, {stats.failed} failed, "

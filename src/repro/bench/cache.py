@@ -10,7 +10,7 @@ constants.  Change any one ingredient and the key (hence the cache entry)
 changes; see ``tests/test_bench_cache.py`` for the property tests.
 
 Layout: ``<root>/<key[:2]>/<key>.json``, one JSON document per record,
-written atomically (temp file + fsync + ``os.replace``) so concurrent
+published with :func:`repro.core.documents.atomic_write` so concurrent
 bench workers never observe torn entries and a power loss mid-write
 cannot publish an empty or partial file under the final name.  A
 corrupt, truncated, or stale-format file is *evicted* on read, never
@@ -23,11 +23,11 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
-import os
-import tempfile
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional
+
+from repro.core.documents import atomic_write
 
 #: Bump manually on semantic changes to the simulation that are not
 #: captured by the constants hashed into :func:`energy_model_stamp`.
@@ -134,7 +134,7 @@ class DiskCache:
         """Remove ``.tmp-*`` files a killed writer never renamed.
 
         Only files older than an hour are touched: a young temp file may
-        belong to a concurrent live writer about to ``os.replace`` it.
+        belong to a concurrent live writer about to rename it.
         """
         import time
 
@@ -184,30 +184,13 @@ class DiskCache:
         return entry["payload"]
 
     def put(self, key: str, payload: dict) -> None:
-        path = self._path(key)
-        path.parent.mkdir(parents=True, exist_ok=True)
         entry = {
             "format": ENTRY_FORMAT,
             "key": key,
             "payload": payload,
             "sha": payload_digest(payload),
         }
-        blob = json.dumps(entry, sort_keys=True)
-        fd, tmp = tempfile.mkstemp(
-            dir=path.parent, prefix=".tmp-", suffix=".json"
-        )
-        try:
-            with os.fdopen(fd, "w") as handle:
-                handle.write(blob)
-                handle.flush()
-                os.fsync(handle.fileno())
-            os.replace(tmp, path)
-        except OSError:
-            try:
-                os.unlink(tmp)
-            except OSError:
-                pass
-            raise
+        atomic_write(self._path(key), json.dumps(entry, sort_keys=True).encode())
         self.stats.puts += 1
 
     def __len__(self) -> int:

@@ -20,12 +20,8 @@ import os
 import sys
 from pathlib import Path
 
-from repro.chaos.campaign import (
-    SCENARIOS,
-    render_campaign,
-    run_campaign,
-    to_canonical_json,
-)
+from repro.chaos.campaign import SCENARIOS, render_campaign, run_campaign
+from repro.core.campaign import finish
 
 
 def _scenarios(text: str) -> list:
@@ -93,27 +89,14 @@ def main(argv=None) -> int:
         progress=progress,
     )
 
-    print(render_campaign(campaign_doc))
-    if args.json is not None:
-        args.json.parent.mkdir(parents=True, exist_ok=True)
-        args.json.write_text(to_canonical_json(campaign_doc))
-        print(f"campaign written to {args.json}", file=sys.stderr)
-
-    summary = campaign_doc["summary"]
-    if summary["corruptions"]:
-        print(
-            f"FAIL: {summary['corruptions']} corruption(s) — damage was "
-            "served as valid state",
-            file=sys.stderr,
-        )
-        return 1
-    if summary["errors"]:
-        print(
-            f"FAIL: {summary['errors']} campaign cell(s) errored",
-            file=sys.stderr,
-        )
-        return 1
-    return 0
+    corruptions = campaign_doc["summary"]["corruptions"]
+    return finish(
+        campaign_doc,
+        render_campaign(campaign_doc),
+        args.json,
+        corruptions,
+        f"{corruptions} corruption(s) — damage was served as valid state",
+    )
 
 
 if __name__ == "__main__":

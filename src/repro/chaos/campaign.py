@@ -1,7 +1,7 @@
 """The process-chaos campaign: seeded crash injection and classification.
 
-Each cell of a campaign draws a deterministic seed from the fuzz
-driver's splitmix64 stream (:func:`repro.fuzz.driver.iteration_seed`),
+Each cell of a campaign draws a deterministic seed from the campaign
+kernel's splitmix64 stream (:func:`repro.core.campaign.iteration_seed`),
 stages a scenario in a throwaway work directory, injects one
 process-level failure, drives the corresponding recovery machinery, and
 classifies the outcome:
@@ -55,7 +55,6 @@ from __future__ import annotations
 import dataclasses
 import errno
 import hashlib
-import json
 import os
 import random
 import shutil
@@ -65,7 +64,8 @@ import time
 from pathlib import Path
 from typing import Optional, Sequence
 
-from repro.fuzz.driver import iteration_seed
+from repro.core import campaign
+from repro.core.documents import canonical_json as to_canonical_json
 
 # -- classification outcomes --------------------------------------------------
 
@@ -568,58 +568,26 @@ _RUNNERS = {
 }
 
 
-def enumerate_cells(
-    scenarios: Sequence[str], seed: int, per_scenario: int
-) -> list:
-    """The campaign grid, with deterministic per-cell seeds."""
-    cells = []
-    for scenario in scenarios:
-        for _ in range(per_scenario):
-            cells.append((scenario, iteration_seed(seed, len(cells))))
-    return cells
-
-
 def run_cell(scenario: str, cell_seed: int, workdir=None) -> dict:
     """Stage, injure, recover, classify one cell."""
-    base = {"scenario": scenario, "cell_seed": cell_seed}
     owned = workdir is None
     if owned:
         workdir = tempfile.mkdtemp(prefix="chaos-")
     try:
-        record = _RUNNERS[scenario](cell_seed, Path(workdir))
-        record.update(base)
-        record["status"] = "ok"
-        return record
-    except Exception as exc:
-        base.update(
-            {
-                "status": "error",
-                "category": "error",
-                "error": f"{type(exc).__name__}: {exc}",
-            }
+        return campaign.guarded(
+            {"scenario": scenario, "cell_seed": cell_seed},
+            lambda: _RUNNERS[scenario](cell_seed, Path(workdir)),
         )
-        return base
     finally:
         if owned:
             shutil.rmtree(workdir, ignore_errors=True)
 
 
 def summarize(cells: list) -> dict:
-    per_scenario: dict = {}
-    counts = {category: 0 for category in CATEGORIES}
-    for cell in cells:
-        category = cell.get("category", "error")
-        histogram = per_scenario.setdefault(cell["scenario"], {})
-        histogram[category] = histogram.get(category, 0) + 1
-        if category in counts:
-            counts[category] += 1
-    return {
-        "per_scenario": per_scenario,
-        "cells": len(cells),
-        "errors": sum(1 for c in cells if c.get("status") != "ok"),
-        "corruptions": counts[CORRUPTION],
-        "lost_work": counts[LOST_WORK],
-    }
+    summary = campaign.summarize(cells, "scenario")
+    summary["corruptions"] = sum(1 for c in cells if c.get("category") == CORRUPTION)
+    summary["lost_work"] = sum(1 for c in cells if c.get("category") == LOST_WORK)
+    return summary
 
 
 def run_campaign(
@@ -630,13 +598,11 @@ def run_campaign(
     progress=None,
 ) -> dict:
     """Run the grid; returns the campaign document (canonical-JSON-able)."""
-    tasks = enumerate_cells(scenarios, seed, per_scenario)
-    cells = []
-    for done, (scenario, cell_seed) in enumerate(tasks, start=1):
-        record = run_cell(scenario, cell_seed)
-        cells.append(record)
-        if progress is not None:
-            progress(done, len(tasks), record)
+    cells = campaign.run_cells(
+        campaign.enumerate_cells((scenarios,), seed, per_scenario),
+        lambda cell: run_cell(*cell),
+        progress=progress,
+    )
     return {
         "seed": seed,
         "per_scenario": per_scenario,
@@ -648,36 +614,21 @@ def run_campaign(
 
 # -- rendering ----------------------------------------------------------------
 
+_COLUMNS = (
+    ("recovered", RECOVERED, 9),
+    ("degraded", DEGRADED, 8),
+    ("lost", LOST_WORK, 5),
+    ("corrupt", CORRUPTION, 7),
+)
 
-def to_canonical_json(campaign: dict) -> str:
-    """Byte-stable serialization: sorted keys, no wall-clock anywhere."""
-    return json.dumps(campaign, sort_keys=True, indent=2) + "\n"
 
-
-def render_campaign(campaign: dict) -> str:
+def render_campaign(doc: dict) -> str:
     """Human-readable classification table for the CLI."""
-    summary = campaign["summary"]
-    width = max((len(s) for s in campaign["scenarios"]), default=10)
-    lines = [
-        f"process-chaos campaign — seed {campaign['seed']}, "
-        f"{summary['cells']} cells"
-    ]
-    header = (
-        f"{'scenario':<{width}}  {'recovered':>9}  {'degraded':>8}  "
-        f"{'lost':>5}  {'corrupt':>7}"
+    summary = doc["summary"]
+    title = (
+        f"process-chaos campaign — seed {doc['seed']}, {summary['cells']} cells"
     )
-    lines.append(header)
-    lines.append("-" * len(header))
-    for scenario in campaign["scenarios"]:
-        histogram = summary["per_scenario"].get(scenario, {})
-        lines.append(
-            f"{scenario:<{width}}  "
-            f"{histogram.get(RECOVERED, 0):>9}  "
-            f"{histogram.get(DEGRADED, 0):>8}  "
-            f"{histogram.get(LOST_WORK, 0):>5}  "
-            f"{histogram.get(CORRUPTION, 0):>7}"
-        )
-    if summary["errors"]:
-        lines.append(f"errors: {summary['errors']}")
-    lines.append(f"corruptions: {summary['corruptions']}")
-    return "\n".join(lines)
+    footer = f"corruptions: {summary['corruptions']}"
+    return campaign.render_table(
+        title, "scenario", doc["scenarios"], summary, _COLUMNS, footer
+    )

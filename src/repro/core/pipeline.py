@@ -13,6 +13,7 @@ import hashlib
 import json
 import os
 from dataclasses import asdict, dataclass, field, replace
+from functools import partial
 from typing import Callable, ClassVar, Optional, Union
 
 from repro.arch.cache import CacheGeometry
@@ -94,6 +95,13 @@ class CompilerConfig:
     # every other field except ``name`` is a compile knob
 
     def __post_init__(self) -> None:
+        if self.isa not in ISAS:
+            raise ValueError(f"unknown isa {self.isa!r}: expected one of {ISAS}")
+        if self.middle_end not in MIDDLE_ENDS:
+            raise ValueError(
+                f"unknown middle-end {self.middle_end!r}: expected one of "
+                f"{MIDDLE_ENDS}"
+            )
         validate_slice_width(self.slice_width)
         self.cache_geometry().validate()
 
@@ -187,6 +195,33 @@ class CompilerConfig:
         )
 
 
+#: the named configuration presets — the names bench ``--configs``, serve
+#: ``config.preset``, obs and faults ``--configs`` all accept
+PRESETS = {
+    "baseline": CompilerConfig.baseline,
+    "bitspec-max": partial(CompilerConfig.bitspec, "max"),
+    "bitspec-avg": partial(CompilerConfig.bitspec, "avg"),
+    "bitspec-min": partial(CompilerConfig.bitspec, "min"),
+    "nospec": CompilerConfig.nospec,
+    "thumb": CompilerConfig.thumb,
+    "dts": CompilerConfig.dts,
+    "dts-bitspec-max": partial(CompilerConfig.dts_bitspec, "max"),
+}
+
+#: the paper's spelling of its design point
+PRESET_ALIASES = {"bitspec": "bitspec-max"}
+
+
+def resolve_config(name: str) -> CompilerConfig:
+    """A fresh config for a preset name or alias, case-insensitively."""
+    key = name.strip().lower()
+    factory = PRESETS.get(PRESET_ALIASES.get(key, key))
+    if factory is None:
+        choices = ", ".join([*PRESETS, *PRESET_ALIASES])
+        raise ValueError(f"unknown config {name!r}; choose from: {choices}")
+    return factory()
+
+
 def set_global_inputs(module: Module, inputs: dict) -> None:
     """Inject workload inputs into global initializers.
 
@@ -263,7 +298,7 @@ class CompiledBinary:
         to ``SimResult.obs``.  The sample comes from the batching
         engines' own per-pc counters, so obs selects the fast engine
         (never a ``_run_legacy`` fallback — the engines are bit-identical,
-        so ``REPRO_MACHINE_LEGACY`` is ignored for obs runs) unless an
+        so ``REPRO_MACHINE_ENGINE`` is ignored for obs runs) unless an
         explicit ``engine`` says otherwise.
 
         ``engine`` picks the execution engine ("legacy" / "fast" /
@@ -288,8 +323,8 @@ class CompiledBinary:
         if step_limit is not None:
             kwargs["step_limit"] = step_limit
         machine = Machine(
-            self.linked, self.module, obs=obs, engine=engine,
-            fast=True if (obs and engine is None) else None,
+            self.linked, self.module, obs=obs,
+            engine="fast" if (obs and engine is None) else engine,
             geometry=self.config.cache_geometry(), faults=faults, **kwargs,
         )
         return machine.run()
@@ -470,8 +505,6 @@ def _compile_binary(
         narrow_module(module)
         simplify_module(module)
         hook("static-narrow", module)
-    elif config.middle_end != "none":
-        raise ValueError(f"unknown middle-end: {config.middle_end}")
 
     def backend(baseline_fns: frozenset):
         program = select_module(

@@ -28,6 +28,7 @@ import json
 import sys
 from pathlib import Path
 
+from repro.core.documents import atomic_write
 from repro.dse.explain import explain_point
 from repro.dse.runner import run_sweep
 from repro.dse.space import PRESETS, SpecPoint
@@ -121,7 +122,7 @@ def cmd_sweep(args, parser) -> int:
             )
             return 1
         print(f"{output} reproduced byte-identically", flush=True)
-    output.write_text(text)
+    atomic_write(output, text.encode())
 
     failed = [r for r in result.rows if r.status != "ok"]
     document = result.to_document()

@@ -17,10 +17,10 @@ reproducibility gate the CI smoke job and tests/test_dse.py enforce).
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 
 from repro.bench.executor import BenchTask, run_matrix
+from repro.core.documents import canonical_json
 from repro.dse.space import SpecPoint, SpecSpace
 
 #: schema version of the DSE_*.json document
@@ -154,7 +154,7 @@ class SweepResult:
         }
 
     def to_json(self) -> str:
-        return json.dumps(self.to_document(), indent=2, sort_keys=True) + "\n"
+        return canonical_json(self.to_document())
 
 
 def run_sweep(

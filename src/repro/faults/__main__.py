@@ -17,13 +17,13 @@ import argparse
 import sys
 from pathlib import Path
 
+from repro.core.campaign import finish
 from repro.faults.campaign import (
     DEFAULT_CONFIGS,
     DEFAULT_WORKLOADS,
     render_matrix,
     replay_corpus,
     run_campaign,
-    to_canonical_json,
 )
 from repro.faults.plan import FAULT_KINDS
 
@@ -89,7 +89,7 @@ def main(argv=None) -> int:
     )
     campaign.add_argument(
         "--configs", type=_csv, default=list(DEFAULT_CONFIGS),
-        help="comma-separated config aliases (baseline, bitspec-max, ...)",
+        help="comma-separated config presets (baseline, bitspec-max, ...)",
     )
     campaign.add_argument("--jobs", type=int, default=1, help="worker processes")
     campaign.add_argument(
@@ -142,24 +142,14 @@ def main(argv=None) -> int:
             engine=args.engine,
         )
 
-    print(render_matrix(matrix))
-    if args.json is not None:
-        args.json.parent.mkdir(parents=True, exist_ok=True)
-        args.json.write_text(to_canonical_json(matrix))
-        print(f"matrix written to {args.json}", file=sys.stderr)
-
-    summary = matrix["summary"]
-    if summary["sdc_in_detectable_kinds"]:
-        print(
-            f"FAIL: {summary['sdc_in_detectable_kinds']} silent corruption(s) "
-            "in detectable fault classes",
-            file=sys.stderr,
-        )
-        return 1
-    if summary["errors"]:
-        print(f"FAIL: {summary['errors']} campaign cell(s) errored", file=sys.stderr)
-        return 1
-    return 0
+    sdc = matrix["summary"]["sdc_in_detectable_kinds"]
+    return finish(
+        matrix,
+        render_matrix(matrix),
+        args.json,
+        sdc,
+        f"{sdc} silent corruption(s) in detectable fault classes",
+    )
 
 
 if __name__ == "__main__":

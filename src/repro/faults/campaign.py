@@ -22,9 +22,10 @@ Recovered faults are *attributed* with the observability layer: the per-pc
 misspeculation deltas against the golden run name the function, world,
 region and Δ handler that absorbed the fault (``repro.obs`` provenance).
 
-Everything is deterministic: cell seeds come from the fuzz driver's
-splitmix64 stream, plans are derived with ``random.Random``, and the
-canonical JSON matrix carries no wall-clock — the same campaign seed
+Everything is deterministic: cell seeds come from the splitmix64 stream
+of the campaign kernel (:mod:`repro.core.campaign`), plans are derived
+with ``random.Random``, and the canonical JSON matrix carries no
+wall-clock — the same campaign seed
 yields a byte-identical matrix whether the bench disk cache is warm or
 cold.  Golden runs go through :mod:`repro.eval.harness` (memoized, disk
 cached when a cache is installed) so campaigns ride the bench
@@ -33,9 +34,7 @@ infrastructure; faulty runs are never cached.
 
 from __future__ import annotations
 
-import json
-import multiprocessing
-import traceback
+from functools import partial
 from typing import Optional, Sequence
 
 from repro.arch.machine import FaultTrap, MachineError
@@ -46,7 +45,9 @@ from repro.arch.predecode import (
     OP_BS_TRUNC_HI,
     predecode,
 )
-from repro.core.pipeline import CompilerConfig
+from repro.core import campaign
+from repro.core.documents import canonical_json as to_canonical_json
+from repro.core.pipeline import CompilerConfig, resolve_config
 from repro.faults.plan import (
     FAULT_KINDS,
     FaultPlan,
@@ -55,7 +56,6 @@ from repro.faults.plan import (
     detectable_kinds,
 )
 from repro.faults.session import FaultSession
-from repro.fuzz.driver import iteration_seed
 from repro.interp.memory import STACK_TOP
 
 # -- classification outcomes --------------------------------------------------
@@ -78,26 +78,6 @@ DEFAULT_WORKLOADS = ("crc32", "bitcount")
 #: T=MAX is the paper's design point; T=MIN misspeculates even on the
 #: profiled input, giving the spec-fault kinds a live trigger pool
 DEFAULT_CONFIGS = ("bitspec-max", "bitspec-min")
-
-
-def resolve_config(name: str) -> CompilerConfig:
-    """Map a CLI config alias to a :class:`CompilerConfig`."""
-    key = name.strip().lower()
-    if key in ("baseline", "arm"):
-        return CompilerConfig.baseline()
-    if key in ("bitspec", "arm_bs"):
-        return CompilerConfig.bitspec("max")
-    if key.startswith("bitspec-"):
-        return CompilerConfig.bitspec(key.split("-", 1)[1])
-    if key.startswith("dts-bitspec-"):
-        return CompilerConfig.dts_bitspec(key.split("-", 2)[2])
-    if key == "nospec":
-        return CompilerConfig.nospec()
-    if key == "thumb":
-        return CompilerConfig.thumb()
-    if key == "dts":
-        return CompilerConfig.dts()
-    raise ValueError(f"unknown config alias: {name}")
 
 
 def spec_successes(linked, sample) -> int:
@@ -299,33 +279,35 @@ def _golden_for(workload: str, config: CompilerConfig):
     return bundle
 
 
-def _run_cell(task: tuple) -> dict:
-    workload, config_name, kind, fault_seed, parity, engine = task
+def _inject_cell(
+    golden, workload, config_name, kind, fault_seed, *, parity, engine
+) -> dict:
+    """One classified injection; ``golden()`` supplies the cell's
+    ``(binary, inputs, golden_sim, profile)``."""
+
+    def inject() -> dict:
+        binary, inputs, golden_sim, profile = golden()
+        plan = derive_plan(kind, fault_seed, profile, parity=parity)
+        record = run_injection(binary, inputs, plan, golden_sim, engine=engine)
+        record["golden_instructions"] = golden_sim.instructions
+        record["golden_misspeculations"] = golden_sim.misspeculations
+        return record
+
     base = {
         "workload": workload,
         "config": config_name,
         "kind": kind,
         "fault_seed": fault_seed,
     }
-    try:
-        config = resolve_config(config_name)
-        binary, inputs, golden_sim, profile = _golden_for(workload, config)
-        plan = derive_plan(kind, fault_seed, profile, parity=parity)
-        record = run_injection(binary, inputs, plan, golden_sim, engine=engine)
-        record.update(base)
-        record["golden_instructions"] = golden_sim.instructions
-        record["golden_misspeculations"] = golden_sim.misspeculations
-        record["status"] = "ok"
-        return record
-    except Exception:
-        base.update(
-            {
-                "status": "error",
-                "category": "error",
-                "error": traceback.format_exc().strip().splitlines()[-1],
-            }
-        )
-        return base
+    return campaign.guarded(base, inject)
+
+
+def _run_cell(cell: tuple, *, parity: bool, engine: Optional[str]) -> dict:
+    workload, config_name, kind, fault_seed = cell
+    return _inject_cell(
+        lambda: _golden_for(workload, resolve_config(config_name)),
+        workload, config_name, kind, fault_seed, parity=parity, engine=engine,
+    )
 
 
 def _init_worker(cache_dir) -> None:
@@ -335,53 +317,28 @@ def _init_worker(cache_dir) -> None:
         install_disk_cache(cache_dir)
 
 
-def enumerate_cells(
-    workloads: Sequence[str],
-    config_names: Sequence[str],
-    kinds: Sequence[str],
-    seed: int,
-    per_kind: int,
-    parity: bool,
-    engine: Optional[str] = None,
-) -> list:
-    """The campaign grid, with deterministic per-cell fault seeds."""
-    cells = []
-    for workload in workloads:
-        for config_name in config_names:
-            for kind in kinds:
-                for _ in range(per_kind):
-                    cells.append(
-                        (
-                            workload,
-                            config_name,
-                            kind,
-                            iteration_seed(seed, len(cells)),
-                            parity,
-                            engine,
-                        )
-                    )
-    return cells
-
-
 def summarize(cells: list, parity: bool) -> dict:
     """Aggregate the coverage matrix: per-kind category histograms plus
     the count of silent corruptions in detectable fault classes (the
     campaign's pass/fail signal)."""
-    per_kind: dict = {}
     detectable = detectable_kinds(parity)
-    sdc_detectable = 0
-    for cell in cells:
-        kind = cell["kind"]
-        category = cell.get("category", "error")
-        histogram = per_kind.setdefault(kind, {})
-        histogram[category] = histogram.get(category, 0) + 1
-        if category == SDC and kind in detectable:
-            sdc_detectable += 1
+    summary = campaign.summarize(cells, "kind")
+    summary["sdc_in_detectable_kinds"] = sum(
+        1 for c in cells if c.get("category") == SDC and c["kind"] in detectable
+    )
+    return summary
+
+
+def _matrix(seed, parity, per_kind, workloads, configs, kinds, cells) -> dict:
     return {
-        "per_kind": per_kind,
-        "cells": len(cells),
-        "errors": sum(1 for c in cells if c.get("status") != "ok"),
-        "sdc_in_detectable_kinds": sdc_detectable,
+        "seed": seed,
+        "parity": parity,
+        "per_kind_plans": per_kind,
+        "workloads": list(workloads),
+        "configs": list(configs),
+        "kinds": list(kinds),
+        "cells": cells,
+        "summary": summarize(cells, parity),
     }
 
 
@@ -404,36 +361,15 @@ def run_campaign(
     to every injection but never serialized into the document, which
     must stay byte-identical across engines.
     """
-    tasks = enumerate_cells(
-        workloads, config_names, kinds, seed, per_kind, parity, engine
+    cells = campaign.run_cells(
+        campaign.enumerate_cells((workloads, config_names, kinds), seed, per_kind),
+        partial(_run_cell, parity=parity, engine=engine),
+        jobs=jobs,
+        initializer=_init_worker,
+        initargs=(cache_dir,),
+        progress=progress,
     )
-    results: list = []
-    if jobs > 1 and len(tasks) > 1:
-        ctx = multiprocessing.get_context()
-        with ctx.Pool(
-            processes=jobs, initializer=_init_worker, initargs=(cache_dir,)
-        ) as pool:
-            for done, record in enumerate(pool.imap(_run_cell, tasks), start=1):
-                results.append(record)
-                if progress is not None:
-                    progress(done, len(tasks), record)
-    else:
-        _init_worker(cache_dir)
-        for done, task in enumerate(tasks, start=1):
-            record = _run_cell(task)
-            results.append(record)
-            if progress is not None:
-                progress(done, len(tasks), record)
-    return {
-        "seed": seed,
-        "parity": parity,
-        "per_kind_plans": per_kind,
-        "workloads": list(workloads),
-        "configs": list(config_names),
-        "kinds": list(kinds),
-        "cells": results,
-        "summary": summarize(results, parity),
-    }
+    return _matrix(seed, parity, per_kind, workloads, config_names, kinds, cells)
 
 
 # -- fuzz-corpus replay -------------------------------------------------------
@@ -456,91 +392,63 @@ def replay_corpus(
     from repro.core.pipeline import compile_binary
     from repro.fuzz.corpus import iter_corpus
 
-    programs = []
+    programs = {}
     for path, program in iter_corpus(corpus_dir):
-        programs.append((path.name, program))
+        programs[f"corpus:{path.name}"] = program
         if len(programs) >= count:
             break
-
-    cells: list = []
     config = CompilerConfig.bitspec("max")
-    for name, program in programs:
-        binary = compile_binary(
-            program.source,
-            config,
-            profile_inputs=program.inputs_profile,
-            strict=True,
+    goldens: dict = {}
+
+    def golden(name: str):
+        if name not in goldens:
+            program = programs[name]
+            binary = compile_binary(
+                program.source,
+                config,
+                profile_inputs=program.inputs_profile,
+                strict=True,
+            )
+            golden_sim = binary.run(program.inputs_run, obs=True)
+            profile = golden_profile(
+                binary,
+                golden_sim,
+                recoveries=ooo_recoveries(binary, program.inputs_run),
+            )
+            goldens[name] = (binary, program.inputs_run, golden_sim, profile)
+        return goldens[name]
+
+    def run_cell(cell: tuple) -> dict:
+        name, kind, fault_seed = cell
+        return _inject_cell(
+            lambda: golden(name),
+            name, config.name, kind, fault_seed, parity=parity, engine=engine,
         )
-        golden_sim = binary.run(program.inputs_run, obs=True)
-        profile = golden_profile(
-            binary,
-            golden_sim,
-            recoveries=ooo_recoveries(binary, program.inputs_run),
-        )
-        for kind in kinds:
-            for _ in range(per_kind):
-                fault_seed = iteration_seed(seed, len(cells))
-                plan = derive_plan(kind, fault_seed, profile, parity=parity)
-                record = run_injection(
-                    binary, program.inputs_run, plan, golden_sim, engine=engine
-                )
-                record.update(
-                    {
-                        "workload": f"corpus:{name}",
-                        "config": config.name,
-                        "status": "ok",
-                        "golden_instructions": golden_sim.instructions,
-                        "golden_misspeculations": golden_sim.misspeculations,
-                    }
-                )
-                cells.append(record)
-    return {
-        "seed": seed,
-        "parity": parity,
-        "per_kind_plans": per_kind,
-        "workloads": [f"corpus:{name}" for name, _ in programs],
-        "configs": [config.name],
-        "kinds": list(kinds),
-        "cells": cells,
-        "summary": summarize(cells, parity),
-    }
+
+    cells = campaign.run_cells(
+        campaign.enumerate_cells((list(programs), kinds), seed, per_kind), run_cell
+    )
+    return _matrix(seed, parity, per_kind, programs, [config.name], kinds, cells)
 
 
 # -- rendering ----------------------------------------------------------------
 
-
-def to_canonical_json(matrix: dict) -> str:
-    """Byte-stable serialization: sorted keys, no wall-clock anywhere."""
-    return json.dumps(matrix, sort_keys=True, indent=2) + "\n"
+_COLUMNS = (
+    ("recovered", DETECTED_RECOVERED, 9),
+    ("unrecov", DETECTED_UNRECOVERABLE, 8),
+    ("masked", MASKED, 6),
+    ("SDC", SDC, 4),
+)
 
 
 def render_matrix(matrix: dict) -> str:
     """Human-readable coverage table for the CLI."""
     summary = matrix["summary"]
-    width = max((len(k) for k in summary["per_kind"]), default=10)
-    lines = [
+    title = (
         f"fault coverage matrix — seed {matrix['seed']}, "
         f"{summary['cells']} cells, parity={'on' if matrix['parity'] else 'off'}"
-    ]
-    header = (
-        f"{'kind':<{width}}  {'recovered':>9}  {'unrecov':>8}  "
-        f"{'masked':>6}  {'SDC':>4}"
     )
-    lines.append(header)
-    lines.append("-" * len(header))
-    for kind in matrix["kinds"]:
-        histogram = summary["per_kind"].get(kind, {})
-        lines.append(
-            f"{kind:<{width}}  "
-            f"{histogram.get(DETECTED_RECOVERED, 0):>9}  "
-            f"{histogram.get(DETECTED_UNRECOVERABLE, 0):>8}  "
-            f"{histogram.get(MASKED, 0):>6}  "
-            f"{histogram.get(SDC, 0):>4}"
-        )
-    if summary["errors"]:
-        lines.append(f"errors: {summary['errors']}")
-    lines.append(
-        "SDC in detectable kinds: "
-        f"{summary['sdc_in_detectable_kinds']}"
+    footer = f"SDC in detectable kinds: {summary['sdc_in_detectable_kinds']}"
+    return campaign.render_table(
+        title, "kind", matrix["kinds"], summary, _COLUMNS, footer
     )
-    return "\n".join(lines)

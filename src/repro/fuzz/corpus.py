@@ -16,6 +16,7 @@ import json
 from pathlib import Path
 from typing import Iterator, Optional, Union
 
+from repro.core.documents import write_document
 from repro.fuzz.generator import FuzzProgram
 
 _FORMAT_VERSION = 1
@@ -49,9 +50,7 @@ def save_program(
     program: FuzzProgram, path: Union[str, Path], name: Optional[str] = None
 ) -> Path:
     path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    payload = program_to_dict(program, name=name or path.stem)
-    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    write_document(path, program_to_dict(program, name=name or path.stem))
     return path
 
 

@@ -27,6 +27,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional
 
+from repro.core.campaign import iteration_seed
 from repro.fuzz.corpus import save_counterexample, save_program
 from repro.fuzz.generator import generate_program
 from repro.fuzz.oracles import run_oracles
@@ -34,16 +35,6 @@ from repro.fuzz.shrink import Shrinker
 
 #: default artifact directory, relative to the repo root
 DEFAULT_CORPUS_DIR = Path(__file__).resolve().parents[3] / "tests" / "corpus"
-
-
-def iteration_seed(base_seed: int, index: int) -> int:
-    """Deterministic, well-mixed per-iteration seed (splitmix64 step)."""
-    x = (base_seed * 0x9E3779B97F4A7C15 + index * 0xBF58476D1CE4E5B9) & (2**64 - 1)
-    x ^= x >> 30
-    x = (x * 0xBF58476D1CE4E5B9) & (2**64 - 1)
-    x ^= x >> 27
-    x = (x * 0x94D049BB133111EB) & (2**64 - 1)
-    return x ^ (x >> 31)
 
 
 @dataclass

@@ -11,10 +11,9 @@ region, handler, and world.  The headline invariant: attribution totals
 re-sum to the aggregate :class:`~repro.arch.machine.SimResult` counters
 bit for bit (:func:`~repro.obs.attribution.check_conservation`).
 
-Modules: :mod:`~repro.obs.events` (typed events, :class:`EventBus` ring
-buffer, sample expansion), :mod:`~repro.obs.attribution` (the engine),
-:mod:`~repro.obs.report` (text/JSON rendering), and ``python -m
-repro.obs`` (the CLI).  See ``docs/observability.md``.
+Modules: :mod:`~repro.obs.events` (typed events and sample expansion),
+:mod:`~repro.obs.attribution` (the engine), :mod:`~repro.obs.report`
+(text/JSON rendering), and ``python -m repro.obs`` (the CLI).  See ``docs/observability.md``.
 """
 
 from repro.obs.attribution import (
@@ -26,7 +25,6 @@ from repro.obs.attribution import (
 )
 from repro.obs.events import (
     EVENT_KINDS,
-    EventBus,
     ObsEvent,
     PcSample,
     dts_mode_events,
@@ -41,7 +39,6 @@ __all__ = [
     "check_conservation",
     "source_var",
     "EVENT_KINDS",
-    "EventBus",
     "ObsEvent",
     "PcSample",
     "dts_mode_events",

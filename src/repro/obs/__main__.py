@@ -22,37 +22,23 @@ Config names accept the bench presets (``baseline``, ``bitspec-max``,
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 import time
 
-from repro.bench.__main__ import CONFIG_FACTORIES, ROSTERS
-
-#: paper-style spellings accepted anywhere a config name is (lowercased)
-CONFIG_ALIASES = {
-    "baseline": "baseline",
-    "bitspec": "bitspec-max",
-    "nospec": "nospec",
-    "thumb": "thumb",
-    "dts": "dts",
-}
+from repro.bench.__main__ import ROSTERS
+from repro.core import pipeline
 
 
 def resolve_config(name: str):
     """Config preset name / paper alias → a fresh CompilerConfig."""
-    key = CONFIG_ALIASES.get(name.lower(), name.lower())
-    factory = CONFIG_FACTORIES.get(key)
-    if factory is None:
-        choices = sorted(CONFIG_FACTORIES) + sorted(
-            a.upper() for a in CONFIG_ALIASES if a not in CONFIG_FACTORIES
-        )
-        raise SystemExit(
-            f"unknown config {name!r}; choose from: {', '.join(choices)}"
-        )
-    return factory()
+    try:
+        return pipeline.resolve_config(name)
+    except ValueError as exc:
+        raise SystemExit(str(exc)) from None
 
 
 def cmd_report(args) -> int:
+    from repro.core.documents import write_document
     from repro.obs.report import build_report, render_json, render_text
 
     config = resolve_config(args.config)
@@ -67,9 +53,7 @@ def cmd_report(args) -> int:
     )
     sys.stdout.write(render_text(report, top=args.top))
     if args.json:
-        with open(args.json, "w") as handle:
-            json.dump(render_json(report, top=args.top), handle, indent=2)
-            handle.write("\n")
+        write_document(args.json, render_json(report, top=args.top))
         print(f"wrote {args.json}")
     return 1 if report.mismatches else 0
 

@@ -1,4 +1,4 @@
-"""Structured observability events and the ring-buffered event bus.
+"""Structured observability events.
 
 The machine's fast path does not emit events one at a time — that would
 put a callback in the hot loop.  Instead it hands back one
@@ -7,16 +7,16 @@ already had to notice (cache misses, load-use hazards, misspeculations,
 taken conditional branches, conditional-move commits), alongside the
 per-pc execution counts.  :func:`events_from_sample` expands a sample
 into *batched* typed events — one :class:`ObsEvent` per (kind, pc) with a
-``count`` — which is what a trace consumer or the :class:`EventBus`
-ingests.  Everything aggregate is derived, nothing is double-counted:
-:mod:`repro.obs.attribution` proves that by re-summing to the
+``count`` — which is what a trace consumer or the report's per-kind
+event counts ingest.  Everything aggregate is derived, nothing is
+double-counted: :mod:`repro.obs.attribution` proves that by re-summing to the
 :class:`~repro.arch.machine.SimResult` totals bit for bit.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterator, Optional
+from typing import Iterator
 
 # -- event kinds --------------------------------------------------------------
 
@@ -83,63 +83,6 @@ class PcSample:
     @property
     def n_insts(self) -> int:
         return len(self.exec_counts)
-
-
-class EventBus:
-    """A bounded ring buffer of :class:`ObsEvent`.
-
-    ``capacity`` bounds memory for arbitrarily long traces: when full,
-    the oldest events are overwritten and ``dropped`` counts them, so a
-    consumer always knows whether the window is complete.
-    """
-
-    def __init__(self, capacity: int = 65536) -> None:
-        if capacity <= 0:
-            raise ValueError("capacity must be positive")
-        self.capacity = capacity
-        self.dropped = 0
-        self._ring: list[Optional[ObsEvent]] = [None] * capacity
-        self._next = 0  # next write position
-        self._size = 0
-
-    def post(self, event: ObsEvent) -> None:
-        if self._size == self.capacity:
-            self.dropped += 1
-        else:
-            self._size += 1
-        self._ring[self._next] = event
-        self._next = (self._next + 1) % self.capacity
-
-    def post_all(self, events) -> None:
-        for event in events:
-            self.post(event)
-
-    def __len__(self) -> int:
-        return self._size
-
-    def drain(self) -> list[ObsEvent]:
-        """Return buffered events oldest-first and empty the bus."""
-        if self._size < self.capacity:
-            out = [e for e in self._ring[: self._size]]
-        else:
-            out = self._ring[self._next:] + self._ring[: self._next]
-        self._ring = [None] * self.capacity
-        self._next = 0
-        self._size = 0
-        return [e for e in out if e is not None]
-
-    def counts_by_kind(self) -> dict:
-        """Total occurrence count per event kind currently buffered."""
-        totals: dict = {}
-        live = (
-            self._ring[: self._size]
-            if self._size < self.capacity
-            else self._ring
-        )
-        for event in live:
-            if event is not None:
-                totals[event.kind] = totals.get(event.kind, 0) + event.count
-        return totals
 
 
 def events_from_sample(sample: PcSample, debug=None) -> Iterator[ObsEvent]:

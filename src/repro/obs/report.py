@@ -19,7 +19,7 @@ from typing import Optional
 from repro.core.pipeline import CompilerConfig
 from repro.eval.harness import get_binary
 from repro.obs.attribution import Attribution, attribute, check_conservation
-from repro.obs.events import EventBus, dts_mode_events, events_from_sample
+from repro.obs.events import dts_mode_events, events_from_sample
 from repro.workloads import get_workload
 
 
@@ -34,7 +34,6 @@ class ObsReport:
     mismatches: list
     pass_stats: dict
     event_counts: dict
-    events_dropped: int
     #: per-function Tally of the BASELINE run on the same inputs (or None)
     baseline_by_function: Optional[dict] = None
     baseline_total: Optional[object] = None
@@ -49,7 +48,6 @@ def build_report(
     profile_kind: str = "test",
     profile_seed: int = 0,
     baseline: bool = True,
-    bus_capacity: int = 65536,
 ) -> ObsReport:
     """Run with obs and attribute; optionally also run BASELINE."""
     workload = get_workload(workload_name)
@@ -64,15 +62,14 @@ def build_report(
     attribution = attribute(binary.linked, sim.obs)
     mismatches = check_conservation(attribution, sim)
 
-    bus = EventBus(capacity=bus_capacity)
-    bus.post_all(events_from_sample(sim.obs, binary.linked.debug))
+    events = list(events_from_sample(sim.obs, binary.linked.debug))
     if config.voltage_scaling == "timesqueezing":
         from repro.arch.dts import DTSModel
 
-        bus.post_all(
-            dts_mode_events(sim.class_counts, DTSModel().slack_profile)
-        )
-    event_counts = bus.counts_by_kind()
+        events += dts_mode_events(sim.class_counts, DTSModel().slack_profile)
+    event_counts: dict = {}
+    for event in events:
+        event_counts[event.kind] = event_counts.get(event.kind, 0) + event.count
 
     report = ObsReport(
         workload=workload_name,
@@ -82,7 +79,6 @@ def build_report(
         mismatches=mismatches,
         pass_stats=binary.pass_stats,
         event_counts=event_counts,
-        events_dropped=bus.dropped,
     )
 
     if baseline and config.name != "baseline":
@@ -356,8 +352,6 @@ def render_text(report: ObsReport, *, top: int = 10) -> str:
         )
     else:
         push("(no events)")
-    if report.events_dropped:
-        push(f"(ring buffer dropped {report.events_dropped} events)")
     push("")
 
     # -- pass statistics -------------------------------------------------------
@@ -438,7 +432,6 @@ def render_json(report: ObsReport, *, top: int = 10) -> dict:
             for name, t in sorted(a.by_function().items())
         },
         "events": dict(sorted(report.event_counts.items())),
-        "events_dropped": report.events_dropped,
         "pass_stats": report.pass_stats,
     }
     if report.baseline_by_function is not None:

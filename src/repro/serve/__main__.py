@@ -27,6 +27,7 @@ import sys
 import tempfile
 from pathlib import Path
 
+from repro.core.documents import write_document
 from repro.serve.client import parse_url, request_sync
 from repro.serve.server import ReproServer, ServeConfig
 
@@ -160,7 +161,7 @@ def _cmd_load_test(args) -> int:
     output = args.json or Path(
         f"SERVE_{datetime.date.today().isoformat()}.json"
     )
-    Path(output).write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
+    write_document(output, report)
 
     warm = report["warm"]
     coalescing = report["coalescing"]

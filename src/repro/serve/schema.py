@@ -30,25 +30,12 @@ from dataclasses import replace
 
 from repro.arch.machine import ENGINES
 from repro.arch.widths import SLICE_WIDTHS
-from repro.core.pipeline import CompilerConfig
+from repro.core.pipeline import PRESETS, CompilerConfig, resolve_config
 from repro.dse.space import OP_SETS, SpecPoint
 from repro.profiler.selection import SQUEEZABLE_BINOPS
 
 #: bump when the report document layout changes — invalidates cached reports
 REPORT_SCHEMA = 1
-
-#: named configuration presets accepted by ``config.preset``
-#: (the same names ``python -m repro.bench --configs`` understands)
-PRESETS = (
-    "baseline",
-    "bitspec-max",
-    "bitspec-avg",
-    "bitspec-min",
-    "nospec",
-    "thumb",
-    "dts",
-    "dts-bitspec-max",
-)
 
 HEURISTICS = ("max", "avg", "min")
 
@@ -218,7 +205,7 @@ def _validate_config(section, errors: list) -> dict:
                 f"(got knobs {sorted(knobs)})",
             )
         preset = section["preset"]
-        if preset not in PRESETS:
+        if not isinstance(preset, str) or preset not in PRESETS:
             _err(
                 errors,
                 f"{path}.preset",
@@ -379,18 +366,7 @@ def validate_request(doc) -> dict:
 def build_config(config_section: dict) -> CompilerConfig:
     """Lower a canonical config section onto a :class:`CompilerConfig`."""
     if "preset" in config_section:
-        preset = config_section["preset"]
-        factories = {
-            "baseline": CompilerConfig.baseline,
-            "bitspec-max": lambda: CompilerConfig.bitspec("max"),
-            "bitspec-avg": lambda: CompilerConfig.bitspec("avg"),
-            "bitspec-min": lambda: CompilerConfig.bitspec("min"),
-            "nospec": CompilerConfig.nospec,
-            "thumb": CompilerConfig.thumb,
-            "dts": CompilerConfig.dts,
-            "dts-bitspec-max": lambda: CompilerConfig.dts_bitspec("max"),
-        }
-        return factories[preset]()
+        return resolve_config(config_section["preset"])
     knobs = {k: v for k, v in config_section.items() if k in _KNOB_DEFAULTS}
     ops = knobs.get("squeeze_ops", "all")
     knobs["squeeze_ops"] = tuple(OP_SETS[ops]) if isinstance(ops, str) else tuple(ops)

@@ -39,6 +39,7 @@ from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import Optional
 
+from repro.core.documents import canonical_json
 from repro.serve.pool import WorkerPool
 from repro.serve.quota import QuotaRegistry
 from repro.serve.report import error_envelope
@@ -87,13 +88,10 @@ _JOB_PATH = re.compile(r"^/v1/jobs/([0-9a-f]{64})(/report)?$")
 
 
 def canonical_body(doc: dict) -> bytes:
-    """The one true JSON encoding of a response body.
-
-    Sorted keys, two-space indent, trailing newline, ASCII-only — every
-    byte a pure function of the document, which is what makes the
-    byte-identical replay gate meaningful.
-    """
-    return (json.dumps(doc, sort_keys=True, indent=2) + "\n").encode()
+    """A response body: the document's canonical JSON, whose every byte
+    is a pure function of the document — what makes the byte-identical
+    replay gate meaningful."""
+    return canonical_json(doc).encode()
 
 
 @dataclass

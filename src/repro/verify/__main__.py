@@ -25,10 +25,9 @@ counterexample was found (normal modes) or every canary was caught
 from __future__ import annotations
 
 import argparse
-import json
 import sys
-from pathlib import Path
 
+from repro.core.documents import write_document
 from repro.fuzz.corpus import iter_corpus, save_counterexample
 from repro.verify.checker import (
     CANARIES,
@@ -261,10 +260,7 @@ def main(argv=None) -> int:
         else None,
     }
     if args.json:
-        Path(args.json).parent.mkdir(parents=True, exist_ok=True)
-        Path(args.json).write_text(
-            json.dumps(report, indent=2, sort_keys=True) + "\n"
-        )
+        write_document(args.json, report)
 
     counted = sum(summary[v] for v in VERDICTS)
     log(

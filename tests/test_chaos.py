@@ -17,13 +17,13 @@ from repro.chaos.campaign import (
     LOST_WORK,
     RECOVERED,
     SCENARIOS,
-    enumerate_cells,
     render_campaign,
     run_campaign,
     run_cell,
     summarize,
     to_canonical_json,
 )
+from repro.core.campaign import enumerate_cells
 from repro.fuzz.driver import iteration_seed
 
 #: cheap scenarios (no compiles, no subprocesses) — used where the test
@@ -112,7 +112,7 @@ def test_campaign_json_carries_no_paths_or_pids():
 
 
 def test_enumerate_cells_seeds_are_stream_positions():
-    cells = enumerate_cells(("a", "b"), 17, 2)
+    cells = enumerate_cells((("a", "b"),), 17, 2)
     assert [c[0] for c in cells] == ["a", "a", "b", "b"]
     assert [c[1] for c in cells] == [iteration_seed(17, i) for i in range(4)]
 

@@ -73,12 +73,12 @@ def test_golden_figures_agree_between_engines(monkeypatch):
     """The pinned numbers must not depend on which Machine engine ran."""
     from repro.eval import harness
 
-    monkeypatch.setenv("REPRO_MACHINE_LEGACY", "1")
+    monkeypatch.setenv("REPRO_MACHINE_ENGINE", "legacy")
     harness.clear_caches()
     try:
         legacy = _snapshot()
     finally:
         harness.clear_caches()
-    monkeypatch.delenv("REPRO_MACHINE_LEGACY")
+    monkeypatch.delenv("REPRO_MACHINE_ENGINE")
     fast = _snapshot()
     assert legacy == fast

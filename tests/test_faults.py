@@ -201,11 +201,11 @@ def test_session_razor_replay_counts_cycles():
 # ---------------------------------------------------------------------------
 
 
-def _engine_result(binary, plan, fast):
+def _engine_result(binary, plan, engine):
     set_global_inputs(binary.module, RUN_INPUTS)
     machine = Machine(
         binary.linked, binary.module,
-        faults=FaultSession(plan), fast=fast, step_limit=5000,
+        faults=FaultSession(plan), engine=engine, step_limit=5000,
     )
     try:
         sim = machine.run()
@@ -224,8 +224,8 @@ def test_engines_agree_under_faults(golden, kind):
     binary, _, profile = golden
     for seed in range(4):
         plan = derive_plan(kind, seed, profile, parity=seed % 2 == 1)
-        fast = _engine_result(binary, plan, True)
-        legacy = _engine_result(binary, plan, False)
+        fast = _engine_result(binary, plan, "fast")
+        legacy = _engine_result(binary, plan, "legacy")
         assert fast == legacy, f"{kind} seed {seed}: {fast} != {legacy}"
 
 
@@ -394,6 +394,17 @@ def test_resolve_config_aliases():
     assert resolve_config("dts-bitspec-max").voltage_scaling == "timesqueezing"
     with pytest.raises(ValueError):
         resolve_config("riscv")
+
+
+def test_unknown_config_is_an_error_cell_not_a_baseline_run():
+    matrix = run_campaign(
+        workloads=["bitcount"], config_names=["bitspec-foo"],
+        kinds=["rf_bit"], per_kind=1,
+    )
+    (cell,) = matrix["cells"]
+    assert cell["status"] == "error" and cell["category"] == "error"
+    assert "unknown config" in cell["error"]
+    assert matrix["summary"]["errors"] == 1
 
 
 def test_cli_campaign_smoke(tmp_path, capsys):

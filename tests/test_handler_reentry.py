@@ -117,8 +117,10 @@ def test_machine_reenters_through_both_handlers(engine):
 def test_engines_and_interpreter_agree_exactly():
     module = build_reentry_module()
     linked = _link(module)
-    fast = Machine(module=module, linked=linked, fast=True, step_limit=10_000).run()
-    legacy = Machine(module=module, linked=linked, fast=False, step_limit=10_000).run()
+    fast = Machine(module=module, linked=linked, engine="fast", step_limit=10_000).run()
+    legacy = Machine(
+        module=module, linked=linked, engine="legacy", step_limit=10_000
+    ).run()
     assert (fast.output, fast.misspeculations, fast.instructions) == (
         legacy.output, legacy.misspeculations, legacy.instructions
     )

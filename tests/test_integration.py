@@ -8,6 +8,7 @@ from repro.core import (
     compile_binary,
     set_global_inputs,
 )
+from repro.core.pipeline import resolve_config
 from repro.eval.harness import clear_caches, geomean, run
 from repro.passes import ExpanderConfig
 from repro.workloads import get_workload
@@ -50,6 +51,20 @@ def test_config_presets():
 
     with pytest.raises(ValueError):
         compile_binary("void main() { out(1); }", CompilerConfig(middle_end="magic"))
+
+
+def test_config_spellings_are_closed():
+    """One preset table, one resolver: an unknown name raises instead of
+    compiling as something else."""
+    assert resolve_config("BITSPEC") == CompilerConfig.bitspec("max")
+    assert resolve_config(" Thumb ") == CompilerConfig.thumb()
+    for name in ("bitspec-foo", "dts-bitspec-min", "arm", "arm_bs"):
+        with pytest.raises(ValueError, match="unknown config"):
+            resolve_config(name)
+    with pytest.raises(ValueError, match="middle-end"):
+        CompilerConfig.bitspec("foo")
+    with pytest.raises(ValueError, match="isa"):
+        CompilerConfig(isa="RISCV")
 
 
 def test_binary_metadata_populated():

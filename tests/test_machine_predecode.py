@@ -148,28 +148,28 @@ def test_workload_engines_identical(engine, workload_name, config):
 
 
 def test_fast_path_is_the_default_without_trace_hook(monkeypatch):
-    monkeypatch.delenv("REPRO_MACHINE_LEGACY", raising=False)
     monkeypatch.delenv("REPRO_MACHINE_ENGINE", raising=False)
     binary = get_binary("crc32", CompilerConfig.baseline())
     machine = Machine(binary.linked, binary.module)
-    assert machine.fast is None  # auto: resolved at run() time
+    assert machine.engine is None  # auto: resolved at run() time
     assert machine.resolve_engine() == "fast"
-    # an explicit fast=True with a trace hook must be rejected, not ignored
+    # an explicit engine="fast" with a trace hook must be rejected, not ignored
     traced = Machine(
-        binary.linked, binary.module, trace_hook=lambda pc, regs: None, fast=True
+        binary.linked, binary.module, trace_hook=lambda pc, regs: None,
+        engine="fast",
     )
     with pytest.raises(ValueError):
         traced.run()
 
 
 def test_legacy_env_escape_hatch(monkeypatch):
-    """REPRO_MACHINE_LEGACY=1 forces the legacy loop (and still agrees)."""
+    """REPRO_MACHINE_ENGINE=legacy forces the legacy loop (and still agrees)."""
     binary = get_binary("bitcount", CompilerConfig.bitspec("max"))
     inputs = get_workload("bitcount").inputs("test", 0)
     set_global_inputs(binary.module, inputs)
-    monkeypatch.setenv("REPRO_MACHINE_LEGACY", "1")
+    monkeypatch.setenv("REPRO_MACHINE_ENGINE", "legacy")
     legacy = Machine(binary.linked, binary.module).run()
-    monkeypatch.delenv("REPRO_MACHINE_LEGACY")
+    monkeypatch.delenv("REPRO_MACHINE_ENGINE")
     fast = Machine(binary.linked, binary.module).run()
     assert_sims_identical(fast, legacy, "bitcount/env-escape")
 

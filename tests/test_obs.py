@@ -4,7 +4,7 @@ The load-bearing property is **conservation**: summing the per-pc
 attribution over every executed pc reproduces the aggregate SimResult
 counters integer-exactly — no sampling, no tolerance.  Alongside it:
 equivalence of the fast path's event sample against a legacy-engine
-pc trace, the event bus/expansion semantics, the pass-statistics
+pc trace, the event expansion semantics, the pass-statistics
 registry, and a golden text report over the mini roster.
 """
 
@@ -19,8 +19,6 @@ from repro.arch.machine import Machine
 from repro.core.pipeline import CompilerConfig, compile_binary
 from repro.eval import harness
 from repro.obs import (
-    EventBus,
-    ObsEvent,
     PcSample,
     attribute,
     check_conservation,
@@ -124,12 +122,13 @@ def test_attribute_requires_obs_sample():
 
 
 def test_obs_forces_fast_path(monkeypatch):
-    """REPRO_MACHINE_LEGACY is ignored for obs runs; fast=False raises."""
+    """REPRO_MACHINE_ENGINE=legacy is ignored for obs runs; an explicit
+    engine="legacy" raises."""
     binary = _misspec_binary()
-    monkeypatch.setenv("REPRO_MACHINE_LEGACY", "1")
+    monkeypatch.setenv("REPRO_MACHINE_ENGINE", "legacy")
     sim = binary.run({"n": 200}, obs=True)
     assert sim.obs is not None  # fast path ran despite the env override
-    machine = Machine(binary.linked, binary.module, obs=True, fast=False)
+    machine = Machine(binary.linked, binary.module, obs=True, engine="legacy")
     with pytest.raises(ValueError, match="fast path"):
         machine.run()
 
@@ -148,7 +147,7 @@ def _legacy_trace_counts(binary, inputs):
         binary.linked,
         binary.module,
         trace_hook=lambda pc, regs: trace.append(pc),
-        fast=False,
+        engine="legacy",
     )
     sim = machine.run()
     n = len(binary.linked.insts)
@@ -222,19 +221,6 @@ def test_events_from_sample_pairs_handlers():
     for event in events:
         assert event.count > 0
         assert sim.obs.exec_counts[event.pc] > 0
-
-
-def test_event_bus_ring_semantics():
-    bus = EventBus(capacity=4)
-    for i in range(6):
-        bus.post(ObsEvent("stall", i, 1))
-    assert len(bus) == 4
-    assert bus.dropped == 2
-    drained = bus.drain()
-    assert [e.pc for e in drained] == [2, 3, 4, 5]  # oldest two overwritten
-    assert len(bus) == 0
-    with pytest.raises(ValueError):
-        EventBus(capacity=0)
 
 
 def test_dts_mode_events_only_for_scaled_classes():

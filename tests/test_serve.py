@@ -92,6 +92,12 @@ class TestSchema:
         paths = {e["path"] for e in excinfo.value.errors}
         assert {"tenant", "config.preset", "report.top"} <= paths
 
+    @pytest.mark.parametrize("preset", [["bitspec-max"], {"a": 1}, 7, "BITSPEC"])
+    def test_non_preset_spellings_rejected(self, preset):
+        with pytest.raises(RequestValidationError) as excinfo:
+            validate_request(good_doc(config={"preset": preset}))
+        assert [e["path"] for e in excinfo.value.errors] == ["config.preset"]
+
     def test_unknown_top_level_key_rejected(self):
         with pytest.raises(RequestValidationError):
             validate_request(good_doc(surprise=1))
