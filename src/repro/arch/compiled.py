@@ -46,23 +46,16 @@ Hook degradation (the four-engine contract, see docs/engines.md):
 * ``trace_hook`` — rejected, exactly as on the fast path: per-step
   tracing is the legacy interpreter's job.
 
-Hot self-loop regions (a block whose conditional latch targets its own
-entry) are emitted in a *loop mode*: a ``while True`` body with eager
-prologue loads, flag spills at back edges, and a step-budget check per
-pass.  Each loop region additionally gets a *steady-state twin* — a
-second body with the inline icache probes compiled out.  After one
-priming pass every line the loop fetches is L1-resident, so the probes
-are unobservable L1 hits whose only effect is MRU reordering; the twin
-replays the compressed recency permutation once per pass boundary
-instead.  A runtime associativity guard (``INW >= distinct lines``)
-selects the twin only when residency actually holds, and twins whose
-emission diverges from the priming body (sites, pcs) are discarded —
-bit-identity is never assumed, always re-verified differentially.
+Each region is one straight-line body, emitted in one pass.  Small
+loops are unrolled by tracing through their back edges up to
+:data:`MAX_REGION`; a trace that returns to its own leader ends the
+region there and leaves through the dispatcher, which checks the step
+limit after every region.
 
-The generated source is cached on the :class:`LinkedProgram` instance
+The compiled image is cached on the :class:`LinkedProgram` instance
 (keyed by register-file narrowing and slice width), so repeated runs of
 one binary recompile nothing.  Each image also keeps a pool of reusable
-:class:`_Runtime` instances keyed by (step limit, cache geometry):
+:class:`_Runtime` instances keyed by cache geometry:
 registers, the 4 MB flat memory, cache way lists and all per-pc counter
 arrays are reset in place between runs, and results are copied out so a
 cached runtime never aliases a returned :class:`SimResult`.
@@ -126,12 +119,6 @@ MAX_REGION = 256
 #: their entry cost, so they end the region instead
 UNROLL_SPAN = 64
 
-#: in loop mode (a region whose trace returns to its own leader), keep
-#: unrolling copies of the loop body until this many instructions before
-#: closing the ``while True`` back edge, amortizing the per-iteration
-#: bookkeeping (entry counter, hazard check, flag spills) over the copies
-LOOP_UNROLL = 192
-
 _SPEC_OPS = (OP_BS_BIN, OP_BS_TRUNC, OP_BS_TRUNC_HI, OP_BS_LDR)
 
 _U16 = Struct("<H").unpack_from
@@ -148,7 +135,7 @@ _BIND_NAMES = (
     "regs", "S", "data", "out_append",
     "IC2", "ICM", "DC2", "DCM", "HZ", "MS", "TK", "MC", "BE", "BX",
     "ICD", "MERR", "U16", "U32", "P16", "P32",
-    "IW", "DW", "LW", "ISM", "LSM", "INW", "LNW", "LIM",
+    "IW", "DW", "LW", "ISM", "LSM", "INW", "LNW",
 )
 
 
@@ -160,20 +147,19 @@ def _icmp_dyn(cond, a, b, width):
 class CompiledImage:
     """One translated program: a code object plus fold metadata."""
 
-    __slots__ = ("codeobj", "source", "leaders", "fold_regions",
+    __slots__ = ("codeobj", "leaders", "fold_regions",
                  "n_insts", "n_regions", "n_sites", "runtimes")
 
-    def __init__(self, codeobj, source, leaders, fold_regions,
+    def __init__(self, codeobj, leaders, fold_regions,
                  n_insts, n_regions, n_sites):
         self.codeobj = codeobj
-        self.source = source
         self.leaders = leaders
         self.fold_regions = fold_regions
         self.n_insts = n_insts
         self.n_regions = n_regions
         self.n_sites = n_sites
-        #: reusable :class:`_Runtime` instances keyed by (step limit,
-        #: cache geometry) — see run_compiled
+        #: reusable :class:`_Runtime` instances keyed by cache geometry
+        #: — see run_compiled
         self.runtimes = {}
 
 
@@ -188,9 +174,7 @@ class _RegionEmitter:
     """
 
     def __init__(self, code, start, n, inst_bytes, delta, spec_mask,
-                 region_idx, site_base, leaders, stop_set=frozenset(),
-                 loop_mode=False, spill=None, steady=False,
-                 entry_probe=True, site_map=None):
+                 region_idx, site_base, leaders):
         self.code = code
         self.start = start
         self.n = n
@@ -200,37 +184,6 @@ class _RegionEmitter:
         self.region_idx = region_idx
         self.site_base = site_base
         self.leaders = leaders
-        self.stop_set = stop_set
-        # loop mode: the region's trace returns to its own leader, so the
-        # body is wrapped in ``while True`` and back edges ``continue``
-        # instead of returning — register locals stay live across
-        # iterations.  ``spill`` is the full write set discovered by the
-        # straight-line first pass: any exit may run after a back edge,
-        # so every exit conservatively spills all of it (a spill of an
-        # unwritten local just rewrites the value the prologue loaded).
-        self.loop_mode = loop_mode
-        self.spill = spill if spill is not None else []
-        self.wants_loop = False
-        # steady mode re-emits a loop body with the icache model compiled
-        # out: once a full pass has run (all fetched lines resident, L1
-        # always hits — unobservable), each probe is a pure MRU reorder
-        # of resident lines, so the body records probes instead of
-        # emitting them and every pass boundary (side exit, back edge)
-        # applies the prefix's compressed remove/append permutation —
-        # bit-identical ways-list state at a fraction of the work.
-        # ``entry_probe`` says whether the pass-top line check would fire
-        # (static: uniform over all back-edge lines, else ineligible);
-        # ``site_map`` reuses the priming body's fold-site ids in walk
-        # order, keeping one set of counters for both bodies.
-        self.steady = steady
-        self.entry_probe = entry_probe
-        self.site_map = site_map
-        self._site_i = 0
-        self.probe_seq: list = []     # icache lines probed, in walk order
-        self.backedge_lines: list = []  # line of each back edge's inst
-        self.boundary_done = False    # steady walk passed the first back edge
-        self.first_backedge_end = None  # body index just past that edge
-        self.cycle_len = None         # offset of the first return to start
         self.body: list = []          # (indent, text)
         self.pending_loads: list = []  # regs first read by the current inst
         self.bound: set = set()       # regs bound as locals
@@ -253,12 +206,10 @@ class _RegionEmitter:
     def reg(self, r, read=True):
         if r not in self.bound:
             self.bound.add(r)
-            if read and not self.loop_mode:
+            if read:
                 # lazily loaded just before the instruction that first
                 # reads it, so a path that exits the region early never
-                # pays for registers only later instructions touch.
-                # (Loop mode hoists every load into the prologue instead:
-                # a back edge must find all locals initialized.)
+                # pays for registers only later instructions touch
                 self.pending_loads.append(r)
         return f"r{r}"
 
@@ -370,85 +321,21 @@ class _RegionEmitter:
         return repr(pc_target)
 
     def new_site(self, off):
-        """Allocate (or, in steady mode, reuse the twin's) fold site."""
-        if self.site_map is not None:
-            site = self.site_map[self._site_i]
-            self._site_i += 1
-        else:
-            site = self.site_base + len(self.sites)
+        site = self.site_base + len(self.sites)
         self.sites.append((site, off))
         return site
 
-    def emit_replay(self, indent):
-        """Steady mode: materialize the recorded probe prefix.
-
-        Applying each line's MRU move in dedup-keep-last order yields the
-        exact ways-list state the skipped probes would have left (probed
-        lines move to the back in last-touch order; unprobed lines keep
-        their relative order), and the shadow takes the last probed line.
-        """
-        seq = self.probe_seq
-        if not seq:
-            return
-        seen = set()
-        last = []
-        for ln in reversed(seq):
-            if ln not in seen:
-                seen.add(ln)
-                last.append(ln)
-        last.reverse()
-        for ln in last:
-            self.line(indent, f"iw_ = IW[{ln} & ISM]")
-            self.line(indent, f"iw_.remove({ln})")
-            self.line(indent, f"iw_.append({ln})")
-        self.line(indent, f"S[4] = {seq[-1]}")
-
     def emit_exit(self, indent, steps, ret, llr_store=None):
-        if self.steady and not self.boundary_done:
-            self.emit_replay(indent)
         if self.cmp[0] == "set":
             self.line(indent, f"S[0] = (ca, cb, {self.cmp[1]!r})")
         if self.carry == "set":
             self.line(indent, "S[1] = cy")
-        for r in (self.spill if self.loop_mode else self.dirty):
+        for r in self.dirty:
             self.line(indent, f"regs[{r}] = r{r}")
         if llr_store is not None:
             self.line(indent, f"S[2] = {llr_store}")
         self.line(indent, f"S[3] += {steps}")
         self.line(indent, f"return {ret}")
-
-    def emit_loopback(self, indent, steps, site_off=None):
-        """Back edge to the region's own leader (loop mode only).
-
-        Emits a ``continue`` to the top of the ``while True`` body:
-        register locals stay live, so only the lazily-shared flag state
-        (cmp tuple, carry, pending load reg) is written back to ``S``
-        for the next iteration's on-demand reads.  ``site_off`` marks a
-        *conditional* back edge as a fold site (later offsets in the
-        body stop executing once it is taken); the terminal back edge at
-        the end of the body needs none.  The step-limit check mirrors
-        the dispatch loop's: returning the region's own function hands
-        an over-limit run back to the dispatcher, which raises.
-        """
-        if self.steady and not self.boundary_done:
-            self.emit_replay(indent)
-        if self.cmp[0] == "set":
-            self.line(indent, f"S[0] = (ca, cb, {self.cmp[1]!r})")
-        if self.carry == "set":
-            self.line(indent, "S[1] = cy")
-        if site_off is not None:
-            site = self.new_site(site_off)
-            self.line(indent, f"BX[{site}] += 1")
-        if self.llr is not None:
-            self.line(indent, f"S[2] = {self.llr}")
-        self.line(indent, f"S[3] += {steps}")
-        self.line(indent, "if S[3] > LIM:")
-        self.line(indent + 1, f"return _b{self.start}")
-        self.line(indent, "continue")
-        if self.first_backedge_end is None:
-            # the first back edge is the steady boundary: when a steady
-            # twin is attached, the priming body hands off to it here
-            self.first_backedge_end = len(self.body)
 
     def misspec_exit(self, pc, off):
         site = self.new_site(off)
@@ -484,12 +371,7 @@ class _RegionEmitter:
                 self.llr = None
             line_no = (pc * self.inst_bytes) >> L1_LINE_SHIFT
             if line_no != prev_line_no:
-                if self.steady and not self.boundary_done:
-                    # steady prefix: record for the boundary replay; the
-                    # entry check's outcome is static — see _build_image
-                    if prev_line_no is not None or self.entry_probe:
-                        self.probe_seq.append(line_no)
-                elif prev_line_no is None:
+                if prev_line_no is None:
                     # region entry: the line may equal the icache's current
                     # last line (S[4] shadows Cache._last_line exactly: the
                     # skipped probe would have been the observably-inert
@@ -517,40 +399,9 @@ class _RegionEmitter:
             nxt_pc = nxt[1] if nxt is not None else pc + 1
             off += 1
             if nxt_pc == self.start:
-                # the trace arrived back at this region's own leader
-                if not self.loop_mode:
-                    # first pass: stop here and ask _build_image to
-                    # re-emit the region in loop mode (the exit below is
-                    # only reached if the rebuild is skipped — it never
-                    # is — but keeps the pass-one body well-formed)
-                    self.wants_loop = True
-                    self.emit_exit(0, off, self.ret_target(self.start),
-                                   llr_store=self.llr)
-                    return
-                if self.cycle_len is None:
-                    self.cycle_len = off
-                if off >= LOOP_UNROLL or off + self.cycle_len > MAX_REGION:
-                    # enough copies — or another full copy would trip the
-                    # MAX_REGION cap mid-body and lose the terminal back
-                    # edge: close the loop here
-                    if self.steady and self.boundary_done:
-                        # same residency argument as the conditional
-                        # back edge: go through the dispatcher
-                        self.emit_exit(0, off, self.ret_target(self.start),
-                                       llr_store=self.llr)
-                        return
-                    self.backedge_lines.append(
-                        (pc * self.inst_bytes) >> L1_LINE_SHIFT)
-                    self.emit_loopback(0, off)
-                    if self.steady:
-                        self.boundary_done = True
-                    return
-                # otherwise keep unrolling copies of the loop body
-            elif nxt_pc in self.stop_set:
-                # transfer into a known self-loop's entry: dispatch to
-                # its loop-mode region rather than unrolling a second
-                # copy of the loop here
-                self.emit_exit(0, off, self.ret_target(nxt_pc),
+                # the trace arrived back at this region's own leader: end
+                # the region and re-enter through the dispatcher
+                self.emit_exit(0, off, self.ret_target(self.start),
                                llr_store=self.llr)
                 return
             pc = nxt_pc
@@ -725,36 +576,6 @@ class _RegionEmitter:
 
         if op == OP_BCOND:
             target = t[3]
-            if target == self.start:
-                if self.loop_mode:
-                    # conditional back edge to the loop header: continue
-                    # to the top of the while body, fall through otherwise
-                    cond = self.cond_expr(0, t[2])
-                    self.line(0, f"if {cond}:")
-                    self.line(1, f"TK[{pc}] += 1")
-                    if self.steady and self.boundary_done:
-                        # past the boundary the tail's live probes may
-                        # have evicted prefix lines: re-enter through the
-                        # dispatcher so a priming pass re-establishes
-                        # residency (bit-identical to `continue` — the
-                        # spilled locals reload and BE bumps on entry)
-                        site = self.new_site(off)
-                        self.line(1, f"BX[{site}] += 1")
-                        self.emit_exit(1, off + 1,
-                                       self.ret_target(self.start),
-                                       llr_store=self.llr)
-                        return None
-                    self.backedge_lines.append(
-                        (pc * self.inst_bytes) >> L1_LINE_SHIFT)
-                    self.emit_loopback(1, off + 1, site_off=off)
-                    if self.steady and not self.boundary_done:
-                        # not-taken path crosses the boundary too:
-                        # materialize the skipped prefix, then emit the
-                        # tail with the live icache model
-                        self.emit_replay(0)
-                        self.boundary_done = True
-                    return None
-                self.wants_loop = True
             if target > pc:
                 # forward conditional (if/else): superblock-continue on the
                 # fallthrough path — the taken path is an early exit with
@@ -1082,47 +903,23 @@ class _RegionEmitter:
 
     # -- assembly ---------------------------------------------------------
 
-    def _render_body(self, out, base, body):
-        out.append(base + f"BE[{self.region_idx}] += 1")
+    def render(self, fname):
+        out = [f"    def {fname}():",
+               f"        BE[{self.region_idx}] += 1"]
         hz = self.code[self.start][1] if self.start < self.n else ()
         # dynamic load-use hazard carried in from the previous region
-        # (or, in loop mode, from the previous iteration's back edge)
         if hz:
-            out.append(base + "llr_ = S[2]")
-            out.append(base + "if llr_ != -1:")
-            out.append(base + "    S[2] = -1")
+            out.append("        llr_ = S[2]")
+            out.append("        if llr_ != -1:")
+            out.append("            S[2] = -1")
             cond = " or ".join(f"llr_ == {r}" for r in hz)
-            out.append(base + f"    if {cond}:")
-            out.append(base + f"        HZ[{self.start}] += 1")
+            out.append(f"            if {cond}:")
+            out.append(f"                HZ[{self.start}] += 1")
         else:
-            out.append(base + "if S[2] != -1:")
-            out.append(base + "    S[2] = -1")
-        for indent, text in body:
-            out.append(base + "    " * indent + text)
-
-    def render(self, fname, steady_em=None, steady_guard=0):
-        out = [f"    def {fname}():"]
-        if self.loop_mode:
-            # eager prologue: every register the body references (or any
-            # exit spills) becomes a local before the loop, so back edges
-            # carry values in locals without touching ``regs``
-            for r in sorted(self.bound | set(self.spill)):
-                out.append(f"        r{r} = regs[{r}]")
-            if steady_em is not None:
-                # one full priming pass makes every fetched line resident
-                # (runtime-guarded: the steady body's replay needs them
-                # all to fit in one L1 set's ways in the worst case),
-                # then the terminal back edge breaks into the steady loop
-                out.append(f"        _p = 1 if INW >= {steady_guard}"
-                           " else -1")
-            out.append("        while True:")
-            base = "            "
-        else:
-            base = "        "
-        self._render_body(out, base, self.body)
-        if steady_em is not None:
-            out.append("        while True:")
-            self._render_body(out, base, steady_em.body)
+            out.append("        if S[2] != -1:")
+            out.append("            S[2] = -1")
+        for indent, text in self.body:
+            out.append("        " + "    " * indent + text)
         return out
 
 
@@ -1155,98 +952,31 @@ def _build_image(linked, narrow_rf, spec_mask):
             if pc + delta < n:
                 leaders.add(pc + delta)
 
-    # Phase A — analysis: trace every leader straight-line (no stop set)
-    # to discover which regions return to their own start.  Those become
-    # loop-mode regions; ``wants[leader]`` holds the trace's write set
-    # (the loop pass spills it at every exit) or None for straight code.
-    wants = {}
+    # one pass: emit every leader once; a MAX_REGION cap adds its
+    # fallthrough pc to ``leaders`` (so later exits can return its
+    # function) and queues it here — ``scheduled`` is a copy, since an
+    # alias would already hold the cap target and never emit it
     scheduled = set(leaders)
+    order = []
+    chunks = []
+    fold_regions = []
+    n_sites = 0
     pending = sorted(leaders)
     while pending:
         discovered = []
         for leader in pending:
             em = _RegionEmitter(code, leader, n, inst_bytes, delta, spec_mask,
-                                region_idx=0, site_base=0, leaders=leaders)
+                                region_idx=len(order), site_base=n_sites,
+                                leaders=leaders)
             em.emit()
-            wants[leader] = em.dirty if em.wants_loop else None
-            ft = em.fallthrough_target
-            if ft is not None and ft not in scheduled:
-                # a MAX_REGION cap created a new region entry
-                scheduled.add(ft)
-                discovered.append(ft)
-        pending = sorted(discovered)
-
-    # Phase B — emission.  Loop regions trace freely back to their own
-    # start; straight regions stop when they reach a known self-loop's
-    # entry and dispatch to its loop-mode function instead of unrolling
-    # a throwaway copy of the loop in place.
-    stop_set = frozenset(L for L, spill in wants.items() if spill is not None)
-    order = []
-    chunks = []
-    fold_regions = []
-    n_sites = 0
-    pending = sorted(wants)
-    while pending:
-        discovered = []
-        for leader in pending:
-            spill = wants[leader]
-            sem = None
-            guard = 0
-            if spill is not None:
-                em = _RegionEmitter(code, leader, n, inst_bytes, delta,
-                                    spec_mask, region_idx=len(order),
-                                    site_base=n_sites, leaders=leaders,
-                                    loop_mode=True, spill=spill)
-                em.emit()
-                # steady twin: eligible when the body has a back edge —
-                # the first one is the steady boundary, and the pass-top
-                # line check's outcome is static (the boundary edge's
-                # line either is or isn't the leader's line)
-                if em.first_backedge_end is not None:
-                    first_line = (leader * inst_bytes) >> L1_LINE_SHIFT
-                    sem = _RegionEmitter(
-                        code, leader, n, inst_bytes, delta, spec_mask,
-                        region_idx=em.region_idx, site_base=n_sites,
-                        leaders=leaders, loop_mode=True, spill=spill,
-                        steady=True,
-                        entry_probe=em.backedge_lines[0] != first_line,
-                        site_map=[s for s, _ in em.sites])
-                    try:
-                        sem.emit()
-                    except IndexError:  # twin walk diverged (site map)
-                        sem = None
-                    if sem is not None and (sem.pcs != em.pcs
-                                            or sem.sites != em.sites):
-                        sem = None
-                if sem is not None:
-                    guard = len(set(sem.probe_seq))
-                    # hand the priming loop off to the steady one at its
-                    # boundary back edge (one full prefix execution has
-                    # made every skipped line resident by then)
-                    k = em.first_backedge_end
-                    ind = em.body[k - 1][0]
-                    assert em.body[k - 1] == (ind, "continue")
-                    em.body[k - 1:k] = [(ind, "_p -= 1"), (ind, "if _p:"),
-                                        (ind + 1, "continue"),
-                                        (ind, "break")]
-            else:
-                em = _RegionEmitter(code, leader, n, inst_bytes, delta,
-                                    spec_mask, region_idx=len(order),
-                                    site_base=n_sites, leaders=leaders,
-                                    stop_set=stop_set)
-                em.emit()
             order.append(leader)
-            chunks.append(em.render(f"_b{leader}", steady_em=sem,
-                                    steady_guard=guard))
+            chunks.append(em.render(f"_b{leader}"))
             fold_regions.append((em.region_idx, tuple(em.pcs),
                                  tuple(em.hz_offsets), tuple(em.sites)))
             n_sites += len(em.sites)
             ft = em.fallthrough_target
-            if ft is not None and ft not in wants:
-                # phase B regions are prefixes of their phase A traces,
-                # so a new cap target here is unreachable in practice —
-                # but cover it to keep every _b reference defined
-                wants[ft] = None
+            if ft is not None and ft not in scheduled:
+                scheduled.add(ft)
                 discovered.append(ft)
         pending = sorted(discovered)
 
@@ -1256,9 +986,8 @@ def _build_image(linked, narrow_rf, spec_mask):
     for chunk in chunks:
         src.extend(chunk)
     src.append("    return [" + ", ".join(f"_b{L}" for L in order) + "]")
-    source = "\n".join(src) + "\n"
-    codeobj = compile(source, "<repro.arch.compiled>", "exec")
-    return CompiledImage(codeobj, source, tuple(order), tuple(fold_regions),
+    codeobj = compile("\n".join(src) + "\n", "<repro.arch.compiled>", "exec")
+    return CompiledImage(codeobj, tuple(order), tuple(fold_regions),
                          n, len(order), n_sites)
 
 
@@ -1273,8 +1002,8 @@ class _Runtime:
     closure per region, the cache-way lists, a dozen counter arrays and
     a fresh flat memory — costs on the order of a millisecond, which
     rivals the execute phase of short workloads.  One instance per
-    (step limit, cache geometry) is cached on the image and reset in
-    place between runs; :func:`run_compiled` copies everything that
+    cache geometry is cached on the image and reset in place between
+    runs; :func:`run_compiled` copies everything that
     outlives the call (memory image, output, obs arrays) out of this
     shared state before returning.
     """
@@ -1283,7 +1012,7 @@ class _Runtime:
                  "ic2", "icm", "dc2", "dcm", "hz", "ms", "tk", "mc",
                  "ways", "table", "_zeros", "_zentries", "_zexits")
 
-    def __init__(self, image, step_limit, geometry):
+    def __init__(self, image, geometry):
         from repro.arch.machine import MachineError
 
         n = image.n_insts
@@ -1315,7 +1044,6 @@ class _Runtime:
             "IW": icache._lines, "DW": dcache._lines, "LW": l2._lines,
             "ISM": icache._set_mask, "LSM": l2._set_mask,
             "INW": icache.ways, "LNW": l2.ways,
-            "LIM": step_limit,
         })
         self.table = [None] * n
         for leader, fn in zip(image.leaders, funcs):
@@ -1381,15 +1109,14 @@ def run_compiled(machine):
     image = get_image(linked, narrow_rf, spec_mask)
     n = image.n_insts
 
-    # Reuse (or build) the cached runtime for this step limit and cache
-    # geometry: the exec'd closures permanently bind its arrays, so the
-    # same instance serves every run after an in-place reset.
+    # Reuse (or build) the cached runtime for this cache geometry: the
+    # exec'd closures permanently bind its arrays, so the same instance
+    # serves every run after an in-place reset.
     g = machine.geometry or CacheGeometry()
-    key = (machine.step_limit, g.l1_kb, g.l1_ways, g.l2_kb, g.l2_ways)
+    key = (g.l1_kb, g.l1_ways, g.l2_kb, g.l2_ways)
     rt = image.runtimes.get(key)
     if rt is None:
-        image.runtimes[key] = rt = _Runtime(image, machine.step_limit,
-                                            machine.geometry)
+        image.runtimes[key] = rt = _Runtime(image, machine.geometry)
     rt.reset()
     memory = rt.memory
     initialize_globals(memory, machine.module, linked.global_addresses)

@@ -1,4 +1,5 @@
-"""The seeded campaign kernel behind ``repro.faults`` and ``repro.chaos``.
+"""The seeded campaign kernel behind ``repro.faults``, ``repro.chaos``
+and the ``repro.fuzz`` driver.
 
 A campaign is a grid of cells.  Each cell gets a deterministic seed,
 runs once, and is classified into one of a few domain categories.  The

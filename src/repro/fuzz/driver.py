@@ -2,8 +2,11 @@
 
 ``python -m repro.fuzz --seed N --iters K --jobs J`` generates K programs
 from deterministic per-iteration seeds, pushes each through the full oracle
-stack (:func:`repro.fuzz.oracles.run_oracles`) in a worker pool, shrinks
-any failure, and writes a replayable artifact to the corpus directory.
+stack (:func:`repro.fuzz.oracles.run_oracles`) on the campaign kernel's
+serial-or-pool loop (:func:`repro.core.campaign.run_cells`), shrinks any
+failure, and writes a replayable artifact to the corpus directory.
+Results arrive in iteration order, so failures are reported
+deterministically whatever ``--jobs`` is.
 
 Per-iteration seeds are derived purely from ``(base_seed, index)``, so the
 parent process can regenerate any worker's failing program without shipping
@@ -20,14 +23,13 @@ economy, and tier-1 replays the new entries like any other artifact.
 from __future__ import annotations
 
 import argparse
-import multiprocessing
 import sys
 import time
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional
 
-from repro.core.campaign import iteration_seed
+from repro.core.campaign import iteration_seed, run_cells
 from repro.fuzz.corpus import save_counterexample, save_program
 from repro.fuzz.generator import generate_program
 from repro.fuzz.oracles import run_oracles
@@ -148,7 +150,7 @@ def fuzz(
     convicted: list = []
     total_misspecs = 0
 
-    def bookkeep(done: int, result: IterationResult) -> None:
+    def bookkeep(done: int, _total: int, result: IterationResult) -> None:
         nonlocal total_misspecs
         total_misspecs += result.misspeculations
         if not result.ok:
@@ -167,14 +169,7 @@ def fuzz(
         elif verbose and done % 10 == 0:
             print(f"[{done}/{iters}] ok", flush=True)
 
-    if jobs > 1:
-        with multiprocessing.Pool(processes=jobs) as pool:
-            results = pool.imap_unordered(_run_one, tasks, chunksize=1)
-            for done, result in enumerate(results, start=1):
-                bookkeep(done, result)
-    else:
-        for done, task in enumerate(tasks, start=1):
-            bookkeep(done, _run_one(task))
+    run_cells(tasks, _run_one, jobs=jobs, progress=bookkeep)
 
     elapsed = time.monotonic() - started
     rate = iters / elapsed if elapsed > 0 else float("inf")

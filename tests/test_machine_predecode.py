@@ -26,7 +26,7 @@ from pathlib import Path
 import pytest
 
 from repro.arch.energy import EnergyCounters
-from repro.arch.machine import Machine, SimResult, committed_view
+from repro.arch.machine import Machine, MachineError, SimResult, committed_view
 from repro.core.pipeline import CompilerConfig, compile_binary, set_global_inputs
 from repro.eval.harness import get_binary
 from repro.fuzz.corpus import load_program
@@ -145,6 +145,43 @@ def test_workload_engines_identical(engine, workload_name, config):
     sim = Machine(binary.linked, binary.module, engine=engine).run()
     assert_engine_matches(sim, ref, engine, f"{workload_name}/{config.name}/{engine}")
     assert sim.instructions > 0
+
+
+#: a counted loop whose bound is an input: profiled at 1000 iterations
+#: (so bitspec compiles quickly), run at a million
+COUNTED_LOOP = """
+u32 n;
+u32 acc;
+void main() {
+    u32 i = 0;
+    while (i < n) { acc += i; i += 1; }
+    out(acc);
+}
+"""
+
+
+def test_step_limit_infinite_loop(engine):
+    """An endless loop trips the step limit on every engine."""
+    binary = compile_binary("void main() { while (1) { } }", CompilerConfig.baseline())
+    with pytest.raises(MachineError, match="step limit"):
+        Machine(binary.linked, binary.module, engine=engine, step_limit=500).run()
+
+
+@pytest.mark.parametrize(
+    "config",
+    (CompilerConfig.baseline(), CompilerConfig.bitspec("max")),
+    ids=lambda c: c.name,
+)
+def test_step_limit_counted_loop(engine, config):
+    """A million-iteration loop trips a 500-step limit on every engine,
+    and the same binary finishes under it when the count is small."""
+    binary = compile_binary(COUNTED_LOOP, config, profile_inputs={"n": 1000})
+    machine = Machine(binary.linked, binary.module, engine=engine, step_limit=500)
+    set_global_inputs(binary.module, {"n": 1000000})
+    with pytest.raises(MachineError, match="step limit"):
+        machine.run()
+    set_global_inputs(binary.module, {"n": 10})
+    assert machine.run().output == [45]
 
 
 def test_fast_path_is_the_default_without_trace_hook(monkeypatch):
