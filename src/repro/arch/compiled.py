@@ -66,6 +66,7 @@ from __future__ import annotations
 from struct import Struct
 
 from repro.arch.cache import L1_LINE_SHIFT, CacheGeometry, MemoryHierarchy
+from repro.arch.machine import HALT
 from repro.arch.predecode import (
     OP_ADC,
     OP_ADDS,
@@ -107,8 +108,6 @@ from repro.arch.widths import BYTE_MASKS as _MASKS, slice_mask
 from repro.interp.interpreter import evaluate_icmp
 from repro.interp.memory import MEMORY_SIZE, STACK_TOP, FlatMemory, initialize_globals
 from repro.ir.types import int_type
-
-HALT = 0xFFFFFFFF
 
 #: a region stops extending past this many instructions (codegen bound;
 #: the fallthrough pc becomes a region entry of its own)

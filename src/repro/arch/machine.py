@@ -34,7 +34,8 @@ from repro.ir.types import int_type
 # Return-address sentinel: survives the 32-bit masking of stack save/restore.
 HALT = 0xFFFFFFFF
 
-_DIV_OPS = {"udiv", "sdiv", "urem", "srem"}
+#: a tuple: the fast path encodes the opcode as its index here
+_DIV_OPS = ("udiv", "sdiv", "urem", "srem")
 
 #: instruction classes for the DTS timing-slack model (RQ8)
 DTS_CLASSES = ("alu32", "alu8", "mul", "div", "move", "mem", "branch")

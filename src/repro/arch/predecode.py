@@ -36,15 +36,12 @@ set, the arrays are handed to the caller as a
 from __future__ import annotations
 
 from repro.arch.cache import MemoryHierarchy
+from repro.arch.machine import HALT, _DIV_OPS
 from repro.arch.widths import BYTE_MASKS as _MASKS, slice_mask
 from repro.backend.mir import Imm, Slice
 from repro.interp.interpreter import evaluate_icmp
 from repro.interp.memory import FlatMemory, STACK_TOP, initialize_globals
 from repro.ir.types import int_type
-
-HALT = 0xFFFFFFFF
-
-_DIV_OPS = ("udiv", "sdiv", "urem", "srem")
 
 # -- integer opcode ids -------------------------------------------------------
 

@@ -8,9 +8,10 @@ Three layers:
   inputs, energy-model version stamp).  It sits *under* the in-process
   memoizer of :mod:`repro.eval.harness`, making results shareable across
   processes and sessions.
-* :mod:`repro.bench.executor` — a ``multiprocessing`` fan-out that shards
-  the (workload × config × seed) matrix across cores with per-task
-  timeouts and a retry-once-then-degrade policy.
+* :mod:`repro.bench.executor` — runs the (workload × config × seed)
+  matrix on the campaign kernel (:func:`repro.core.campaign.run_cells`),
+  across cores with per-task timeouts, then re-runs the failed tasks as
+  one retry round and degrades those that fail again.
 * the ``python -m repro.bench`` CLI — runs a roster and emits a
   ``BENCH_<date>.json`` with wall-clock, per-workload simulation time,
   cache hit rate, and simulated instructions/second, so the perf

@@ -29,6 +29,7 @@ import datetime
 import sys
 from pathlib import Path
 
+from repro.arch.machine import ENGINES, parse_engine_list
 from repro.bench.executor import BenchTask, run_matrix
 from repro.core.documents import write_document
 from repro.core.pipeline import PRESETS, resolve_config
@@ -186,7 +187,7 @@ def main(argv=None) -> int:
     parser.add_argument("--quiet", action="store_true", help="no per-task ticker")
     parser.add_argument(
         "--engine",
-        choices=("legacy", "fast", "compiled", "ooo"),
+        choices=ENGINES,
         default=None,
         help="run the whole matrix under one simulation engine (ooo uses "
         "its own cycle/energy model and a separate disk-cache partition)",
@@ -221,12 +222,10 @@ def main(argv=None) -> int:
         parser.error(str(exc))
 
     if args.compare_engines:
-        engines = tuple(
-            e.strip() for e in args.compare_engines.split(",") if e.strip()
-        )
-        unknown = [e for e in engines if e not in ("legacy", "fast", "compiled", "ooo")]
-        if unknown:
-            parser.error(f"unknown engines: {', '.join(unknown)}")
+        try:
+            engines = parse_engine_list(args.compare_engines)
+        except ValueError as exc:
+            parser.error(str(exc))
         if len(engines) < 2:
             parser.error("--compare-engines needs at least two engines")
         return _run_compare(args, workloads, configs[0], engines)

@@ -1,42 +1,48 @@
-"""Multiprocessing fan-out over the (workload × config × seed) matrix.
+"""Fan-out over the (workload × config × seed) matrix.
 
-Each task is one :func:`repro.eval.harness.run` invocation.  Workers share
-nothing in memory but everything on disk: every worker installs the same
+Each task is one :func:`repro.eval.harness.run` invocation, run as one
+cell of the campaign kernel (:func:`repro.core.campaign.run_cells`),
+serially or on its process pool.  Workers share nothing in memory but
+everything on disk: every worker installs the same
 :class:`RunDiskCache`, so a task computed by one worker is a cache hit for
 every later process (the property the whole bench design rests on —
 results are pure event counts, so cross-process reuse is sound).
 
-Failure policy: a task that raises or exceeds its timeout is retried once
-(fresh attempt, possibly on another worker), then *degraded* — reported as
-``status="failed"`` in the outcome list instead of aborting the campaign.
-Retry rounds are separated by exponential backoff with *deterministic*
-jitter (:func:`_backoff_delay` hashes the round + task label, so two
-campaigns over the same matrix pause identically — no wall-clock entropy
-in reproducible runs).  Per-task timeouts are enforced inside the worker
-with ``SIGALRM`` (POSIX; elsewhere tasks run untimed rather than
-unexecuted); the alarm scope (:func:`_task_alarm`) is re-entrancy safe —
-it restores both the prior handler *and* whatever remained of an outer
-``ITIMER_REAL``, so a bench task nested under another alarm-based timeout
-cannot silently disarm it.
+Failure policy: after the pass, the tasks that raised or exceeded their
+timeout run again on the kernel (:data:`RETRIES` round), and a task still
+failing is *degraded* — reported as ``status="failed"`` in the outcome
+list instead of aborting the campaign.  A retry round waits an exponential
+backoff with *deterministic* jitter (:func:`_backoff_delay` hashes the
+round + task label, so two campaigns over the same matrix pause
+identically — no wall-clock entropy in reproducible runs).  Per-task
+timeouts are enforced inside the worker with ``SIGALRM`` (POSIX;
+elsewhere tasks run untimed rather than unexecuted); the alarm scope
+(:func:`_task_alarm`) is re-entrancy safe — it restores both the prior
+handler *and* whatever remained of an outer ``ITIMER_REAL``, so a bench
+task nested under another alarm-based timeout cannot silently disarm it.
 """
 
 from __future__ import annotations
 
 import hashlib
-import multiprocessing
 import signal
 import time
 import traceback
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import partial
 from typing import Optional, Sequence
 
-from repro.arch.machine import timing_model
+from repro.bench.cache import install_disk_cache
+from repro.core.campaign import run_cells
 from repro.core.pipeline import CompilerConfig
 
 #: first-retry backoff ceiling (seconds); doubles per round up to the cap
 BACKOFF_BASE = 0.25
 BACKOFF_CAP = 8.0
+
+#: retry rounds after the first pass; a task still failing is degraded
+RETRIES = 1
 
 
 @dataclass(frozen=True)
@@ -121,18 +127,6 @@ class _TaskTimeout(Exception):
     pass
 
 
-_WORKER_TIMEOUT: Optional[float] = None
-
-
-def _init_worker(cache_dir, timeout) -> None:
-    global _WORKER_TIMEOUT
-    _WORKER_TIMEOUT = timeout
-    if cache_dir is not None:
-        from repro.bench.cache import install_disk_cache
-
-        install_disk_cache(cache_dir)
-
-
 def _alarm_handler(signum, frame):
     raise _TaskTimeout()
 
@@ -180,8 +174,13 @@ def _task_alarm(seconds: Optional[float]):
             )
 
 
-def _execute(task: BenchTask) -> TaskOutcome:
-    """Run one task under the per-task timeout; never raises."""
+def _execute(task: BenchTask, *, timeout: Optional[float] = None) -> TaskOutcome:
+    """Run one task under a ``timeout``-second alarm; never raises.
+
+    ``cached`` is what the lookup saw: the in-process memo already held
+    the record, or the installed disk cache counted a hit during the run
+    (a corrupt entry is evicted and counted as a miss, not a hit).
+    """
     from repro.eval import harness
 
     outcome = TaskOutcome(
@@ -193,44 +192,22 @@ def _execute(task: BenchTask) -> TaskOutcome:
         run_seed=task.run_seed,
         engine=task.engine,
     )
-    cache = harness.get_disk_cache()
-    try:
-        outcome.cached = harness.is_memoized(
-            task.workload,
-            task.config,
-            profile_kind=task.profile_kind,
-            profile_seed=task.profile_seed,
-            run_kind=task.run_kind,
-            run_seed=task.run_seed,
-            engine=task.engine,
-        ) or (
-            cache is not None
-            and cache.contains_run(
-                _workload_source(task.workload),
-                task.config,
-                task.profile_kind,
-                task.profile_seed,
-                task.run_kind,
-                task.run_seed,
-                timing_model(task.engine),
-            )
-        )
-    except Exception:
-        outcome.cached = False
-
+    run_args = dict(
+        profile_kind=task.profile_kind,
+        profile_seed=task.profile_seed,
+        run_kind=task.run_kind,
+        run_seed=task.run_seed,
+        engine=task.engine,
+    )
+    disk = harness.get_disk_cache()
+    hits = disk.stats.hits if disk is not None else 0
     started = time.perf_counter()
     try:
-        with _task_alarm(_WORKER_TIMEOUT):
-            record = harness.run(
-                task.workload,
-                task.config,
-                profile_kind=task.profile_kind,
-                profile_seed=task.profile_seed,
-                run_kind=task.run_kind,
-                run_seed=task.run_seed,
-                engine=task.engine,
-            )
+        memoized = harness.is_memoized(task.workload, task.config, **run_args)
+        with _task_alarm(timeout):
+            record = harness.run(task.workload, task.config, **run_args)
         outcome.sim_seconds = time.perf_counter() - started
+        outcome.cached = memoized or (disk is not None and disk.stats.hits > hits)
         outcome.instructions = record.sim.instructions
         outcome.cycles = record.sim.cycles
         outcome.misspeculations = record.sim.misspeculations
@@ -238,7 +215,7 @@ def _execute(task: BenchTask) -> TaskOutcome:
     except _TaskTimeout:
         outcome.sim_seconds = time.perf_counter() - started
         outcome.status = "failed"
-        outcome.error = f"timeout after {_WORKER_TIMEOUT:.0f}s"
+        outcome.error = f"timeout after {timeout:.0f}s"
     except Exception as exc:  # degrade, never kill the campaign
         outcome.sim_seconds = time.perf_counter() - started
         outcome.status = "failed"
@@ -248,84 +225,48 @@ def _execute(task: BenchTask) -> TaskOutcome:
     return outcome
 
 
-def _workload_source(name: str) -> str:
-    from repro.workloads import get_workload
-
-    return get_workload(name).source
-
-
 def run_matrix(
     tasks: Sequence[BenchTask],
     *,
     jobs: int = 1,
     cache_dir=None,
     timeout: Optional[float] = 120.0,
-    retries: int = 1,
     progress=None,
 ) -> tuple[list[TaskOutcome], MatrixStats]:
     """Execute the matrix; returns per-task outcomes + campaign stats.
 
     ``progress`` is an optional callable ``(done, total, outcome)`` invoked
-    as results arrive (the CLI's live ticker).
+    as results arrive (the CLI's live ticker); a retried task reports
+    again, with ``done == total``, once its retry lands.
     """
     tasks = list(tasks)
     stats = MatrixStats(tasks=len(tasks))
     started = time.monotonic()
-    outcomes: dict[int, TaskOutcome] = {}
-
-    def _note(index, outcome, done):
-        outcomes[index] = outcome
-        if progress is not None:
-            progress(done, len(tasks), outcome)
-
-    if jobs > 1 and len(tasks) > 1:
-        ctx = multiprocessing.get_context()
-        with ctx.Pool(
-            processes=jobs,
-            initializer=_init_worker,
-            initargs=(cache_dir, timeout),
-        ) as pool:
-            results = pool.imap(
-                _execute, tasks, chunksize=max(1, len(tasks) // (jobs * 4) or 1)
-            )
-            for done, (index, outcome) in enumerate(
-                zip(range(len(tasks)), results), start=1
-            ):
-                _note(index, outcome, done)
-            # retry-once-then-degrade, still fanned out
-            for _round in range(retries):
-                failed = [i for i, o in outcomes.items() if o.status == "failed"]
-                if not failed:
-                    break
-                stats.retried += len(failed)
-                time.sleep(_backoff_delay(_round, tasks[failed[0]].label()))
-                retry_results = pool.imap(_execute, [tasks[i] for i in failed])
-                for index, outcome in zip(failed, retry_results):
-                    outcome.attempts = outcomes[index].attempts + 1
-                    if outcome.status == "failed" and outcomes[index].error:
-                        outcome.error = (
-                            f"{outcomes[index].error}; retry: {outcome.error}"
-                        )
-                    _note(index, outcome, len(tasks))
-    else:
-        _init_worker(cache_dir, timeout)
-        for done, (index, task) in enumerate(enumerate(tasks), start=1):
-            outcome = _execute(task)
-            for _round in range(retries):
-                if outcome.status != "failed":
-                    break
-                stats.retried += 1
-                time.sleep(_backoff_delay(_round, task.label()))
-                retry = _execute(task)
-                retry.attempts = outcome.attempts + 1
-                if retry.status == "failed" and outcome.error:
-                    retry.error = f"{outcome.error}; retry: {retry.error}"
-                outcome = retry
-            _note(index, outcome, done)
+    fan_out = partial(
+        run_cells,
+        run_cell=partial(_execute, timeout=timeout),
+        jobs=jobs,
+        initializer=install_disk_cache if cache_dir is not None else None,
+        initargs=(cache_dir,),
+    )
+    outcomes = fan_out(tasks, progress=progress)
+    for round_index in range(RETRIES):
+        failed = [i for i, o in enumerate(outcomes) if o.status == "failed"]
+        if not failed:
+            break
+        stats.retried += len(failed)
+        time.sleep(_backoff_delay(round_index, tasks[failed[0]].label()))
+        for index, retry in zip(failed, fan_out([tasks[i] for i in failed])):
+            prior = outcomes[index]
+            retry.attempts = prior.attempts + 1
+            if retry.status == "failed" and prior.error:
+                retry.error = f"{prior.error}; retry: {retry.error}"
+            outcomes[index] = retry
+            if progress is not None:
+                progress(len(tasks), len(tasks), retry)
 
     stats.wall_seconds = time.monotonic() - started
-    ordered = [outcomes[i] for i in range(len(tasks))]
-    for outcome in ordered:
+    for outcome in outcomes:
         if outcome.status == "ok":
             stats.ok += 1
             stats.instructions += outcome.instructions
@@ -334,4 +275,4 @@ def run_matrix(
         if outcome.cached:
             stats.cache_hits += 1
         stats.sim_seconds += outcome.sim_seconds
-    return ordered, stats
+    return outcomes, stats

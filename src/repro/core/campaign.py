@@ -1,5 +1,7 @@
-"""The seeded campaign kernel behind ``repro.faults``, ``repro.chaos``
-and the ``repro.fuzz`` driver.
+"""The seeded campaign kernel behind ``repro.faults``, ``repro.chaos``,
+the ``repro.fuzz`` driver, and — through
+:func:`repro.bench.executor.run_matrix` — ``repro.bench`` and
+``repro.dse``.
 
 A campaign is a grid of cells.  Each cell gets a deterministic seed,
 runs once, and is classified into one of a few domain categories.  The
@@ -8,7 +10,8 @@ kernel owns every part of that loop that is not domain knowledge:
 * :func:`enumerate_cells` — cells are the product of the axes, repeated;
   cell *i* carries ``iteration_seed(seed, i)``, so a cell's seed depends
   only on the campaign seed and its position in the grid;
-* :func:`run_cells` — the serial-or-pool run loop with a progress hook;
+* :func:`run_cells` — the serial-or-pool run loop with a progress hook
+  (the only batch process pool in the repo);
 * :func:`guarded` — the uniform ``status: error`` record for a cell
   whose runner raises;
 * :func:`summarize` — the per-axis category histogram plus the
@@ -58,13 +61,20 @@ def run_cells(
     progress=None,
 ) -> list:
     """``run_cell(cell)`` for every cell, in order, serially or on a
-    ``jobs``-process pool; ``progress(done, total, record)`` after each."""
+    ``jobs``-process pool; ``progress(done, total, record)`` after each.
+
+    The pool hands out contiguous chunks of about a quarter of a worker's
+    share, so neighbouring cells — which share a compile slice in DSE
+    grids and a golden run in fault campaigns — mostly land on one worker.
+    """
     pool = None
     if jobs > 1 and len(cells) > 1:
         pool = multiprocessing.get_context().Pool(
             processes=jobs, initializer=initializer, initargs=initargs
         )
-        records = pool.imap(run_cell, cells)
+        records = pool.imap(
+            run_cell, cells, chunksize=max(1, len(cells) // (jobs * 4))
+        )
     else:
         if initializer is not None:
             initializer(*initargs)

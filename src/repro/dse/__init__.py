@@ -11,7 +11,7 @@ fixed into a sweepable axis and searches the resulting space:
   :class:`~repro.core.pipeline.CompilerConfig`;
 * :mod:`repro.dse.search` — pluggable strategies (full grid, seeded
   random sampling, successive-halving pruning on partial workload
-  rosters) built on the :mod:`repro.bench` multiprocessing executor and
+  rosters) built on the :mod:`repro.bench` executor and
   its content-addressed disk cache;
 * :mod:`repro.dse.analysis` — per-workload Pareto fronts over (energy,
   cycles, misspeculation rate), best-config-per-workload tables, and

@@ -28,6 +28,7 @@ import json
 import sys
 from pathlib import Path
 
+from repro.arch.machine import ENGINES
 from repro.core.documents import atomic_write
 from repro.dse.explain import explain_point
 from repro.dse.runner import run_sweep
@@ -254,7 +255,7 @@ def main(argv=None) -> int:
     sweep.add_argument("--quiet", action="store_true")
     sweep.add_argument(
         "--engine",
-        choices=("legacy", "fast", "compiled", "ooo"),
+        choices=ENGINES,
         default=None,
         help="simulation engine for every cell.  The in-order engines are "
         "bit-identical (affect throughput only, never the document); "

@@ -2,9 +2,9 @@
 
 One :class:`PointRow` is the measurement of one (design point × workload)
 cell; :func:`evaluate_points` fans the cells through
-:func:`repro.bench.executor.run_matrix`, inheriting its multiprocessing
-pool, per-task timeout/retry policy and the content-addressed
-:class:`~repro.bench.cache.RunDiskCache`.
+:func:`repro.bench.executor.run_matrix`, inheriting the campaign
+kernel's process pool, the per-task timeout/retry policy and the
+content-addressed :class:`~repro.bench.cache.RunDiskCache`.
 
 :class:`SweepResult` is the deliverable: rows plus the derived analysis
 (Pareto fronts, per-workload winners, sensitivity curves), serialized by

@@ -17,6 +17,7 @@ import argparse
 import sys
 from pathlib import Path
 
+from repro.arch.machine import ENGINES
 from repro.core.campaign import finish
 from repro.faults.campaign import (
     DEFAULT_CONFIGS,
@@ -65,7 +66,7 @@ def _add_common(sub: argparse.ArgumentParser) -> None:
         help="write the canonical coverage-matrix JSON here",
     )
     sub.add_argument(
-        "--engine", choices=("legacy", "fast", "compiled", "ooo"), default=None,
+        "--engine", choices=ENGINES, default=None,
         help="simulation engine for faulted runs (classification and the "
         "emitted JSON are engine-invariant across the in-order engines; "
         "the ooo_* recovery kinds only have a live trigger on --engine ooo)",

@@ -45,6 +45,7 @@ from repro.arch.predecode import (
     OP_BS_TRUNC_HI,
     predecode,
 )
+from repro.bench.cache import install_disk_cache
 from repro.core import campaign
 from repro.core.documents import canonical_json as to_canonical_json
 from repro.core.pipeline import CompilerConfig, resolve_config
@@ -310,13 +311,6 @@ def _run_cell(cell: tuple, *, parity: bool, engine: Optional[str]) -> dict:
     )
 
 
-def _init_worker(cache_dir) -> None:
-    if cache_dir is not None:
-        from repro.bench.cache import install_disk_cache
-
-        install_disk_cache(cache_dir)
-
-
 def summarize(cells: list, parity: bool) -> dict:
     """Aggregate the coverage matrix: per-kind category histograms plus
     the count of silent corruptions in detectable fault classes (the
@@ -365,7 +359,7 @@ def run_campaign(
         campaign.enumerate_cells((workloads, config_names, kinds), seed, per_kind),
         partial(_run_cell, parity=parity, engine=engine),
         jobs=jobs,
-        initializer=_init_worker,
+        initializer=install_disk_cache if cache_dir is not None else None,
         initargs=(cache_dir,),
         progress=progress,
     )

@@ -4,7 +4,7 @@ A tenant POSTs MiniC source plus a schema-validated config document and
 receives a deterministic report: energy, cycles, event counts,
 observability attribution, and Pareto position against the DSE smoke
 grid.  Everything is stdlib: the HTTP layer is asyncio streams, the
-execution tier is the bench multiprocessing executor, and the shared
+execution tier is a bounded async worker pool, and the shared
 storage tier is the bench content-addressed disk cache.
 
 The load-bearing invariant is the **determinism contract**: a response

@@ -1,13 +1,14 @@
-"""Bounded worker pool: async facade over the bench multiprocessing stack.
+"""Bounded worker pool: an async facade over a ``multiprocessing.Pool``.
 
-Jobs execute in a ``multiprocessing.Pool`` of at most ``workers``
-processes — the same fan-out substrate as :mod:`repro.bench.executor`,
-and each job runs under the executor's re-entrancy-safe ``SIGALRM``
-scope (:func:`repro.bench.executor._task_alarm`), so a pathological
-program cannot wedge a worker forever.  A timeout or an unexpected
-worker crash degrades to a structured, **uncacheable** error envelope
-(504 / 500): transient outcomes must never poison the content-addressed
-report cache.
+Jobs execute one ``apply_async`` call each in a pool of at most
+``workers`` processes — serve's own pool, not the batch campaign kernel
+bench runs on.  The one piece shared with bench is the executor's
+re-entrancy-safe ``SIGALRM`` scope
+(:func:`repro.bench.executor._task_alarm`), under which each job runs, so
+a pathological program cannot wedge a worker forever.  A timeout or an
+unexpected worker crash degrades to a structured, **uncacheable** error
+envelope (504 / 500): transient outcomes must never poison the
+content-addressed report cache.
 
 ``workers=0`` selects *inline* mode: jobs run on the event loop's
 default thread-pool executor in-process.  That keeps tests and

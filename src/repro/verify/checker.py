@@ -37,6 +37,7 @@ from __future__ import annotations
 
 import itertools
 
+from repro.arch.machine import ENGINES
 from repro.core.pipeline import CompilerConfig, compile_binary
 from repro.frontend.ast_nodes import (
     BinaryExpr,
@@ -263,7 +264,6 @@ def confirm_counterexample(
     disagree — i.e. the divergence is a real property of the BITSPEC
     image, not executor or engine noise.
     """
-    engines = ("legacy", "fast", "compiled", "ooo")
     record = {"engines": {}, "interp": None, "diverged": False}
     world_obs = {}
     for world, binary in (
@@ -271,7 +271,7 @@ def confirm_counterexample(
         ("baseline", baseline_binary),
     ):
         per_engine = {}
-        for engine in engines:
+        for engine in ENGINES:
             trap, out = _engine_obs(binary, inputs, engine)
             per_engine[engine] = {"trap": trap, "out": list(out)}
         record["engines"][world] = per_engine

@@ -97,8 +97,9 @@ def _ensure_loaded() -> None:
     global _LOADED
     if _LOADED:
         return
-    _LOADED = True
-    # Import for registration side effects.
+    # Import for registration side effects.  Marked loaded only once every
+    # import finished: an import cut short (a task timeout's SIGALRM) must
+    # not leave a half-filled registry behind for good.
     from repro.workloads import (  # noqa: F401
         basicmath,
         bitcount,
@@ -113,3 +114,5 @@ def _ensure_loaded() -> None:
         stringsearch,
         susan,
     )
+
+    _LOADED = True

@@ -55,11 +55,11 @@ def test_timeout_degrades_instead_of_hanging():
         jobs=1,
         cache_dir=None,
         timeout=0.001,
-        retries=0,
     )
     (outcome,) = outcomes
     assert outcome.status == "failed"
     assert "timeout" in outcome.error
+    assert outcome.attempts == 2
     assert stats.failed == 1
 
 
@@ -75,6 +75,30 @@ def test_warm_rerun_is_all_cache_hits(tmp_path):
     assert all(o.cached and o.status == "ok" for o in outcomes)
     # cached outcomes still carry the full metrics row
     assert all(o.instructions > 0 and o.energy_pj > 0 for o in outcomes)
+
+
+def test_garbled_entry_is_not_a_cache_hit(tmp_path):
+    """``cached`` is what the lookup saw: a corrupt entry is evicted and
+    recomputed, so only the intact cell reports a hit."""
+    from repro.bench.cache import RunDiskCache
+    from repro.workloads import get_workload
+
+    tasks = [_task("crc32"), _task("bitcount")]
+    run_matrix(tasks, jobs=1, cache_dir=tmp_path / "c")
+    cache = RunDiskCache(tmp_path / "c")
+    path = cache._path(
+        cache._run_key(
+            get_workload("crc32").source, tasks[0].config, "test", 0, "test", 0
+        )
+    )
+    assert path.is_file()
+    path.write_bytes(b"garbage")
+
+    harness.clear_caches()
+    outcomes, warm = run_matrix(tasks, jobs=1, cache_dir=tmp_path / "c")
+    assert [o.status for o in outcomes] == ["ok", "ok"]
+    assert [o.cached for o in outcomes] == [False, True]
+    assert warm.cache_hits == 1
 
 
 def test_parallel_matrix_matches_sequential(tmp_path):
