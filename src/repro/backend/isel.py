@@ -26,7 +26,7 @@ from repro.backend.mir import (
 )
 from repro.interp.memory import layout_globals
 from repro.ir.block import BasicBlock
-from repro.ir.cfg import reverse_postorder
+from repro.ir.cfg import predecessor_map, reverse_postorder
 from repro.ir.function import Function, Module
 from repro.ir.instructions import (
     Alloca,
@@ -257,12 +257,12 @@ class FunctionISel:
         Incoming values are staged through temporaries when a block's phi
         destinations also appear as incoming sources (the swap problem).
         """
+        preds = predecessor_map(self.func)
         for block in self.func.blocks:
             phis = block.phis()
             if not phis:
                 continue
-            preds = block.predecessors()
-            for pred in preds:
+            for pred in preds[block]:
                 mpred = self.bmap[pred]
                 moves = []
                 for phi in phis:

@@ -22,6 +22,7 @@ construction.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -144,6 +145,63 @@ def _inst_defs(inst: MachineInst) -> list[VReg]:
     return [op for op in inst.defs if isinstance(op, VReg)]
 
 
+#: the aligned byte slices of a register a placement can occupy, as
+#: (offset, size), and per slice the slices sharing a byte with it
+_SLICES = ((0, 4), (0, 2), (2, 2), (0, 1), (1, 1), (2, 1), (3, 1))
+_OVERLAPPING = {
+    (o, s): tuple(b for b in _SLICES if b[0] < o + s and o < b[0] + b[1])
+    for o, s in _SLICES
+}
+
+
+class _SliceUnion:
+    """The segments placed on one byte slice of one register.
+
+    Intervals placed on one slice share a byte, so they never overlap in
+    time, and their segments, kept sorted, are ordered by start and by end
+    at once: a query segment bisects to the first placed segment ending at
+    or after its start and walks forward while placed segments start at or
+    before its end (the shape of LLVM's ``LiveIntervalUnion``).
+    """
+
+    __slots__ = ("ends", "starts", "entries")
+
+    def __init__(self) -> None:
+        # parallel lists: a tuple per placed segment would triple the memory
+        self.ends: list[int] = []
+        self.starts: list[int] = []
+        self.entries: list[tuple] = []
+
+    def insert(self, entry: tuple) -> None:
+        for start, end in entry[1].segments:
+            index = bisect_left(self.ends, end)
+            self.ends.insert(index, end)
+            self.starts.insert(index, start)
+            self.entries.insert(index, entry)
+
+    def remove(self, interval: Interval) -> None:
+        for _, end in interval.segments:
+            index = bisect_left(self.ends, end)
+            del self.ends[index]
+            del self.starts[index]
+            del self.entries[index]
+
+    def collect(self, segments: list, found: dict) -> None:
+        """Add every entry with a segment overlapping ``segments`` to
+        ``found``, keyed by placement sequence number."""
+        ends, starts = self.ends, self.starts
+        count = len(ends)
+        index = 0
+        for start, end in segments:
+            index = bisect_left(ends, start, index)
+            while index < count and starts[index] <= end:
+                entry = self.entries[index]
+                found[entry[0]] = entry
+                index += 1
+            if index == count:
+                return
+
+
 class RegisterAllocator:
     """Allocates one machine function; see module docstring."""
 
@@ -160,10 +218,9 @@ class RegisterAllocator:
         self.pool = THUMB_ALLOCATABLE if isa == "THUMB" else ALLOCATABLE
         self.invert = invert_handler_weights
         self.stats = AllocationStats()
-        #: per register: list of (start, end, offset, size) assignments
-        self._assigned: dict[int, list[tuple[int, int, int, int]]] = {
-            r: [] for r in self.pool
-        }
+        #: per (register, offset, size) slice: the segments placed there
+        self._unions: dict[tuple[int, int, int], _SliceUnion] = {}
+        self._placements = 0
         self.location: dict[VReg, object] = {}
         self.used_callee_saved: set[int] = set()
         self._scratch_used = False
@@ -301,14 +358,15 @@ class RegisterAllocator:
     # -- assignment -----------------------------------------------------------
 
     def _conflicts(self, reg: int, offset: int, size: int, interval: Interval):
-        """Assigned intervals overlapping [offset,size) during interval."""
-        out = []
-        for entry in self._assigned[reg]:
-            other, off, sz = entry
-            if off < offset + size and offset < off + sz:
-                if interval.overlaps(other):
-                    out.append(entry)
-        return out
+        """Placements overlapping bytes [offset, offset+size) of ``reg``
+        during ``interval``, as (seq, interval, offset, size) entries in
+        placement order."""
+        found: dict[int, tuple] = {}
+        for slice_offset, slice_size in _OVERLAPPING[offset, size]:
+            union = self._unions.get((reg, slice_offset, slice_size))
+            if union is not None:
+                union.collect(interval.segments, found)
+        return [found[seq] for seq in sorted(found)]
 
     def _candidate_regs(self, interval: Interval) -> list[int]:
         candidates = list(self.pool)
@@ -320,12 +378,23 @@ class RegisterAllocator:
         return candidates
 
     def _place(self, interval: Interval, reg: int, offset: int, size: int) -> None:
-        self._assigned[reg].append((interval, offset, size))
+        entry = (self._placements, interval, offset, size)
+        self._placements += 1
+        union = self._unions.get((reg, offset, size))
+        if union is None:
+            union = self._unions[reg, offset, size] = _SliceUnion()
+        union.insert(entry)
         interval.location = Slice(reg, offset, interval.vreg.size)
         if reg in CALLEE_SAVED:
             self.used_callee_saved.add(reg)
         self.location[interval.vreg] = interval.location
         self.stats.assigned_vregs += 1
+
+    def _evict(self, reg: int, entry: tuple) -> None:
+        """Take a ``_conflicts`` entry off ``reg`` and spill its interval."""
+        _, interval, offset, size = entry
+        self._unions[reg, offset, size].remove(interval)
+        self._spill(interval)
 
     def _spill(self, interval: Interval) -> None:
         interval.location = self.mfunc.new_slot(max(interval.vreg.size, 4))
@@ -363,19 +432,18 @@ class RegisterAllocator:
                         and other.world != cold_world
                     )
                     and not (other.crosses_call and not interval.crosses_call)
-                    for other, _, _ in conflicts
+                    for _, other, _, _ in conflicts
                 )
                 if not evictable:
                     continue
-                cost = sum(other.weight for other, _, _ in conflicts)
+                cost = sum(other.weight for _, other, _, _ in conflicts)
                 if best is None or cost < best[0]:
                     best = (cost, reg, offset, conflicts)
         if best is None:
             return False
         _, reg, offset, conflicts = best
         for entry in conflicts:
-            self._assigned[reg].remove(entry)
-            self._spill(entry[0])
+            self._evict(reg, entry)
         self._place(interval, reg, offset, size)
         return True
 

@@ -75,6 +75,9 @@ class BasicBlock:
     def predecessors(self) -> list["BasicBlock"]:
         """CFG predecessors (branch sources only).
 
+        Costs O(blocks): a loop over blocks should build
+        :func:`repro.ir.cfg.predecessor_map` once instead.
+
         Note: for SIR liveness the handler predecessor rule (Eq. 1/2 of the
         paper) is applied by :mod:`repro.sir.regions`, not here.
         """

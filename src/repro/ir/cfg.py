@@ -1,7 +1,8 @@
-"""CFG analyses: traversal orders, dominators, natural loops.
+"""CFG analyses: traversal orders, predecessors, dominators, natural loops.
 
 These serve the verifier (SSA dominance checks), the squeezer (block
-ordering) and the expander's loop detection.
+ordering and SSA repair), isel (phi lowering) and the expander's loop
+detection.
 """
 
 from __future__ import annotations
@@ -40,15 +41,33 @@ def reverse_postorder(func: Function) -> list[BasicBlock]:
     return order
 
 
+def predecessor_map(func: Function) -> dict[BasicBlock, list[BasicBlock]]:
+    """Every block's CFG predecessors, in one pass over the successors.
+
+    Each list is what :meth:`BasicBlock.predecessors` returns — branch
+    sources only, without duplicates, in ``func.blocks`` order — but the
+    whole map costs O(edges) instead of O(blocks) per block.  It goes stale
+    as soon as a branch target changes.
+    """
+    preds: dict[BasicBlock, list[BasicBlock]] = {b: [] for b in func.blocks}
+    for block in func.blocks:
+        for succ in block.successors():
+            sources = preds.setdefault(succ, [])
+            if not sources or sources[-1] is not block:
+                sources.append(block)
+    return preds
+
+
 def compute_dominators(
-    func: Function, pred_fn=None
+    func: Function, preds: Optional[dict[BasicBlock, list[BasicBlock]]] = None
 ) -> dict[BasicBlock, set[BasicBlock]]:
     """Iterative dataflow dominator computation.
 
-    ``pred_fn`` overrides the predecessor relation; pass
-    :func:`repro.sir.regions.sir_predecessors` to verify SIR functions, where
-    a misspeculation handler's predecessors are those of its region's entry
-    (Eq. 1 of the paper) even though no branch targets the handler.
+    ``preds`` overrides the predecessor relation (default:
+    :func:`predecessor_map`); pass
+    :func:`repro.sir.regions.sir_predecessor_map` to verify SIR functions,
+    where a misspeculation handler's predecessors are those of its region's
+    entry (Eq. 1 of the paper) even though no branch targets the handler.
     """
     blocks = reverse_postorder(func)
     if not blocks:
@@ -57,10 +76,8 @@ def compute_dominators(
     all_blocks = set(blocks)
     dom: dict[BasicBlock, set[BasicBlock]] = {b: set(all_blocks) for b in blocks}
     dom[entry] = {entry}
-    if pred_fn is None:
-        preds = {b: b.predecessors() for b in blocks}
-    else:
-        preds = {b: pred_fn(b) for b in blocks}
+    if preds is None:
+        preds = predecessor_map(func)
     changed = True
     while changed:
         changed = False
@@ -99,7 +116,8 @@ class NaturalLoop:
 
 def find_natural_loops(func: Function) -> list[NaturalLoop]:
     """Find natural loops via back edges (edges into a dominator)."""
-    dom = compute_dominators(func)
+    preds = predecessor_map(func)
+    dom = compute_dominators(func, preds)
     loops: dict[int, NaturalLoop] = {}
     for block in func.blocks:
         for succ in block.successors():
@@ -115,7 +133,7 @@ def find_natural_loops(func: Function) -> list[NaturalLoop]:
                     if current in loop.blocks:
                         continue
                     loop.blocks.add(current)
-                    stack.extend(current.predecessors())
+                    stack.extend(preds[current])
     return list(loops.values())
 
 

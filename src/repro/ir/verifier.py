@@ -9,7 +9,7 @@ from __future__ import annotations
 from typing import Optional
 
 from repro.ir.block import BasicBlock
-from repro.ir.cfg import compute_dominators, dominates
+from repro.ir.cfg import compute_dominators, dominates, predecessor_map
 from repro.ir.function import Function, Module
 from repro.ir.instructions import Instruction, Phi
 from repro.ir.values import Argument, Constant, GlobalVariable, Value
@@ -56,10 +56,7 @@ def verify_function(func: Function, module: Optional[Module] = None) -> None:
                 seen_names.add(inst.name)
                 defined[inst] = block
 
-    preds: dict[BasicBlock, list[BasicBlock]] = {b: [] for b in func.blocks}
-    for block in func.blocks:
-        for succ in block.successors():
-            preds[succ].append(block)
+    preds = predecessor_map(func)
 
     for block in func.blocks:
         phi_group_done = False
@@ -73,7 +70,7 @@ def verify_function(func: Function, module: Optional[Module] = None) -> None:
                 incoming_names = sorted(b.name for b in incoming_blocks)
                 # One incoming per unique predecessor: a conditional branch
                 # may target the same block on both edges, which still counts
-                # as a single phi entry (predecessors() dedupes likewise).
+                # as a single phi entry (predecessor_map() dedupes likewise).
                 _check(
                     incoming_names == sorted(set(incoming_names)),
                     f"{block.name}: phi %{inst.name} has duplicate incoming "
@@ -93,11 +90,11 @@ def verify_function(func: Function, module: Optional[Module] = None) -> None:
     if has_handlers:
         # SIR rule (Eq. 1): a handler is dominated by whatever dominates its
         # region's entry, letting it use values live into the region.
-        from repro.sir.regions import sir_predecessors
+        from repro.sir.regions import sir_predecessor_map
 
-        dom = compute_dominators(func, pred_fn=sir_predecessors)
+        dom = compute_dominators(func, sir_predecessor_map(preds))
     else:
-        dom = compute_dominators(func)
+        dom = compute_dominators(func, preds)
     for block in func.blocks:
         for inst in block.instructions:
             operand_pairs = list(enumerate(inst.operands))

@@ -156,43 +156,50 @@ def _fold_constant_branches(func: Function) -> int:
 
 
 def _merge_straightline(func: Function) -> int:
-    """Merge B into A when A->B is B's only entry and A's only exit."""
+    """Merge B into A when A->B is B's only entry and A's only exit.
+
+    One predecessor map (one entry per edge) serves the whole pass: a
+    merge only renames B to A in the lists of B's successors.  The scan
+    resumes at A, which has B's exits now; blocks before A cannot have
+    become mergeable, since no branch targeted B but A's.
+    """
+    preds: dict[BasicBlock, list[BasicBlock]] = {b: [] for b in func.blocks}
+    for block in func.blocks:
+        for succ in block.successors():
+            preds[succ].append(block)
     merged = 0
-    changed = True
-    while changed:
-        changed = False
-        preds: dict[BasicBlock, list[BasicBlock]] = {b: [] for b in func.blocks}
-        for block in func.blocks:
-            for succ in block.successors():
-                preds[succ].append(block)
-        for block in list(func.blocks):
-            term = block.terminator
-            if not isinstance(term, Br):
-                continue
-            succ = term.target
-            if succ is block or len(preds.get(succ, [])) != 1:
-                continue
-            if succ is func.entry or succ.phis():
-                continue
-            if succ.handler_for is not None or block.handler_for is not None:
-                continue
-            if succ.region is not block.region:
-                continue
-            # Fold: remove the branch, move succ's instructions into block.
-            succ_successors = succ.successors()
-            term.erase_from_parent()
-            for inst in list(succ.instructions):
-                succ.remove(inst)
-                block.append(inst)
-            for after in succ_successors:
-                for phi in after.phis():
-                    for i, pred in enumerate(phi.incoming_blocks):
-                        if pred is succ:
-                            phi.set_incoming_block(i, block)
-            func.remove_block(succ)
-            merged += 1
-            changed = True
-            break  # pred map is stale; recompute
+    index = 0
+    while index < len(func.blocks):
+        block = func.blocks[index]
+        index += 1
+        term = block.terminator
+        if not isinstance(term, Br):
+            continue
+        succ = term.target
+        if succ is block or len(preds.get(succ, [])) != 1:
+            continue
+        if succ is func.entry or succ.phis():
+            continue
+        if succ.handler_for is not None or block.handler_for is not None:
+            continue
+        if succ.region is not block.region:
+            continue
+        # Fold: remove the branch, move succ's instructions into block.
+        succ_successors = succ.successors()
+        term.erase_from_parent()
+        for inst in list(succ.instructions):
+            succ.remove(inst)
+            block.append(inst)
+        for after in succ_successors:
+            preds[after] = [block if p is succ else p for p in preds[after]]
+            for phi in after.phis():
+                for i, pred in enumerate(phi.incoming_blocks):
+                    if pred is succ:
+                        phi.set_incoming_block(i, block)
+        del preds[succ]
+        func.remove_block(succ)
+        merged += 1
+        index = func.blocks.index(block)
     return merged
 
 
@@ -212,6 +219,8 @@ def _thread_empty_blocks(func: Function) -> int:
             continue
         if target.phis():
             continue  # would need phi surgery; the merge pass handles these
+        # Queried per block: threading moves edges, so a map built up front
+        # would be stale by the next empty block.
         for pred in block.predecessors():
             pred.terminator.replace_target(block, target)
             threaded += 1

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from repro.ir.block import BasicBlock
-from repro.ir.cfg import reverse_postorder
+from repro.ir.cfg import predecessor_map, reverse_postorder
 from repro.ir.clone import clone_blocks
 from repro.ir.function import Function, Module
 from repro.ir.instructions import (
@@ -267,7 +267,7 @@ def squeeze_function(
 
     # -- pass ③: handlers + SSA repair of CFG_orig ------------------------------
     orig_of = {clone: orig for orig, clone in bmap.items()}
-    updaters: dict[Instruction, SSAUpdater] = {}
+    handler_defs: dict[Instruction, list[tuple[BasicBlock, Value]]] = {}
     def_blocks: dict[Instruction, BasicBlock] = {}
     for block in orig_blocks:
         for inst in block.instructions:
@@ -306,17 +306,20 @@ def squeeze_function(
                 handler_value = narrow_value
             else:
                 handler_value = spec_value
-            updater = updaters.get(v_orig)
-            if updater is None:
-                updater = SSAUpdater(func, v_orig.type, v_orig.name)
-                updater.add_def(def_blocks[v_orig], v_orig)
-                updaters[v_orig] = updater
-            updater.add_def(handler, handler_value)
+            handler_defs.setdefault(v_orig, []).append((handler, handler_value))
         handler.append(Br(b_orig))
 
-    # Rewrite CFG_orig uses of variables that handlers redefine.
-    for v_orig, updater in updaters.items():
+    # Rewrite CFG_orig uses of variables that handlers redefine.  The last
+    # handler edge is in, so every updater shares one predecessor map.
+    preds = predecessor_map(func)
+    updaters: list[SSAUpdater] = []
+    for v_orig, defs in handler_defs.items():
         home = def_blocks[v_orig]
+        updater = SSAUpdater(func, v_orig.type, v_orig.name, preds)
+        updater.add_def(home, v_orig)
+        for handler, handler_value in defs:
+            updater.add_def(handler, handler_value)
+        updaters.append(updater)
         for user in list(v_orig.users):
             if user.parent is None:
                 continue
@@ -327,7 +330,7 @@ def squeeze_function(
                     if isinstance(user, Phi) and user.incoming_blocks[index] is home:
                         continue
                     updater.rewrite_use(user, index)
-    for updater in updaters.values():
+    for updater in updaters:
         updater.cleanup()
     return result
 

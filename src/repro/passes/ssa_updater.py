@@ -25,10 +25,19 @@ class UndefinedValueError(Exception):
 class SSAUpdater:
     """Rewrites uses of one variable that now has multiple definitions."""
 
-    def __init__(self, func: Function, ty, name_hint: str) -> None:
+    def __init__(
+        self,
+        func: Function,
+        ty,
+        name_hint: str,
+        preds: dict[BasicBlock, list[BasicBlock]],
+    ) -> None:
+        """``preds`` is :func:`repro.ir.cfg.predecessor_map` of the final
+        CFG; updaters only insert phis, so one map serves them all."""
         self.func = func
         self.type = ty
         self.name_hint = name_hint
+        self.preds = preds
         self._def_at_end: dict[BasicBlock, Value] = {}
         self._placed_phis: list[Phi] = []
 
@@ -46,7 +55,7 @@ class SSAUpdater:
         return value
 
     def _value_at_begin(self, block: BasicBlock) -> Value:
-        preds = block.predecessors()
+        preds = self.preds[block]
         if not preds:
             raise UndefinedValueError(
                 f"{self.name_hint}: no reaching definition at {block.name}"

@@ -3,6 +3,7 @@
 from repro.sir.regions import (
     SpeculativeRegion,
     regions_of,
+    sir_predecessor_map,
     sir_predecessors,
     smir_predecessors,
 )
@@ -11,6 +12,7 @@ from repro.sir.verifier import verify_sir_function, verify_sir_module
 __all__ = [
     "SpeculativeRegion",
     "regions_of",
+    "sir_predecessor_map",
     "sir_predecessors",
     "smir_predecessors",
     "verify_sir_function",

@@ -92,6 +92,19 @@ def sir_predecessors(block: BasicBlock) -> list[BasicBlock]:
     return block.predecessors()
 
 
+def sir_predecessor_map(
+    preds: dict[BasicBlock, list[BasicBlock]]
+) -> dict[BasicBlock, list[BasicBlock]]:
+    """:func:`sir_predecessors` for every block, derived from the plain
+    :func:`repro.ir.cfg.predecessor_map` without re-scanning the CFG."""
+    return {
+        block: preds[block.handler_for.entry]
+        if block.handler_for is not None
+        else sources
+        for block, sources in preds.items()
+    }
+
+
 def smir_predecessors(block: BasicBlock) -> list[BasicBlock]:
     """Predecessors under the SMIR rule (Eq. 2).
 
