@@ -5,7 +5,7 @@ Python-level dispatch per dynamic instruction: fetch the pc's tuple,
 branch on the integer opcode, decode operand descriptors, bump per-pc
 arrays.  This module removes that per-step tax by *translating* the
 predecoded program into straight-line Python source, one specialized
-function per basic-block region:
+function per basic-block region, the first time a run enters it:
 
 * every handler is specialized to its pc — operand registers become
   function locals, immediates/masks/shifts become literals, and the
@@ -35,6 +35,13 @@ loop indexed by pc.  A transfer to a pc that is not a region entry
 the whole run is replayed on the per-step engine, which is bit-identical,
 so correctness never depends on the compiled cover being complete.
 
+Translation is lazy.  Building an image only predecodes the program and
+collects its static region entries; every entry starts as a stub that,
+when the dispatcher first calls it, emits and ``compile()``s its region,
+installs the region function and runs it.  Most of a BITSPEC image is
+the Δ-handler skeleton, which a run enters only on misspeculation, so a
+run typically compiles a small fraction of the program.
+
 Hook degradation (the four-engine contract, see docs/engines.md):
 
 * ``faults`` — a :class:`repro.faults.session.FaultSession` must observe
@@ -53,9 +60,10 @@ region there and leaves through the dispatcher, which checks the step
 limit after every region.
 
 The compiled image is cached on the :class:`LinkedProgram` instance
-(keyed by register-file narrowing and slice width), so repeated runs of
-one binary recompile nothing.  Each image also keeps a pool of reusable
-:class:`_Runtime` instances keyed by cache geometry:
+(keyed by register-file narrowing and slice width) and keeps one code
+object per translated region, so repeated runs of one binary recompile
+nothing.  Each image also keeps a pool of reusable :class:`_Runtime`
+instances keyed by cache geometry, which share those code objects:
 registers, the 4 MB flat memory, cache way lists and all per-pc counter
 arrays are reset in place between runs, and results are copied out so a
 cached runtime never aliases a returned :class:`SimResult`.
@@ -63,7 +71,10 @@ cached runtime never aliases a returned :class:`SimResult`.
 
 from __future__ import annotations
 
+import builtins
+from itertools import islice
 from struct import Struct
+from types import CodeType, FunctionType
 
 from repro.arch.cache import L1_LINE_SHIFT, CacheGeometry, MemoryHierarchy
 from repro.arch.machine import HALT
@@ -144,22 +155,71 @@ def _icmp_dyn(cond, a, b, width):
 
 
 class CompiledImage:
-    """One translated program: a code object plus fold metadata."""
+    """One program's translation, grown a region at a time.
 
-    __slots__ = ("codeobj", "leaders", "fold_regions",
-                 "n_insts", "n_regions", "n_sites", "runtimes")
+    :func:`_build_image` predecodes the program and finds its static
+    region entries; each region is translated the first time a runtime's
+    dispatcher enters it (:meth:`translate`).  The code objects and fold
+    metadata live here, so every :class:`_Runtime` of the image shares
+    them and no region is compiled twice.
+    """
 
-    def __init__(self, codeobj, leaders, fold_regions,
-                 n_insts, n_regions, n_sites):
-        self.codeobj = codeobj
-        self.leaders = leaders
-        self.fold_regions = fold_regions
-        self.n_insts = n_insts
-        self.n_regions = n_regions
-        self.n_sites = n_sites
+    __slots__ = ("code", "n_insts", "inst_bytes", "delta", "spec_mask",
+                 "leaders", "regions", "fold_regions",
+                 "n_sites", "runtimes")
+
+    def __init__(self, code, leaders, inst_bytes, delta, spec_mask):
+        self.code = code
+        self.n_insts = len(code)
+        self.inst_bytes = inst_bytes
+        self.delta = delta
+        self.spec_mask = spec_mask
+        #: region-entry pcs (a dict used as an ordered set): the static
+        #: ones, then every fallthrough pc a MAX_REGION cap has made an
+        #: entry, in registration order — a runtime stubs the tail it has
+        #: not seen yet
+        self.leaders = dict.fromkeys(sorted(leaders))
+        #: leader -> code object of that region's ``_factory(B)``
+        self.regions = {}
+        #: (region index, pcs, hazard offsets, exit sites) per translated
+        #: region, in translation order — region and site indices too
+        self.fold_regions = []
+        self.n_sites = 0
         #: reusable :class:`_Runtime` instances keyed by cache geometry
         #: — see run_compiled
         self.runtimes = {}
+
+    @property
+    def n_regions(self):
+        return len(self.fold_regions)
+
+    def translate(self, leader):
+        """Emit and compile the region entered at ``leader``.
+
+        Returns the code object of a ``_factory(B)`` that binds the
+        runtime's arrays from ``B`` and returns the region function.
+        Exits to other regions load ``_b<pc>`` from the runtime's
+        namespace, where an untranslated region holds a stub.
+        """
+        em = _RegionEmitter(self.code, leader, self.n_insts, self.inst_bytes,
+                            self.delta, self.spec_mask,
+                            region_idx=len(self.fold_regions),
+                            site_base=self.n_sites, leaders=self.leaders)
+        em.emit()
+        ft = em.fallthrough_target
+        if ft is not None and ft not in self.leaders:
+            self.leaders[ft] = None
+        src = ["def _factory(B):"]
+        src.extend(f"    {name} = B['{name}']" for name in _BIND_NAMES)
+        src.extend(em.render(f"_b{leader}"))
+        src.append(f"    return _b{leader}")
+        module = compile("\n".join(src) + "\n", "<repro.arch.compiled>", "exec")
+        code = next(c for c in module.co_consts if isinstance(c, CodeType))
+        self.regions[leader] = code
+        self.fold_regions.append((em.region_idx, tuple(em.pcs),
+                                  tuple(em.hz_offsets), tuple(em.sites)))
+        self.n_sites += len(em.sites)
+        return code
 
 
 class _RegionEmitter:
@@ -352,14 +412,19 @@ class _RegionEmitter:
         while True:
             if off >= MAX_REGION or not 0 <= pc < self.n:
                 if 0 <= pc < self.n:
-                    # the cap created a new region entry; register it as a
-                    # leader *now* so the exit can return its function
-                    self.leaders.add(pc)
+                    # the cap makes pc a region entry, which the image
+                    # registers once this region is emitted.  Regions
+                    # translated earlier return the integer pc for a
+                    # transfer there only through a bx — returns target
+                    # bl+1, always a static leader, so only a corrupted
+                    # return address can reach pc before this region
+                    # exists; that run deoptimizes, bit-identically
                     self.fallthrough_target = pc
+                    ret = f"_b{pc}"
                 else:
                     self.fallthrough_target = None
-                self.emit_exit(0, off, self.ret_target(pc),
-                               llr_store=self.llr)
+                    ret = repr(pc)
+                self.emit_exit(0, off, ret, llr_store=self.llr)
                 return
             t = code[pc]
             self.pcs.append(pc)
@@ -923,10 +988,13 @@ class _RegionEmitter:
 
 
 def _build_image(linked, narrow_rf, spec_mask):
+    """Predecode ``linked`` and find its static region entries.
+
+    Translates nothing: regions are emitted and compiled on first entry.
+    """
     code, effects = predecode(linked, narrow_rf)
     n = len(code)
     delta = linked.delta
-    inst_bytes = linked.inst_bytes
     entry = linked.entry_index
 
     leaders = set()
@@ -950,44 +1018,7 @@ def _build_image(linked, narrow_rf, spec_mask):
         elif delta and op in _SPEC_OPS:
             if pc + delta < n:
                 leaders.add(pc + delta)
-
-    # one pass: emit every leader once; a MAX_REGION cap adds its
-    # fallthrough pc to ``leaders`` (so later exits can return its
-    # function) and queues it here — ``scheduled`` is a copy, since an
-    # alias would already hold the cap target and never emit it
-    scheduled = set(leaders)
-    order = []
-    chunks = []
-    fold_regions = []
-    n_sites = 0
-    pending = sorted(leaders)
-    while pending:
-        discovered = []
-        for leader in pending:
-            em = _RegionEmitter(code, leader, n, inst_bytes, delta, spec_mask,
-                                region_idx=len(order), site_base=n_sites,
-                                leaders=leaders)
-            em.emit()
-            order.append(leader)
-            chunks.append(em.render(f"_b{leader}"))
-            fold_regions.append((em.region_idx, tuple(em.pcs),
-                                 tuple(em.hz_offsets), tuple(em.sites)))
-            n_sites += len(em.sites)
-            ft = em.fallthrough_target
-            if ft is not None and ft not in scheduled:
-                scheduled.add(ft)
-                discovered.append(ft)
-        pending = sorted(discovered)
-
-    src = ["def _factory(B):"]
-    for name in _BIND_NAMES:
-        src.append(f"    {name} = B['{name}']")
-    for chunk in chunks:
-        src.extend(chunk)
-    src.append("    return [" + ", ".join(f"_b{L}" for L in order) + "]")
-    codeobj = compile("\n".join(src) + "\n", "<repro.arch.compiled>", "exec")
-    return CompiledImage(codeobj, tuple(order), tuple(fold_regions),
-                         n, len(order), n_sites)
+    return CompiledImage(code, leaders, linked.inst_bytes, delta, spec_mask)
 
 
 #: shared all-zero page for resetting a runtime's flat memory in place
@@ -997,19 +1028,26 @@ _ZERO_MEM = bytes(MEMORY_SIZE)
 class _Runtime:
     """Reusable execution state for one :class:`CompiledImage`.
 
-    Building a run's machinery — the ``exec`` of the code object, one
-    closure per region, the cache-way lists, a dozen counter arrays and
-    a fresh flat memory — costs on the order of a millisecond, which
-    rivals the execute phase of short workloads.  One instance per
-    cache geometry is cached on the image and reset in place between
-    runs; :func:`run_compiled` copies everything that
-    outlives the call (memory image, output, obs arrays) out of this
-    shared state before returning.
+    Building a run's machinery — the cache-way lists, a dozen counter
+    arrays and a fresh flat memory — costs on the order of a
+    millisecond, which rivals the execute phase of short workloads.  One
+    instance per cache geometry is cached on the image and reset in place
+    between runs; :func:`run_compiled` copies everything that outlives
+    the call (memory image, output, obs arrays) out of this shared state
+    before returning.
+
+    Every region entry holds a function in :attr:`table` and, as
+    ``_b<pc>``, in the namespace the region code runs in.  Until the
+    dispatcher first enters a region that function is a stub: it
+    translates the region (or takes the image's code object, when another
+    runtime already did), installs the region function in both places
+    and calls it.  Installed functions stay across runs, so a warm run
+    translates nothing.
     """
 
-    __slots__ = ("memory", "regs", "S", "output", "entries", "exits",
-                 "ic2", "icm", "dc2", "dcm", "hz", "ms", "tk", "mc",
-                 "ways", "table", "_zeros", "_zentries", "_zexits")
+    __slots__ = ("image", "memory", "regs", "S", "output", "entries",
+                 "exits", "ic2", "icm", "dc2", "dcm", "hz", "ms", "tk", "mc",
+                 "ways", "table", "ns", "binds", "n_stubbed", "_zeros")
 
     def __init__(self, image, geometry):
         from repro.arch.machine import MachineError
@@ -1017,21 +1055,22 @@ class _Runtime:
         n = image.n_insts
         hierarchy = MemoryHierarchy(geometry)
         icache, dcache, l2 = hierarchy.icache, hierarchy.dcache, hierarchy.l2
+        self.image = image
         self.memory = FlatMemory()
         self.regs = [0] * 16
         self.S = [(0, 0, 4), 0, -1, 0, -1, -1]
         self.output = []
         (self.ic2, self.icm, self.dc2, self.dcm, self.hz, self.ms,
          self.tk, self.mc) = ([0] * n for _ in range(8))
-        self.entries = [0] * image.n_regions
-        self.exits = [0] * image.n_sites
+        # the region closures bind these two by identity, so they only
+        # ever grow in place (see _sync)
+        self.entries = []
+        self.exits = []
         # every cache set's ways list, for in-place clearing on reset —
         # the generated code probes these lists directly, so no other
         # hierarchy state is live
         self.ways = (*icache._lines, *dcache._lines, *l2._lines)
-        ns: dict = {}
-        exec(image.codeobj, ns)
-        funcs = ns["_factory"]({
+        self.binds = {
             "regs": self.regs, "S": self.S, "data": self.memory.data,
             "out_append": self.output.append,
             "IC2": self.ic2, "ICM": self.icm,
@@ -1043,13 +1082,36 @@ class _Runtime:
             "IW": icache._lines, "DW": dcache._lines, "LW": l2._lines,
             "ISM": icache._set_mask, "LSM": l2._set_mask,
             "INW": icache.ways, "LNW": l2.ways,
-        })
+        }
+        self.ns = {"__builtins__": builtins}
         self.table = [None] * n
-        for leader, fn in zip(image.leaders, funcs):
-            self.table[leader] = fn
+        self.n_stubbed = 0
         self._zeros = [0] * n
-        self._zentries = [0] * image.n_regions
-        self._zexits = [0] * image.n_sites
+        self._sync()
+
+    def _sync(self):
+        """Catch up with regions and entries the image gained since."""
+        image = self.image
+        for leader in islice(image.leaders, self.n_stubbed, None):
+            self.table[leader] = self.ns[f"_b{leader}"] = self._stub(leader)
+        self.n_stubbed = len(image.leaders)
+        self.entries.extend([0] * (image.n_regions - len(self.entries)))
+        self.exits.extend([0] * (image.n_sites - len(self.exits)))
+
+    def _stub(self, leader):
+        def stub():
+            return self.install(leader)()
+        return stub
+
+    def install(self, leader):
+        """Put region ``leader``'s function in the table and namespace."""
+        code = self.image.regions.get(leader)
+        if code is None:
+            code = self.image.translate(leader)
+        self._sync()
+        fn = FunctionType(code, self.ns)(self.binds)
+        self.table[leader] = self.ns[f"_b{leader}"] = fn
+        return fn
 
     def reset(self):
         """Restore pristine architectural and counter state in place."""
@@ -1062,8 +1124,11 @@ class _Runtime:
         for arr in (self.ic2, self.icm, self.dc2, self.dcm,
                     self.hz, self.ms, self.tk, self.mc):
             arr[:] = z
-        self.entries[:] = self._zentries
-        self.exits[:] = self._zexits
+        # other runtimes of the image may have translated regions the
+        # fold will visit: bring the counters up to the image's counts
+        self._sync()
+        self.entries[:] = (0,) * len(self.entries)
+        self.exits[:] = (0,) * len(self.exits)
         for w in self.ways:
             if w:
                 del w[:]
@@ -1071,7 +1136,7 @@ class _Runtime:
 
 
 def get_image(linked, narrow_rf, spec_mask) -> CompiledImage:
-    """Translate (or fetch the cached translation of) a linked program."""
+    """Build (or fetch the cached) image of a linked program."""
     cache = getattr(linked, "_compiled_cache", None)
     if cache is None:
         cache = {}
@@ -1108,9 +1173,9 @@ def run_compiled(machine):
     image = get_image(linked, narrow_rf, spec_mask)
     n = image.n_insts
 
-    # Reuse (or build) the cached runtime for this cache geometry: the
-    # exec'd closures permanently bind its arrays, so the same instance
-    # serves every run after an in-place reset.
+    # Reuse (or build) the cached runtime for this cache geometry: its
+    # installed region closures permanently bind its arrays, so the same
+    # instance serves every run after an in-place reset.
     g = machine.geometry or CacheGeometry()
     key = (g.l1_kb, g.l1_ways, g.l2_kb, g.l2_ways)
     rt = image.runtimes.get(key)
@@ -1128,7 +1193,8 @@ def run_compiled(machine):
     # Each region returns either the *next region's function* (statically
     # known transfers — branches, calls, misspec redirects, fallthroughs)
     # or an integer pc (indirect jumps via bx, out-of-range targets, HALT).
-    # Only the integer case touches the dispatch table.
+    # Only the integer case touches the dispatch table.  A region not yet
+    # translated is a stub in both places: calling it translates first.
     pc = linked.entry_index
     limit = machine.step_limit
     if not 0 <= pc < n:
@@ -1136,9 +1202,11 @@ def run_compiled(machine):
     fn = table[pc]
     while True:
         if fn is None:
-            # control reached the middle of every covering region (e.g.
-            # an indirect jump through a corrupted return address):
-            # deoptimize — replay the whole run on the per-step engine
+            # control reached a pc no region starts at (e.g. an indirect
+            # jump through a corrupted return address, possibly onto an
+            # entry a MAX_REGION cap creates only once its region is
+            # translated): deoptimize — replay the whole run on the
+            # per-step engine
             return run_fast(machine)
         nxt = fn()
         if S[3] > limit:

@@ -12,10 +12,12 @@ Protocol per workload:
 
 1. compile once (memoized via :func:`repro.eval.harness.get_binary`) and
    install the run inputs;
-2. warm every engine once — this builds the compiled image / predecode
-   tables outside the timed region and cross-checks that all engines
-   report identical instruction counts (a cheap standing guard on the
-   bit-identity contract; the full guarantee lives in
+2. warm every engine once — this builds the predecode tables and
+   translates the compiled regions the run enters outside the timed
+   region (the timed runs take the same path, so they translate
+   nothing), and cross-checks that all engines report identical
+   instruction counts (a cheap standing guard on the bit-identity
+   contract; the full guarantee lives in
    ``tests/test_engine_equivalence.py``);
 3. ``repeats`` timing rounds, each round running every engine once in
    order; best-of wins per engine.
