@@ -14,6 +14,8 @@ engines and fed back into the fuzz corpus, and ``python -m repro.verify``
 is the CLI over the corpus, the workloads and the soundness canaries.
 """
 
+import importlib
+
 from repro.verify.checker import (
     CANARIES,
     DriverError,
@@ -25,18 +27,36 @@ from repro.verify.checker import (
     run_canary,
     verify_function,
 )
-from repro.verify.domain import Vec, expand, is_sym, lane, make, restrict
-from repro.verify.executor import (
-    BoundExceeded,
-    Observation,
-    SymbolicMachine,
-)
+
+#: names served by :func:`__getattr__` from the submodule that defines
+#: them, so ``import repro.verify`` does not load numpy
+_LAZY = {
+    "BoundExceeded": "executor",
+    "Observation": "executor",
+    "Observations": "executor",
+    "SymbolicMachine": "executor",
+    "Vec": "domain",
+    "expand": "domain",
+    "is_sym": "domain",
+    "lane": "domain",
+    "make": "domain",
+    "restrict": "domain",
+}
+
+
+def __getattr__(name: str):
+    module = _LAZY.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(importlib.import_module(f"{__name__}.{module}"), name)
+
 
 __all__ = [
     "CANARIES",
     "BoundExceeded",
     "DriverError",
     "Observation",
+    "Observations",
     "SymbolicMachine",
     "Vec",
     "bounded_domain",

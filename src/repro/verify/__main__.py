@@ -32,11 +32,12 @@ from repro.fuzz.corpus import iter_corpus, save_counterexample
 from repro.verify.checker import (
     CANARIES,
     DEFAULT_MAX_LANES,
+    DEFAULT_MAX_STATES,
+    DEFAULT_STEP_BUDGET,
     list_targets,
     run_canary,
     verify_function,
 )
-from repro.verify.executor import DEFAULT_MAX_STATES, DEFAULT_STEP_BUDGET
 
 #: verdict buckets tallied in the report summary
 VERDICTS = ("proved", "counterexample", "bound-exceeded", "skipped", "error")

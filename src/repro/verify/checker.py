@@ -16,12 +16,12 @@ memory.  The pieces:
   the driver ``out()``s the return value plus every global so any
   divergence is architecturally visible;
 * :func:`verify_function` — compile both worlds, symbolically execute
-  them over the lane tables, and compare lane observations.  On
-  disequality the first diverging lane is concretized into an input
-  assignment, replayed *concretely* through the IR interpreter and all
-  three machine engines of both worlds to confirm it is a real
-  divergence (not a checker bug), and optionally emitted into the fuzz
-  corpus as a replayable :class:`repro.fuzz.generator.FuzzProgram`;
+  them over the lane tables, and compare their lane observations column
+  by column.  On disequality the first diverging lane is concretized
+  into an input assignment, replayed *concretely* through the IR
+  interpreter and all three machine engines of both worlds to confirm
+  it is a real divergence (not a checker bug), and optionally emitted
+  into the fuzz corpus as a replayable :class:`repro.fuzz.generator.FuzzProgram`;
 * :data:`CANARIES` / :func:`run_canary` — the soundness harness: arm a
   seeded silent miscompile (:func:`repro.faults.toolchain.bend_compiler`)
   and assert the checker finds a confirmed counterexample instead of a
@@ -35,7 +35,7 @@ scope: region cap, unbindable pointer, no scalar inputs) and ``error``
 
 from __future__ import annotations
 
-import itertools
+import math
 
 from repro.arch.machine import ENGINES
 from repro.core.pipeline import CompilerConfig, compile_binary
@@ -62,15 +62,13 @@ from repro.frontend.parser import parse
 from repro.frontend.printer import print_program
 from repro.fuzz.generator import FuzzProgram
 from repro.passes.expander import ExpanderConfig
-from repro.verify.executor import (
-    BoundExceeded,
-    DEFAULT_MAX_STATES,
-    DEFAULT_STEP_BUDGET,
-    SymbolicMachine,
-)
 
 #: default joint-assignment cap: two u8 inputs at k=8, or four at k=4
 DEFAULT_MAX_LANES = 65_536
+#: default lane-step budget per world: sum over lanes of path length
+DEFAULT_STEP_BUDGET = 40_000_000
+#: default cap on simultaneously live forked states per world
+DEFAULT_MAX_STATES = 4_096
 
 #: value every ``__vfy_*`` driver global takes during the profiling run —
 #: small on purpose, so the profile narrows aggressively and the binary
@@ -109,13 +107,16 @@ def build_lanes(domains: dict) -> tuple:
     output contract.
     """
     names = sorted(domains)
-    tables = {name: [] for name in names}
-    n = 0
-    for combo in itertools.product(*(domains[name] for name in names)):
-        for name, value in zip(names, combo):
-            tables[name].append(value)
-        n += 1
-    return {name: tuple(vals) for name, vals in tables.items()}, n
+    n = math.prod(len(domains[name]) for name in names)
+    tables = {}
+    inner = n
+    for name in names:
+        values = domains[name]
+        # each value repeats once per assignment of the later names
+        inner //= len(values)
+        block = tuple(v for v in values for _ in range(inner))
+        tables[name] = block * (n // len(block))
+    return tables, n
 
 
 # -- driver synthesis ----------------------------------------------------------
@@ -416,6 +417,9 @@ def verify_function(
         )
         return verdict
 
+    # loaded here, not at import: numpy comes with the executor
+    from repro.verify.executor import BoundExceeded, SymbolicMachine
+
     observations = {}
     for world, binary in (("bitspec", bitspec), ("baseline", baseline)):
         machine = SymbolicMachine(
@@ -439,51 +443,48 @@ def verify_function(
             "misspec_lanes": machine.misspec_lanes,
         }
 
-    names = sorted(tables)
-    for lane_id in range(n_lanes):
-        a = observations["bitspec"][lane_id]
-        b = observations["baseline"][lane_id]
-        if a == b:
-            continue
-        cex_inputs = {gname: tables[gname][lane_id] for gname in names}
-        replay_inputs = dict(inputs_run)
-        replay_inputs.update(cex_inputs)
-        confirmation = confirm_counterexample(bitspec, baseline, replay_inputs)
-        cex_program = FuzzProgram(
-            source=driver_source,
-            inputs_profile=profile_inputs,
-            inputs_run=replay_inputs,
-            seed=None,
-            expander_enabled=expander_enabled,
-            note=f"verify counterexample: {name or function} k={k} lane={lane_id}",
-        )
-        verdict.update(
-            verdict="counterexample",
-            counterexample={
-                "lane": lane_id,
-                "inputs": cex_inputs,
-                "observed": {
-                    "bitspec": _obs_summary(a),
-                    "baseline": _obs_summary(b),
-                },
-                "globals_diff": [
-                    ga[0]
-                    for ga, gb in zip(a.globals_image, b.globals_image)
-                    if ga != gb
-                ],
-                "confirmation": confirmation,
-            },
-            program={
-                "source": cex_program.source,
-                "inputs_profile": cex_program.inputs_profile,
-                "inputs_run": cex_program.inputs_run,
-                "expander_enabled": cex_program.expander_enabled,
-                "note": cex_program.note,
-            },
-        )
+    lane_id = observations["bitspec"].first_difference(observations["baseline"])
+    if lane_id is None:
+        verdict.update(verdict="proved")
         return verdict
-
-    verdict.update(verdict="proved")
+    a = observations["bitspec"].at(lane_id)
+    b = observations["baseline"].at(lane_id)
+    cex_inputs = {gname: tables[gname][lane_id] for gname in sorted(tables)}
+    replay_inputs = dict(inputs_run)
+    replay_inputs.update(cex_inputs)
+    confirmation = confirm_counterexample(bitspec, baseline, replay_inputs)
+    cex_program = FuzzProgram(
+        source=driver_source,
+        inputs_profile=profile_inputs,
+        inputs_run=replay_inputs,
+        seed=None,
+        expander_enabled=expander_enabled,
+        note=f"verify counterexample: {name or function} k={k} lane={lane_id}",
+    )
+    verdict.update(
+        verdict="counterexample",
+        counterexample={
+            "lane": lane_id,
+            "inputs": cex_inputs,
+            "observed": {
+                "bitspec": _obs_summary(a),
+                "baseline": _obs_summary(b),
+            },
+            "globals_diff": [
+                ga[0]
+                for ga, gb in zip(a.globals_image, b.globals_image)
+                if ga != gb
+            ],
+            "confirmation": confirmation,
+        },
+        program={
+            "source": cex_program.source,
+            "inputs_profile": cex_program.inputs_profile,
+            "inputs_run": cex_program.inputs_run,
+            "expander_enabled": cex_program.expander_enabled,
+            "note": cex_program.note,
+        },
+    )
     return verdict
 
 

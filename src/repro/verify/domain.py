@@ -1,24 +1,28 @@
 """Bounded bitvector valuation domain for the symbolic executor.
 
-On the bounded domains of ISSUE/ROADMAP item 4 — every scalar input
-ranging over its ``k``-bit pattern set — a bitvector function *is* its
-table of values.  A symbolic machine word is therefore represented
-extensionally: either a plain ``int`` (the value is the same in every
-lane) or a :class:`Vec` holding one concrete word per *lane*, where a
-lane is one joint input assignment.  This is the dense-domain analogue of
-the decision-diagram encodings used by machine-code BMC (the CFLOBDD
-RISC-V work in PAPERS.md): every operator is evaluated pointwise with the
-machine's own width/mask/sign-extension semantics — shared with the
-concrete engines through :mod:`repro.arch.widths` — so there is no
-abstraction gap to close, and a disequality concretizes a counterexample
-by direct lane lookup.
+On the bounded domains of ``repro.verify`` — every scalar input ranging
+over its ``k``-bit pattern set — a bitvector function *is* its table of
+values.  A symbolic machine word is therefore represented extensionally:
+either a plain ``int`` (the value is the same in every lane) or a
+:class:`Vec` holding one concrete word per *lane*, where a lane is one
+joint input assignment.  The lanes live in one numpy ``int64`` array, so
+an operator is one array expression over every lane at once.  This is the
+dense-domain analogue of the decision-diagram encodings used by
+machine-code BMC (the CFLOBDD RISC-V work in PAPERS.md): every operator
+is evaluated with the machine's own width/mask/sign-extension semantics —
+shared with the concrete engines through :mod:`repro.arch.widths` — so
+there is no abstraction gap to close, and a disequality concretizes a
+counterexample by direct lane lookup.
 
-Values collapse back to ``int`` whenever all lanes agree, which keeps the
-common case (loop counters, addresses, constants) scalar-fast: only the
-genuinely input-dependent dataflow pays per-lane cost.
+Values collapse back to a Python ``int`` whenever all lanes agree, which
+keeps the common case (loop counters, addresses, constants) scalar-fast:
+only the genuinely input-dependent dataflow pays per-lane cost, and the
+scalar path never sees a numpy scalar.
 """
 
 from __future__ import annotations
+
+import numpy as np
 
 from repro.arch.widths import sign_extend as _sign_extend
 
@@ -28,27 +32,35 @@ class Vec:
 
     __slots__ = ("vals",)
 
-    def __init__(self, vals: tuple) -> None:
+    def __init__(self, vals: np.ndarray) -> None:
         self.vals = vals
 
     def __len__(self) -> int:
         return len(self.vals)
 
     def __repr__(self) -> str:
-        preview = ", ".join(str(v) for v in self.vals[:6])
+        preview = ", ".join(str(v) for v in self.vals[:6].tolist())
         if len(self.vals) > 6:
             preview += ", …"
         return f"Vec[{len(self.vals)}]({preview})"
 
 
 def make(vals) -> object:
-    """A :class:`Vec` over ``vals``, collapsed to ``int`` when uniform."""
-    vals = tuple(vals)
+    """A :class:`Vec` over ``vals``, collapsed to ``int`` when uniform.
+
+    ``vals`` is a lane array (kept in its dtype: ``uint64`` for the
+    64-bit compare joins, ``bool`` for predicates, else ``int64``) or any
+    sequence of ints; a non-array scalar is returned unchanged.
+    """
+    t = type(vals)
+    if t is not np.ndarray:
+        if t is int or t is bool:
+            return vals
+        vals = np.array(tuple(vals), dtype=np.int64)
     first = vals[0]
-    for v in vals:
-        if v != first:
-            return Vec(vals)
-    return first
+    if (vals == first).all():
+        return int(first)
+    return Vec(vals)
 
 
 def is_sym(value) -> bool:
@@ -56,66 +68,42 @@ def is_sym(value) -> bool:
     return type(value) is Vec
 
 
-def expand(value, n: int) -> tuple:
-    """The per-lane tuple view of ``value`` over ``n`` lanes."""
+def expand(value, n: int) -> np.ndarray:
+    """The per-lane array view of ``value`` over ``n`` lanes."""
     if type(value) is Vec:
         return value.vals
-    return (value,) * n
+    return np.full(n, value)
 
 
-def lane(value, i: int):
+def lane(value, i: int) -> int:
     """The concrete word ``value`` takes in lane ``i``."""
     if type(value) is Vec:
-        return value.vals[i]
+        return int(value.vals[i])
     return value
 
 
-def restrict(value, positions: list):
+def restrict(value, positions: np.ndarray):
     """``value`` re-aligned to the lane subset ``positions`` (a fork edge)."""
     if type(value) is Vec:
-        vals = value.vals
-        return make(vals[p] for p in positions)
+        return make(value.vals[positions])
     return value
 
 
-def map1(f, a, n: int):
-    """Apply a unary concrete op pointwise; scalar stays scalar."""
-    if type(a) is Vec:
-        return make(f(v) for v in a.vals)
-    return f(a)
+def partition(pred: Vec) -> tuple:
+    """Split lane positions by a lane-dependent predicate: (true, false)."""
+    vals = pred.vals
+    return np.flatnonzero(vals), np.flatnonzero(vals == 0)
 
 
-def map2(f, a, b, n: int):
-    """Apply a binary concrete op pointwise; scalar×scalar stays scalar."""
-    a_sym = type(a) is Vec
-    b_sym = type(b) is Vec
-    if not a_sym and not b_sym:
-        return f(a, b)
-    if a_sym and b_sym:
-        return make(f(x, y) for x, y in zip(a.vals, b.vals))
-    if a_sym:
-        return make(f(x, b) for x in a.vals)
-    return make(f(a, y) for y in b.vals)
+def sxt(value, src_bits: int):
+    """Architectural sign extension to 32 bits (mirrors the ``sxt`` op).
 
-
-def map3(f, a, b, c, n: int):
-    """Apply a ternary concrete op pointwise (``movcond`` lane select)."""
-    if type(a) is not Vec and type(b) is not Vec and type(c) is not Vec:
-        return f(a, b, c)
-    return make(
-        f(x, y, z)
-        for x, y, z in zip(expand(a, n), expand(b, n), expand(c, n))
-    )
-
-
-def partition(pred_vals: tuple) -> tuple:
-    """Split lane positions by a boolean valuation: (true_pos, false_pos)."""
-    true_pos, false_pos = [], []
-    for i, p in enumerate(pred_vals):
-        (true_pos if p else false_pos).append(i)
-    return true_pos, false_pos
-
-
-def sxt(value, src_bits: int, n: int):
-    """Pointwise architectural sign extension (mirrors the ``sxt`` op)."""
-    return map1(lambda v: _sign_extend(v, src_bits, 32), value, n)
+    An ``int`` goes through :func:`repro.arch.widths.sign_extend`; a lane
+    array maps to a lane array and a :class:`Vec` to a collapsed value.
+    """
+    if type(value) is Vec:
+        return make(sxt(value.vals, src_bits))
+    if type(value) is not np.ndarray:
+        return _sign_extend(value, src_bits, 32)
+    sign = 1 << (src_bits - 1)
+    return (((value & ((1 << src_bits) - 1)) ^ sign) - sign) & 0xFFFFFFFF

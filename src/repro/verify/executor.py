@@ -2,11 +2,18 @@
 
 Runs a linked binary on the :mod:`repro.verify.domain` valuation domain:
 machine words are per-lane tables over the bounded input space, and every
-instruction is evaluated pointwise with the exact semantics of the legacy
-reference engine (:meth:`repro.arch.machine.Machine._run_legacy`) — the
-same slice masks, sign extensions, Δ-redirect misspeculation rules and
-trap conditions, minus the cost model (cycles/energy/caches), which is
+instruction is evaluated over all lanes at once with the exact semantics
+of the legacy reference engine (:meth:`repro.arch.machine.Machine._run_legacy`)
+— the same slice masks, sign extensions, Δ-redirect misspeculation rules
+and trap conditions, minus the cost model (cycles/energy/caches), which is
 out of scope for the architectural equivalence contract.
+
+An op is written once when its expression means the same on an ``int``
+and on an ``int64`` lane array (add, masks, slices, bytes, addresses,
+products — a product wraps mod 2^64 in the array, and its low and high 32
+bits stay exact).  An op whose scalar form branches on the data gets an
+explicit vector twin through :func:`_kernel`; ``tests/test_verify_kernels.py``
+checks each pair lane by lane over an edge grid.
 
 Control flow forks when lanes disagree:
 
@@ -19,16 +26,21 @@ Control flow forks when lanes disagree:
   concretized by forking per distinct address value;
 * a lane-dependent zero divisor forks the trapping lanes off.
 
-Each terminal state yields, per lane, an :class:`Observation` — the
+The terminal states make up the run's :class:`Observations`: the
 architecturally visible exit state (trap, ``out()`` stream, final global
-memory) that :mod:`repro.verify.checker` compares across worlds.  All
-budgets are deterministic (lane-steps and live states), so a run either
-completes identically every time or raises :class:`BoundExceeded`.
+memory) of every lane, kept column-wise so :mod:`repro.verify.checker`
+compares the two worlds without building one :class:`Observation` per
+lane.  All budgets are deterministic (lane-steps and live states), so a
+run either completes identically every time or raises
+:class:`BoundExceeded`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+import operator
+
+import numpy as np
 
 from repro.arch.machine import HALT, _DIV_OPS
 from repro.arch.widths import BYTE_MASKS as _MASKS, slice_mask
@@ -37,23 +49,10 @@ from repro.core.pipeline import set_global_inputs
 from repro.interp.interpreter import evaluate_icmp
 from repro.interp.memory import FlatMemory, STACK_TOP, initialize_globals
 from repro.ir.types import int_type
-from repro.verify.domain import (
-    Vec,
-    expand,
-    is_sym,
-    lane,
-    make,
-    map1,
-    map2,
-    map3,
-    partition,
-    restrict,
-    sxt,
-)
+from repro.verify.checker import DEFAULT_MAX_STATES, DEFAULT_STEP_BUDGET
+from repro.verify.domain import Vec, lane, make, partition, restrict, sxt
 
-#: default exploration budgets (overridable per run)
-DEFAULT_STEP_BUDGET = 40_000_000  # lane-steps: sum over lanes of path length
-DEFAULT_MAX_STATES = 4_096  # simultaneously live forked states
+_ND = np.ndarray
 
 
 class BoundExceeded(Exception):
@@ -77,6 +76,216 @@ class Observation:
     globals_image: tuple
 
 
+class Observations:
+    """Every lane's :class:`Observation`, held column-wise.
+
+    ``terminals`` lists each terminal state as ``(trap, out, image,
+    lanes)``: ``out`` values and ``image`` elements are ``int`` or
+    :class:`Vec` over that state's ``lanes``.  ``state_of[lane]`` indexes
+    the lane's terminal state and ``position[lane]`` its slot there.
+    """
+
+    def __init__(self, terminals: list, n_lanes: int) -> None:
+        self.terminals = terminals
+        self.state_of = np.zeros(n_lanes, dtype=np.int64)
+        self.position = np.zeros(n_lanes, dtype=np.int64)
+        for index, (_trap, _out, _image, lanes) in enumerate(terminals):
+            self.state_of[lanes] = index
+            self.position[lanes] = np.arange(len(lanes))
+
+    def at(self, lane_id: int) -> Observation:
+        """The observation of one lane."""
+        trap, out, image, _lanes = self.terminals[self.state_of[lane_id]]
+        i = int(self.position[lane_id])
+        return Observation(
+            trap=trap,
+            out=tuple(lane(v, i) for v in out),
+            globals_image=tuple(
+                (name, tuple(lane(e, i) for e in elems)) for name, elems in image
+            ),
+        )
+
+    def first_difference(self, other: "Observations"):
+        """The lowest lane whose observation differs from ``other``'s.
+
+        Lanes are grouped by their pair of terminal states; each group
+        compares its columns as arrays.  Returns ``None`` when every lane
+        agrees.
+        """
+        key = self.state_of * len(other.terminals) + other.state_of
+        order = np.argsort(key, kind="stable")
+        cuts = np.flatnonzero(np.diff(key[order])) + 1
+        first = None
+        for lanes in np.split(order, cuts):
+            if first is not None and lanes[0] > first:
+                continue
+            differs = _differing(
+                self.terminals[self.state_of[lanes[0]]],
+                self.position[lanes],
+                other.terminals[other.state_of[lanes[0]]],
+                other.position[lanes],
+            )
+            hits = np.flatnonzero(differs)
+            if hits.size:
+                found = int(lanes[hits[0]])
+                first = found if first is None else min(first, found)
+        return first
+
+
+def _differing(a, pos_a, b, pos_b) -> np.ndarray:
+    """Per-lane disequality of two terminal states over aligned lanes."""
+    trap_a, out_a, image_a, _ = a
+    trap_b, out_b, image_b, _ = b
+    differs = np.zeros(len(pos_a), dtype=bool)
+    if (
+        trap_a != trap_b
+        or len(out_a) != len(out_b)
+        or [(n, len(e)) for n, e in image_a] != [(n, len(e)) for n, e in image_b]
+    ):
+        differs[:] = True
+        return differs
+    columns_a = list(out_a)
+    columns_b = list(out_b)
+    for (_name, elems_a), (_, elems_b) in zip(image_a, image_b):
+        columns_a.extend(elems_a)
+        columns_b.extend(elems_b)
+    for va, vb in zip(columns_a, columns_b):
+        if type(va) is Vec:
+            va = va.vals[pos_a]
+        if type(vb) is Vec:
+            vb = vb.vals[pos_b]
+        differs |= va != vb
+    return differs
+
+
+# -- lane kernels ---------------------------------------------------------------
+
+
+def _kernel(scalar, vector):
+    """An op whose scalar form branches on the data, paired with its
+    vector twin: ``vector`` runs when any operand is a lane array."""
+
+    def op(*args):
+        for arg in args:
+            if type(arg) is _ND:
+                return vector(*args)
+        return scalar(*args)
+
+    op.scalar = scalar
+    op.vector = vector
+    return op
+
+
+def _signed(x, bits: int):
+    """Two's-complement reading of a ``bits``-wide ``int`` or lane array
+    (a 64-bit lane array is a ``uint64`` join, read as ``int64``)."""
+    if type(x) is not _ND:
+        return int_type(bits).to_signed(x)
+    if bits == 64:
+        return x.view(np.int64)
+    sign = 1 << (bits - 1)
+    return ((x & ((1 << bits) - 1)) ^ sign) - sign
+
+
+#: shifts of 32 or more give 0; the vector forms clamp before shifting
+lsl = _kernel(
+    lambda x, y, mask: (x << y) & mask if y < 32 else 0,
+    lambda x, y, mask: np.where(y < 32, (x << np.minimum(y, 31)) & mask, 0),
+)
+lsr = _kernel(
+    lambda x, y: x >> y if y < 32 else 0,
+    lambda x, y: np.where(y < 32, x >> np.minimum(y, 31), 0),
+)
+bs_lsl = _kernel(
+    lambda x, y: x << y if y < 32 else 0,
+    lambda x, y: np.where(y < 32, x << np.minimum(y, 31), 0),
+)
+asr = _kernel(
+    lambda x, y, bits: int_type(bits).wrap(
+        int_type(bits).to_signed(x) >> min(y, bits - 1)
+    ),
+    lambda x, y, bits: (_signed(x, bits) >> np.minimum(y, bits - 1))
+    & ((1 << bits) - 1),
+)
+
+_COMPARE = {
+    "eq": operator.eq,
+    "ne": operator.ne,
+    "lt": operator.lt,
+    "le": operator.le,
+    "gt": operator.gt,
+    "ge": operator.ge,
+}
+
+
+def _icmp_vector(pred: str, x, y, bits: int):
+    if pred[0] == "s":
+        x, y = _signed(x, bits), _signed(y, bits)
+    return _COMPARE[pred[1:] if pred[0] in "su" else pred](x, y)
+
+
+#: the bcond/movcond predicate over a cmp state of width ``bits``
+icmp = _kernel(
+    lambda pred, x, y, bits: evaluate_icmp(pred, x, y, int_type(bits)),
+    _icmp_vector,
+)
+select = _kernel(lambda c, s, o: s if c else o, np.where)
+#: the cmp64hi/cmp64lo join; lane arrays go to uint64
+join64 = _kernel(
+    lambda hi, lo: (hi << 32) | lo,
+    lambda hi, lo: (np.asarray(hi).astype(np.uint64) << np.uint64(32))
+    | np.asarray(lo).astype(np.uint64),
+)
+
+
+def _divide(opcode: str, a: int, b: int, bits: int) -> int:
+    """C-style division/remainder (round toward zero), matching the machine."""
+    ty = int_type(bits)
+    if opcode == "udiv":
+        return a // b
+    if opcode == "urem":
+        return a % b
+    sa, sb = ty.to_signed(a), ty.to_signed(b)
+    q = abs(sa) // abs(sb)
+    r = abs(sa) % abs(sb)
+    if opcode == "sdiv":
+        return ty.wrap(-q if (sa < 0) != (sb < 0) else q)
+    return ty.wrap(-r if sa < 0 else r)
+
+
+def _divide_vector(opcode: str, a, b, bits: int):
+    if opcode == "udiv":
+        return a // b
+    if opcode == "urem":
+        return a % b
+    sa, sb = _signed(a, bits), _signed(b, bits)
+    q = abs(sa) // abs(sb)
+    r = abs(sa) % abs(sb)
+    if opcode == "sdiv":
+        value = np.where((sa < 0) != (sb < 0), -q, q)
+    else:
+        value = np.where(sa < 0, -r, r)
+    return value & ((1 << bits) - 1)
+
+
+divide = _kernel(_divide, _divide_vector)
+#: the carry flag ``subs`` leaves behind (1 = no borrow)
+subs_carry = _kernel(
+    lambda x, y: 1 if x >= y else 0,
+    lambda x, y: (x >= y).astype(np.int64),
+)
+#: the carry flag ``sbc`` leaves behind, from its full-width difference
+sbc_carry = _kernel(
+    lambda full: 1 if full >= 0 else 0,
+    lambda full: (full >= 0).astype(np.int64),
+)
+
+
+def _raw(value):
+    """The operand form of a stored value: ``int`` or lane array."""
+    return value.vals if type(value) is Vec else value
+
+
 class _State:
     """One symbolically executing machine, restricted to a lane subset."""
 
@@ -91,7 +300,7 @@ class _State:
         self.carry = carry
         self.lanes = lanes
 
-    def split(self, positions: list) -> "_State":
+    def split(self, positions: np.ndarray) -> "_State":
         """A child state re-aligned to the lane subset ``positions``."""
         return _State(
             self.pc,
@@ -104,7 +313,7 @@ class _State:
                 self.cmp[2],
             ),
             restrict(self.carry, positions),
-            tuple(self.lanes[p] for p in positions),
+            self.lanes[positions],
         )
 
 
@@ -165,10 +374,13 @@ class SymbolicMachine:
                 raise ValueError(f"symbolic input {name} must be scalar")
             base = self.linked.global_addresses[name]
             size = gv.elem_type.size_bytes
-            wrapped = make(gv.elem_type.wrap(v) for v in table)
+            values = np.array(table, dtype=np.int64)
+            if size < 8:
+                # a 64-bit input's int64 pattern already has the right bytes
+                values = gv.elem_type.wrap(values)
             for i in range(size):
-                byte = map1(lambda v, _i=i: (v >> (8 * _i)) & 0xFF, wrapped, 0)
-                if is_sym(byte) or byte != self.base.data[base + i]:
+                byte = make((values >> (8 * i)) & 0xFF)
+                if type(byte) is Vec or byte != self.base.data[base + i]:
                     overlay[base + i] = byte
         return _State(
             self.linked.entry_index,
@@ -177,13 +389,13 @@ class SymbolicMachine:
             [],
             (0, 0, 4),
             0,
-            tuple(range(self.n_lanes)),
+            np.arange(self.n_lanes),
         )
 
-    def run(self) -> dict:
-        """Explore every path; returns ``{lane: Observation}`` (total map)."""
+    def run(self) -> Observations:
+        """Explore every path; returns every lane's :class:`Observations`."""
         stack = [self._initial_state()]
-        results = []
+        terminals = []
         while stack:
             if len(stack) + self.paths > self.max_states:
                 raise BoundExceeded(
@@ -193,28 +405,17 @@ class SymbolicMachine:
             trap = self._run_state(state, stack)
             if trap is _FORKED:
                 continue
-            results.append((state, trap))
+            terminals.append(
+                (trap, state.out, self._globals_image(state), state.lanes)
+            )
             self.paths += 1
-
-        observations = {}
-        for state, trap in results:
-            n = len(state.lanes)
-            outs = [expand(v, n) for v in state.out]
-            image = self._globals_image(state)
-            for i, lane_id in enumerate(state.lanes):
-                observations[lane_id] = Observation(
-                    trap=trap,
-                    out=tuple(o[i] for o in outs),
-                    globals_image=tuple(
-                        (name, tuple(lane(e, i) for e in elems))
-                        for name, elems in image
-                    ),
-                )
-        return observations
+        return Observations(terminals, self.n_lanes)
 
     # -- memory ---------------------------------------------------------------
 
     def _load(self, state, addr: int, size: int):
+        """The ``size``-byte word at ``addr`` as an ``int`` or lane array
+        (``uint64`` for 8 bytes), or None when out of bounds."""
         if addr < 0 or addr + size > self.base.size:
             return None  # trap, matches FlatMemory bounds check
         overlay = state.overlay
@@ -225,7 +426,7 @@ class SymbolicMachine:
             byte = overlay.get(addr + i)
             if byte is None:
                 byte = base[addr + i]
-            elif is_sym(byte):
+            elif type(byte) is Vec:
                 any_sym = True
             raw.append(byte)
         if not any_sym:
@@ -233,21 +434,17 @@ class SymbolicMachine:
             for i, byte in enumerate(raw):
                 value |= byte << (8 * i)
             return value
-        n = len(state.lanes)
-        lanes = [0] * n
+        dtype = np.uint64 if size == 8 else np.int64
+        value = np.zeros(len(state.lanes), dtype=dtype)
         for i, byte in enumerate(raw):
-            shift = 8 * i
-            for j, b in enumerate(expand(byte, n)):
-                lanes[j] |= b << shift
-        return make(lanes)
+            value |= np.asarray(_raw(byte)).astype(dtype) << dtype(8 * i)
+        return value
 
     def _store(self, state, addr: int, value, size: int) -> bool:
         if addr < 0 or addr + size > self.base.size:
             return False
         for i in range(size):
-            state.overlay[addr + i] = map1(
-                lambda v, _i=i: (v >> (8 * _i)) & 0xFF, value, 0
-            )
+            state.overlay[addr + i] = make((value >> (8 * i)) & 0xFF)
         return True
 
     def _globals_image(self, state) -> list:
@@ -257,7 +454,7 @@ class SymbolicMachine:
             base = self.linked.global_addresses[name]
             size = gv.elem_type.size_bytes
             elems = [
-                self._load(state, base + i * size, size)
+                make(self._load(state, base + i * size, size))
                 for i in range(gv.count)
             ]
             image.append((name, elems))
@@ -267,7 +464,7 @@ class SymbolicMachine:
 
     def _fork(self, state, pred, stack, true_pc, false_pc) -> object:
         """Split ``state`` on a lane-dependent predicate; push both children."""
-        true_pos, false_pos = partition(expand(pred, len(state.lanes)))
+        true_pos, false_pos = partition(pred)
         self.forks += 1
         for positions, pc in ((false_pos, false_pc), (true_pos, true_pc)):
             child = state.split(positions)
@@ -276,15 +473,18 @@ class SymbolicMachine:
         return _FORKED
 
     def _concretize_addr(self, state, addr, stack) -> object:
-        """Fork per distinct lane-dependent address; reruns the same pc."""
-        n = len(state.lanes)
-        by_value = {}
-        for i, v in enumerate(expand(addr, n)):
-            by_value.setdefault(v, []).append(i)
+        """Fork per distinct lane-dependent address; reruns the same pc.
+
+        Children are pushed in ascending address order, each over its
+        lanes in ascending position order.
+        """
+        _values, inverse = np.unique(addr.vals, return_inverse=True)
+        inverse = inverse.reshape(-1)
+        order = np.argsort(inverse, kind="stable")
+        cuts = np.cumsum(np.bincount(inverse))[:-1]
         self.forks += 1
-        for value in sorted(by_value):
-            child = state.split(by_value[value])
-            stack.append(child)
+        for positions in np.split(order, cuts):
+            stack.append(state.split(positions))
         return _FORKED
 
     # -- the step loop ---------------------------------------------------------
@@ -298,6 +498,36 @@ class SymbolicMachine:
         spec_mask = self.spec_mask
         budget = self.step_budget
         regs = state.regs
+        n = len(state.lanes)
+
+        def read(op):
+            t = type(op)
+            if t is Slice:
+                size = op.size if op.size <= 4 else 4
+                mask = _MASKS[size]
+                shift = op.offset * 8
+                value = regs[op.reg]
+                if type(value) is Vec:
+                    value = value.vals
+                if shift == 0 and mask == 0xFFFFFFFF:
+                    return value
+                return (value >> shift) & mask
+            if t is Imm:
+                return op.value & 0xFFFFFFFF
+            if op == "sp":
+                return _raw(regs[13])
+            raise TypeError(f"cannot read operand {op!r}")
+
+        def write(op, value):
+            size = op.size if op.size <= 4 else 4
+            mask = _MASKS[size]
+            shift = op.offset * 8
+            if shift == 0 and mask == 0xFFFFFFFF:
+                value = value & 0xFFFFFFFF
+            else:
+                keep = ~(mask << shift) & 0xFFFFFFFF
+                value = (_raw(regs[op.reg]) & keep) | ((value & mask) << shift)
+            regs[op.reg] = make(value) if type(value) is _ND else value
 
         while state.pc != HALT:
             pc = state.pc
@@ -305,55 +535,62 @@ class SymbolicMachine:
                 return "division by zero"
             if not 0 <= pc < len(insts):
                 return f"pc out of range: {pc}"
-            self.lane_steps += len(state.lanes)
+            self.lane_steps += n
             if self.lane_steps > budget:
                 raise BoundExceeded(
                     f"step budget exceeded ({budget} lane-steps)"
                 )
             inst = insts[pc]
-            n = len(state.lanes)
-
-            def read(op):
-                t = type(op)
-                if t is Slice:
-                    size = op.size if op.size <= 4 else 4
-                    mask = _MASKS[size]
-                    shift = op.offset * 8
-                    value = regs[op.reg]
-                    if shift == 0 and mask == 0xFFFFFFFF:
-                        return value
-                    return map1(lambda v: (v >> shift) & mask, value, n)
-                if t is Imm:
-                    return op.value & 0xFFFFFFFF
-                if op == "sp":
-                    return regs[13]
-                raise TypeError(f"cannot read operand {op!r}")
-
-            def write(op, value):
-                size = op.size if op.size <= 4 else 4
-                mask = _MASKS[size]
-                shift = op.offset * 8
-                if shift == 0 and mask == 0xFFFFFFFF:
-                    regs[op.reg] = map1(lambda v: v & 0xFFFFFFFF, value, n)
-                    return
-                keep = ~(mask << shift) & 0xFFFFFFFF
-                regs[op.reg] = map2(
-                    lambda old, v: (old & keep) | ((v & mask) << shift),
-                    regs[op.reg],
-                    value,
-                    n,
-                )
-
             opcode = inst.opcode
             next_pc = pc + 1
 
             if opcode == "mov" or opcode == "movi":
                 write(inst.defs[0], read(inst.uses[0]))
+            elif opcode in ("add", "sub", "and", "orr", "eor", "lsl", "lsr", "asr"):
+                a = read(inst.uses[0])
+                b = read(inst.uses[1])
+                mask = _MASKS.get(inst.width, 0xFFFFFFFF)
+                if opcode == "add":
+                    value = (a + b) & mask
+                elif opcode == "sub":
+                    value = (a - b) & mask
+                elif opcode == "and":
+                    value = a & b
+                elif opcode == "orr":
+                    value = a | b
+                elif opcode == "eor":
+                    value = a ^ b
+                elif opcode == "lsl":
+                    value = lsl(a, b, mask)
+                elif opcode == "lsr":
+                    value = lsr(a, b)
+                else:
+                    value = asr(a, b, inst.width * 8)
+                write(inst.defs[0], value)
+            elif opcode == "b":
+                next_pc = inst.target
+            elif opcode == "bcond":
+                a, b, width = state.cmp
+                bits = 64 if width == 8 else width * 8
+                cond = make(icmp(inst.cond, _raw(a), _raw(b), bits))
+                if type(cond) is Vec:
+                    return self._fork(state, cond, stack, inst.target, pc + 1)
+                if cond:
+                    next_pc = inst.target
+            elif opcode == "cmp":
+                a = read(inst.uses[0])
+                b = read(inst.uses[1])
+                if type(a) is _ND or type(b) is _ND:
+                    a, b = make(a), make(b)
+                state.cmp = (a, b, inst.width)
+            elif opcode == "mul":
+                mask = _MASKS.get(inst.width, 0xFFFFFFFF)
+                write(inst.defs[0], (read(inst.uses[0]) * read(inst.uses[1])) & mask)
             elif opcode in ("ldr", "ldrb", "ldrh"):
                 base = read(inst.uses[0])
                 disp = inst.uses[1].value if len(inst.uses) > 1 else 0
-                addr = map1(lambda v: (v + disp) & 0xFFFFFFFF, base, n)
-                if is_sym(addr):
+                addr = make((base + disp) & 0xFFFFFFFF)
+                if type(addr) is Vec:
                     return self._concretize_addr(state, addr, stack)
                 size = {"ldr": 4, "ldrb": 1, "ldrh": 2}[opcode]
                 value = self._load(state, addr, size)
@@ -364,57 +601,25 @@ class SymbolicMachine:
                 value = read(inst.uses[0])
                 base = read(inst.uses[1])
                 disp = inst.uses[2].value if len(inst.uses) > 2 else 0
-                addr = map1(lambda v: (v + disp) & 0xFFFFFFFF, base, n)
-                if is_sym(addr):
+                addr = make((base + disp) & 0xFFFFFFFF)
+                if type(addr) is Vec:
                     return self._concretize_addr(state, addr, stack)
                 size = {"str": 4, "strb": 1, "strh": 2}[opcode]
                 if not self._store(state, addr, value, size):
                     return f"store out of bounds: 0x{addr:x}+{size}"
-            elif opcode in ("add", "sub", "and", "orr", "eor", "lsl", "lsr", "asr"):
-                a = read(inst.uses[0])
-                b = read(inst.uses[1])
-                mask = _MASKS.get(inst.width, 0xFFFFFFFF)
-                if opcode == "add":
-                    value = map2(lambda x, y: (x + y) & mask, a, b, n)
-                elif opcode == "sub":
-                    value = map2(lambda x, y: (x - y) & mask, a, b, n)
-                elif opcode == "and":
-                    value = map2(lambda x, y: x & y, a, b, n)
-                elif opcode == "orr":
-                    value = map2(lambda x, y: x | y, a, b, n)
-                elif opcode == "eor":
-                    value = map2(lambda x, y: x ^ y, a, b, n)
-                elif opcode == "lsl":
-                    value = map2(
-                        lambda x, y: (x << y) & mask if y < 32 else 0, a, b, n
-                    )
-                elif opcode == "lsr":
-                    value = map2(lambda x, y: (x >> y) if y < 32 else 0, a, b, n)
-                else:  # asr
-                    bits = inst.width * 8
-                    ty = int_type(bits)
-                    value = map2(
-                        lambda x, y: ty.wrap(
-                            ty.to_signed(x) >> min(y, bits - 1)
-                        ),
-                        a,
-                        b,
-                        n,
-                    )
-                write(inst.defs[0], value)
             elif opcode == "bs_ldr":
-                addr = read(inst.uses[0])
-                if is_sym(addr):
+                addr = make(read(inst.uses[0]))
+                if type(addr) is Vec:
                     return self._concretize_addr(state, addr, stack)
                 size = inst.uses[1].value
                 value = self._load(state, addr, size)
                 if value is None:
                     return f"load out of bounds: 0x{addr:x}+{size}"
-                miss = map1(lambda v: v > spec_mask, value, n)
-                if is_sym(miss):
+                miss = make(value > spec_mask)
+                if type(miss) is Vec:
                     # the clean child re-executes this op (its predicate is
                     # then uniformly false), so the write-back still happens
-                    self.misspec_lanes += sum(miss.vals)
+                    self.misspec_lanes += int(np.count_nonzero(miss.vals))
                     return self._fork(state, miss, stack, pc + delta, pc)
                 if miss:
                     self.misspec_lanes += n
@@ -422,7 +627,7 @@ class SymbolicMachine:
                 else:
                     write(inst.defs[0], value)
             elif opcode.startswith("bs_"):
-                outcome = self._exec_bitspec(state, inst, read, write, n)
+                outcome = self._exec_bitspec(inst, read, write)
                 if outcome == "misspec":
                     self.misspec_lanes += n
                     next_pc = pc + delta
@@ -430,152 +635,96 @@ class SymbolicMachine:
                     if outcome[0] == "fork-misspec":
                         # clean child re-executes the op, see bs_ldr above
                         miss = outcome[1]
-                        self.misspec_lanes += sum(expand(miss, n))
+                        self.misspec_lanes += int(np.count_nonzero(miss.vals))
                         return self._fork(state, miss, stack, pc + delta, pc)
                     state.cmp = outcome
-            elif opcode == "cmp":
-                state.cmp = (read(inst.uses[0]), read(inst.uses[1]), inst.width)
             elif opcode == "cmp64hi":
-                state.cmp = (read(inst.uses[0]), read(inst.uses[1]), "hi")
+                state.cmp = (
+                    make(read(inst.uses[0])),
+                    make(read(inst.uses[1])),
+                    "hi",
+                )
             elif opcode == "cmp64lo":
                 a_hi, b_hi, _tag = state.cmp
-                a = map2(lambda hi, lo: (hi << 32) | lo, a_hi, read(inst.uses[0]), n)
-                b = map2(lambda hi, lo: (hi << 32) | lo, b_hi, read(inst.uses[1]), n)
-                state.cmp = (a, b, 8)
-            elif opcode == "b":
-                next_pc = inst.target
-            elif opcode == "bcond":
-                a, b, width = state.cmp
-                ty = int_type(64 if width == 8 else width * 8)
-                cond = map2(
-                    lambda x, y: evaluate_icmp(inst.cond, x, y, ty), a, b, n
+                state.cmp = (
+                    make(join64(_raw(a_hi), read(inst.uses[0]))),
+                    make(join64(_raw(b_hi), read(inst.uses[1]))),
+                    8,
                 )
-                if is_sym(cond):
-                    return self._fork(state, cond, stack, inst.target, pc + 1)
-                if cond:
-                    next_pc = inst.target
             elif opcode == "movcond":
                 a, b, width = state.cmp
-                ty = int_type(64 if width == 8 else width * 8)
-                cond = map2(
-                    lambda x, y: evaluate_icmp(inst.cond, x, y, ty), a, b, n
-                )
+                bits = 64 if width == 8 else width * 8
+                cond = icmp(inst.cond, _raw(a), _raw(b), bits)
                 source = read(inst.uses[0])
                 old = read(inst.defs[0])
-                write(
-                    inst.defs[0],
-                    map3(lambda c, s, o: s if c else o, cond, source, old, n),
-                )
+                write(inst.defs[0], select(cond, source, old))
             elif opcode in ("uxt", "sxt", "trunc"):
                 src = inst.uses[0]
                 value = read(src)
                 if opcode == "sxt":
                     src_bits = (src.size if type(src) is Slice else 4) * 8
-                    value = sxt(value, src_bits, n)
-                write(inst.defs[0], value)
-            elif opcode == "mul":
-                mask = _MASKS.get(inst.width, 0xFFFFFFFF)
-                value = map2(
-                    lambda x, y: (x * y) & mask,
-                    read(inst.uses[0]),
-                    read(inst.uses[1]),
-                    n,
-                )
+                    value = sxt(value, src_bits)
                 write(inst.defs[0], value)
             elif opcode == "umull":
-                product = map2(
-                    lambda x, y: x * y, read(inst.uses[0]), read(inst.uses[1]), n
-                )
-                write(inst.defs[0], map1(lambda p: p & 0xFFFFFFFF, product, n))
-                write(
-                    inst.defs[1],
-                    map1(lambda p: (p >> 32) & 0xFFFFFFFF, product, n),
-                )
+                product = read(inst.uses[0]) * read(inst.uses[1])
+                write(inst.defs[0], product & 0xFFFFFFFF)
+                write(inst.defs[1], (product >> 32) & 0xFFFFFFFF)
             elif opcode in _DIV_OPS:
                 a = read(inst.uses[0])
                 b = read(inst.uses[1])
-                zero = map1(lambda v: v == 0, b, n)
-                if is_sym(zero):
+                zero = make(b == 0)
+                if type(zero) is Vec:
                     return self._fork(state, zero, stack, _TRAP_DIV, pc)
                 if zero:
                     return "division by zero"
                 bits = inst.width * 8
-                ty = int_type(bits)
-                value = map2(
-                    lambda x, y, _op=opcode, _ty=ty: _divide(_op, x, y, _ty),
-                    a,
-                    b,
-                    n,
-                )
-                write(inst.defs[0], map1(ty.wrap, value, n))
+                write(inst.defs[0], divide(opcode, a, b, bits) & ((1 << bits) - 1))
             elif opcode == "adds":
-                full = map2(
-                    lambda x, y: x + y, read(inst.uses[0]), read(inst.uses[1]), n
-                )
-                state.carry = map1(lambda f: f >> 32, full, n)
-                write(inst.defs[0], map1(lambda f: f & 0xFFFFFFFF, full, n))
+                full = read(inst.uses[0]) + read(inst.uses[1])
+                state.carry = make(full >> 32)
+                write(inst.defs[0], full & 0xFFFFFFFF)
             elif opcode == "adc":
-                full = map3(
-                    lambda x, y, c: x + y + c,
-                    read(inst.uses[0]),
-                    read(inst.uses[1]),
-                    state.carry,
-                    n,
-                )
-                state.carry = map1(lambda f: f >> 32, full, n)
-                write(inst.defs[0], map1(lambda f: f & 0xFFFFFFFF, full, n))
+                full = read(inst.uses[0]) + read(inst.uses[1]) + _raw(state.carry)
+                state.carry = make(full >> 32)
+                write(inst.defs[0], full & 0xFFFFFFFF)
             elif opcode == "subs":
                 a = read(inst.uses[0])
                 b = read(inst.uses[1])
-                state.carry = map2(lambda x, y: 1 if x >= y else 0, a, b, n)
-                write(inst.defs[0], map2(lambda x, y: (x - y) & 0xFFFFFFFF, a, b, n))
+                state.carry = make(subs_carry(a, b))
+                write(inst.defs[0], (a - b) & 0xFFFFFFFF)
             elif opcode == "sbc":
-                full = map3(
-                    lambda x, y, c: x - y - (1 - c),
-                    read(inst.uses[0]),
-                    read(inst.uses[1]),
-                    state.carry,
-                    n,
+                full = (
+                    read(inst.uses[0])
+                    - read(inst.uses[1])
+                    - (1 - _raw(state.carry))
                 )
-                state.carry = map1(lambda f: 1 if f >= 0 else 0, full, n)
-                write(inst.defs[0], map1(lambda f: f & 0xFFFFFFFF, full, n))
+                state.carry = make(sbc_carry(full))
+                write(inst.defs[0], full & 0xFFFFFFFF)
             elif opcode == "addsl":
                 shift = inst.uses[2].value
-                value = map2(
-                    lambda x, y: (x + (y << shift)) & 0xFFFFFFFF,
-                    read(inst.uses[0]),
-                    read(inst.uses[1]),
-                    n,
-                )
-                write(inst.defs[0], value)
+                a = read(inst.uses[0])
+                b = read(inst.uses[1])
+                write(inst.defs[0], (a + (b << shift)) & 0xFFFFFFFF)
             elif opcode == "orrsl":
                 shift = inst.uses[2].value
-                value = map2(
-                    lambda x, y: x
-                    | ((y << shift) & 0xFFFFFFFF if shift >= 0 else y >> (-shift)),
-                    read(inst.uses[0]),
-                    read(inst.uses[1]),
-                    n,
-                )
-                write(inst.defs[0], value)
+                a = read(inst.uses[0])
+                b = read(inst.uses[1])
+                shifted = (b << shift) & 0xFFFFFFFF if shift >= 0 else b >> (-shift)
+                write(inst.defs[0], a | shifted)
             elif opcode == "bl":
                 regs[14] = pc + 1
                 next_pc = inst.target
             elif opcode == "bx":
                 target = regs[14]
-                if is_sym(target):
+                if type(target) is Vec:
                     return self._concretize_addr(state, target, stack)
                 next_pc = target
             elif opcode == "subspi":
-                regs[13] = map1(
-                    lambda v: (v - inst.uses[0].value) & 0xFFFFFFFF, regs[13], n
-                )
+                regs[13] = make((_raw(regs[13]) - inst.uses[0].value) & 0xFFFFFFFF)
             elif opcode == "addspi":
-                regs[13] = map1(
-                    lambda v: (v + inst.uses[0].value) & 0xFFFFFFFF, regs[13], n
-                )
+                regs[13] = make((_raw(regs[13]) + inst.uses[0].value) & 0xFFFFFFFF)
             elif opcode == "out":
-                state.out.append(read(inst.uses[0]))
+                state.out.append(make(read(inst.uses[0])))
             elif opcode == "nop" or opcode == "mode":
                 pass
             else:
@@ -583,26 +732,26 @@ class SymbolicMachine:
             state.pc = next_pc
         return None
 
-    def _exec_bitspec(self, state, inst, read, write, n):
+    def _exec_bitspec(self, inst, read, write):
         """One non-memory ``bs_*`` op.  Returns "misspec" (all lanes), a
         ``("fork-misspec", predicate)`` marker (lanes disagree), a new
         cmp-state tuple (``bs_cmp``), or None."""
         opcode = inst.opcode
         spec_mask = self.spec_mask
         if opcode == "bs_cmp":
-            return (read(inst.uses[0]), read(inst.uses[1]), inst.width)
+            return (make(read(inst.uses[0])), make(read(inst.uses[1])), inst.width)
         if opcode == "bs_trunc":
             value = read(inst.uses[0])
-            miss = map1(lambda v: v > spec_mask, value, n)
-            if is_sym(miss):
+            miss = make(value > spec_mask)
+            if type(miss) is Vec:
                 return ("fork-misspec", miss)
             if miss:
                 return "misspec"
             write(inst.defs[0], value)
             return None
         if opcode == "bs_trunc_hi":
-            miss = map1(lambda v: v != 0, read(inst.uses[0]), n)
-            if is_sym(miss):
+            miss = make(read(inst.uses[0]) != 0)
+            if type(miss) is Vec:
                 return ("fork-misspec", miss)
             if miss:
                 return "misspec"
@@ -610,42 +759,28 @@ class SymbolicMachine:
         a = read(inst.uses[0])
         b = read(inst.uses[1])
         if opcode == "bs_add":
-            wide = map2(lambda x, y: x + y, a, b, n)
+            wide = a + b
         elif opcode == "bs_sub":
-            wide = map2(lambda x, y: x - y, a, b, n)
+            wide = a - b
         elif opcode == "bs_and":
-            wide = map2(lambda x, y: x & y, a, b, n)
+            wide = a & b
         elif opcode == "bs_orr":
-            wide = map2(lambda x, y: x | y, a, b, n)
+            wide = a | b
         elif opcode == "bs_eor":
-            wide = map2(lambda x, y: x ^ y, a, b, n)
+            wide = a ^ b
         elif opcode == "bs_lsl":
-            wide = map2(lambda x, y: (x << y) if y < 32 else 0, a, b, n)
+            wide = bs_lsl(a, b)
         elif opcode == "bs_lsr":
-            wide = map2(lambda x, y: x >> y if y < 32 else 0, a, b, n)
+            wide = lsr(a, b)
         else:
             raise ValueError(f"unknown speculative opcode {opcode!r}")
-        miss = map1(lambda w: w < 0 or w > spec_mask, wide, n)
-        if is_sym(miss):
+        miss = make((wide < 0) | (wide > spec_mask))
+        if type(miss) is Vec:
             return ("fork-misspec", miss)
         if miss:
             return "misspec"
         write(inst.defs[0], wide)
         return None
-
-
-def _divide(opcode: str, a: int, b: int, ty) -> int:
-    """C-style division/remainder (round toward zero), matching the machine."""
-    if opcode == "udiv":
-        return a // b
-    if opcode == "urem":
-        return a % b
-    sa, sb = ty.to_signed(a), ty.to_signed(b)
-    q = abs(sa) // abs(sb)
-    r = abs(sa) % abs(sb)
-    if opcode == "sdiv":
-        return ty.wrap(-q if (sa < 0) != (sb < 0) else q)
-    return ty.wrap(-r if sa < 0 else r)
 
 
 #: sentinel returned by fork helpers: the state was replaced by children

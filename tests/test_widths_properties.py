@@ -28,7 +28,7 @@ from repro.arch.widths import (
     zero_extend,
 )
 from repro.ir.types import int_type
-from repro.verify.domain import Vec, sxt
+from repro.verify.domain import Vec, make, sxt
 
 EXHAUSTIVE_WIDTHS = (4, 8)
 
@@ -117,13 +117,17 @@ def test_sign_extend_to_narrower_rewraps():
 def test_sign_extend_agrees_with_symbolic_sxt(bits):
     """The symbolic executor's lane-wise ``sxt`` is the same function."""
     values = tuple(range(1 << bits))
-    lanes = sxt(Vec(values), bits, len(values))
+    lanes = sxt(make(values), bits)
     expected = tuple(sign_extend(v, bits, 32) for v in values)
-    got = lanes.vals if isinstance(lanes, Vec) else (lanes,) * len(values)
+    got = (
+        tuple(lanes.vals.tolist())
+        if isinstance(lanes, Vec)
+        else (lanes,) * len(values)
+    )
     assert got == expected
     # scalar (uniform) fast path computes the identical word
     for value in (0, 1, (1 << (bits - 1)), (1 << bits) - 1):
-        assert sxt(value, bits, 4) == sign_extend(value, bits, 32)
+        assert sxt(value, bits) == sign_extend(value, bits, 32)
 
 
 # -- mask / storage tables -------------------------------------------------
