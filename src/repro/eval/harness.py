@@ -267,6 +267,9 @@ def run(
     )
     if config.voltage_scaling == "timesqueezing":
         record.dts_energy = config.dts_model().apply(sim)
+    # Nothing reads a record's memory image, and a disk hit carries none:
+    # drop the machine's 4 MiB image so the memo does not keep one per sim.
+    sim.memory = None
     _RUN_CACHE[key] = record
     if not record.correct:
         raise AssertionError(

@@ -15,8 +15,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from repro.interp.interpreter import Interpreter, Trace, VarStats, bucket
-from repro.ir.function import Function, Module
-from repro.ir.values import Value
+from repro.ir.function import Module
 
 #: The bitwidth selection heuristics explored by the paper.
 HEURISTICS = ("max", "avg", "min")

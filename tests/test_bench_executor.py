@@ -6,6 +6,9 @@ count.  The speedup claims live in the BENCH_*.json artifacts produced by
 the bench-smoke CI job.
 """
 
+import gc
+import types
+
 import pytest
 
 from repro.bench.executor import BenchTask, run_matrix
@@ -75,6 +78,40 @@ def test_warm_rerun_is_all_cache_hits(tmp_path):
     assert all(o.cached and o.status == "ok" for o in outcomes)
     # cached outcomes still carry the full metrics row
     assert all(o.instructions > 0 and o.energy_pj > 0 for o in outcomes)
+
+
+def _reachable_memories(roots) -> list:
+    """Every FlatMemory reachable from ``roots`` through data (code,
+    types and modules are not followed)."""
+    from repro.interp.memory import FlatMemory
+
+    opaque = (type, types.ModuleType, types.FunctionType, types.CodeType,
+              types.BuiltinFunctionType, types.MethodType)
+    seen, stack, found = set(), list(roots), []
+    while stack:
+        obj = stack.pop()
+        if id(obj) in seen or isinstance(obj, opaque):
+            continue
+        seen.add(id(obj))
+        if isinstance(obj, FlatMemory):
+            found.append(obj)
+        stack.extend(gc.get_referents(obj))
+    return found
+
+
+def test_memo_keeps_no_memory_image(tmp_path):
+    """A memo hit looks like a disk hit: no record keeps its machine's
+    4 MiB memory image alive."""
+    tasks = [_task("crc32"), _task("crc32", CompilerConfig.bitspec("max"))]
+    run_matrix(tasks, jobs=1, cache_dir=tmp_path / "c")
+    assert not _reachable_memories([harness._SIM_CACHE, harness._RUN_CACHE])
+    memo = [harness.run(t.workload, t.config) for t in tasks]
+
+    harness.clear_caches()  # a fresh process: every record comes from disk
+    run_matrix(tasks, jobs=1, cache_dir=tmp_path / "c")
+    disk = [harness.run(t.workload, t.config) for t in tasks]
+    assert [r.sim.memory is None for r in memo] == [True, True]
+    assert [r.sim.memory is None for r in disk] == [True, True]
 
 
 def test_garbled_entry_is_not_a_cache_hit(tmp_path):

@@ -1,5 +1,8 @@
 """Interpreter semantics, memory model, tracing."""
 
+import gc
+import weakref
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -14,7 +17,9 @@ from repro.interp import (
 )
 from repro.interp.interpreter import evaluate_binop, evaluate_icmp
 from repro.interp.memory import initialize_globals, layout_globals
-from repro.ir import int_type
+from repro.ir import Function, IRBuilder, Module, int_type
+from repro.ir.instructions import BinOp
+from repro.ir.types import VOID
 
 
 class TestFlatMemory:
@@ -162,6 +167,116 @@ class TestInterpreter:
             set_global_inputs(module, {"g": [1, 2, 3]})
         set_global_inputs(module, {"g": [9]})
         assert Interpreter(module).run("main").output == [9]
+
+
+CALLS_AND_LOOPS = """
+u32 g[4];
+u32 f(u32 x) { u32 t[2]; t[0] = x; t[1] = x + 1; return t[0] * t[1]; }
+void main() {
+    u32 s = 0;
+    for (u32 i = 0; i < 4; i += 1) { g[i] = f(i); s += g[i]; }
+    out(s);
+}
+"""
+
+
+def _steps(module) -> int:
+    """Dynamic steps of a run: every traced instruction, plus each
+    misspeculated one."""
+    trace = Interpreter(module, trace=True).run("main").trace
+    return trace.instructions + trace.misspeculations
+
+
+class TestStepBudget:
+    """``step_limit=N`` admits a run of exactly N steps, wherever in a
+    block, segment or callee the budget runs out."""
+
+    def test_run_of_n_steps_passes_at_n_and_fails_below(self):
+        module = compile_source(CALLS_AND_LOOPS)
+        n = _steps(module)
+        assert Interpreter(module, step_limit=n).run("main").output == [20]
+        for limit in range(n - 12, n):
+            with pytest.raises(StepLimitExceeded):
+                Interpreter(module, step_limit=limit).run("main")
+
+    def test_misspeculating_run_counts_the_misspeculated_step(self):
+        from repro.core.pipeline import PRESETS, compile_binary
+        from repro.workloads import get_workload
+
+        workload = get_workload("crc32")
+        inputs = workload.inputs("test", 0)
+        binary = compile_binary(
+            workload.source, PRESETS["bitspec-min"](), profile_inputs=inputs
+        )
+        set_global_inputs(binary.module, inputs)
+        trace = Interpreter(binary.module, trace=True).run("main").trace
+        assert trace.misspeculations > 0
+        n = trace.instructions + trace.misspeculations
+        Interpreter(binary.module, step_limit=n).run("main")
+        with pytest.raises(StepLimitExceeded):
+            Interpreter(binary.module, step_limit=n - 1).run("main")
+
+    def test_trap_and_budget_in_one_block(self):
+        """A division by zero in the block where the budget runs out: the
+        budget wins below the division's step, the trap from it on."""
+        module = compile_source("u32 d; void main() { u32 x = 7; out(x + 5 / d); }")
+        (block,) = module.function("main").blocks
+        trap_step = next(
+            i for i, inst in enumerate(block.instructions, 1)
+            if isinstance(inst, BinOp) and inst.opcode == "udiv"
+        )
+        for limit in range(trap_step + 3):
+            expected = StepLimitExceeded if limit < trap_step else TrapError
+            with pytest.raises(expected):
+                Interpreter(module, step_limit=limit).run("main")
+
+
+def _guarded(enter: bool) -> Module:
+    """``main`` branches on a constant to a block that calls an unknown
+    function and has no terminator."""
+    module = Module()
+    main = module.add_function(Function("main", VOID))
+    entry, dead, exit_ = main.add_block("entry"), main.add_block("dead"), main.add_block("exit")
+    builder = IRBuilder(entry)
+    builder.condbr(builder.const(int(enter), 1), dead, exit_)
+    builder.set_block(dead)
+    builder.call("nope", [], VOID)
+    builder.set_block(exit_)
+    builder.call("__out", [builder.const(1)], VOID)
+    builder.ret()
+    return module
+
+
+class TestLowering:
+    def test_code_never_entered_never_raises(self):
+        assert Interpreter(_guarded(False)).run("main").output == [1]
+
+    def test_unknown_callee_raises_when_called(self):
+        with pytest.raises(KeyError):
+            Interpreter(_guarded(True)).run("main")
+
+    def test_missing_terminator_raises_when_entered(self):
+        module = _guarded(True)
+        dead = module.function("main").blocks[1]
+        dead.remove(dead.instructions[0])
+        with pytest.raises(TrapError, match="fell off block end"):
+            Interpreter(module).run("main")
+
+    def test_memory_freed_when_the_interpreter_is(self):
+        """The lowered form refers back to the interpreter; run() drops it,
+        so no reference cycle keeps the 4 MiB memory image alive."""
+        module = compile_source(CALLS_AND_LOOPS)
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            interp = Interpreter(module, trace=True)
+            interp.run("main")
+            memory = weakref.ref(interp.memory)
+            del interp
+            assert memory() is None
+        finally:
+            if enabled:
+                gc.enable()
 
 
 @settings(max_examples=40, deadline=None)
