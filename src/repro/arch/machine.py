@@ -268,6 +268,10 @@ class Machine:
         #: explicit engine selection ("legacy" / "fast" / "compiled" /
         #: "ooo"); None resolves at run() time (env var, obs, trace_hook)
         self.engine = engine
+        #: the fast engine's last whole run before cache replay
+        #: (:class:`repro.arch.predecode.ArchRun`): ``arch_run.fold(g)``
+        #: re-scores it under cache geometry ``g`` without re-executing
+        self.arch_run = None
 
     def resolve_engine(self) -> str:
         """The engine :meth:`run` will use, after all defaulting rules."""

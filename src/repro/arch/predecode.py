@@ -11,31 +11,46 @@ bumps one per-pc execution count, and all static counter contributions
 (register-file accesses by width, ALU/move/mul/div op counts, instruction
 classes, loads/stores, branch counts, fixed extra cycles) are recovered at
 the end as ``Σ per-pc effect × execution count``.  Only genuinely dynamic
-events (cache levels, hazard bubbles, taken conditional branches,
-misspeculations, and the conditional register writes of ``movcond`` /
-``bs_*`` ops) are counted inside the loop.
+events (hazard bubbles, taken conditional branches, misspeculations, and
+the conditional register writes of ``movcond`` / ``bs_*`` ops) are
+counted inside the loop.
+
+The cache hierarchy is not in the loop at all.  Cache geometry never
+changes architectural state, so the loop only *logs* the L1 access
+stream — one event per I-line transition (a local shadow of the
+icache's last line filters same-line fetches) and one per data access —
+into a compact ``array('q')``.  :func:`replay` then feeds that log, in
+program order, through the LRU model of a :class:`MemoryHierarchy`,
+filling the per-pc cache-level arrays and leaving the hierarchy exactly
+as per-access lookups would have.  The same log replays under any other
+geometry (:meth:`ArchRun.fold`), which is how a DSE sweep scores cache
+sizes without re-executing the program.
 
 The predecoded form is cached on the :class:`LinkedProgram` instance, so
 repeated simulations of one binary (different inputs, DTS reruns, the
 bench matrix) skip predecode.  Event counts are bit-identical to the
 legacy path — ``tests/test_machine_predecode.py`` asserts this
-differentially over the fuzz seed corpus and real workloads.
+differentially over the fuzz seed corpus and real workloads, and
+``tests/test_cache_replay.py`` across cache geometries.
 
 Observability rides the same batching (:mod:`repro.obs`): the loop keeps
-*per-pc* arrays for the genuinely dynamic events (cache misses, load-use
-hazards, misspeculations, taken conditional branches, conditional-move
-commits), bumped only when the event actually occurs.  The fold then
-*derives* the common-case counters (L1 hits, slice writes of successful
-``bs_*`` ops, stall cycles) from ``exec − events`` instead of bumping
-them per step — so attribution data is a free by-product of the fast
-path, and the hot loop got cheaper, not slower.  When ``Machine.obs`` is
-set, the arrays are handed to the caller as a
-:class:`repro.obs.events.PcSample` on ``SimResult.obs``.
+*per-pc* arrays for the genuinely dynamic events (load-use hazards,
+misspeculations, taken conditional branches, conditional-move commits)
+and the replay adds the per-pc cache misses, each bumped only when the
+event actually occurs.  The fold then *derives* the common-case counters
+(L1 hits, slice writes of successful ``bs_*`` ops, stall cycles) from
+``exec − events`` instead of bumping them per step — so attribution data
+is a free by-product of the fast path.  When ``Machine.obs`` is set, the
+arrays are handed to the caller as a :class:`repro.obs.events.PcSample`
+on ``SimResult.obs``.
 """
 
 from __future__ import annotations
 
-from repro.arch.cache import MemoryHierarchy
+import zlib
+from array import array
+
+from repro.arch.cache import L1_LINE_SHIFT, MemoryHierarchy
 from repro.arch.machine import HALT, _DIV_OPS
 from repro.arch.widths import BYTE_MASKS as _MASKS, slice_mask
 from repro.backend.mir import Imm, Slice
@@ -420,9 +435,14 @@ def run_fast(machine, checkpoint_at=None, resume_from=None) -> "SimResult":
     halts first); ``resume_from`` restores one.  The fast path's
     in-flight state is the per-pc event arrays, captured wholesale —
     the fold at halt then sees exactly what an uninterrupted run would
-    have accumulated, so resume is bit-identical by construction.
+    have accumulated, so resume is bit-identical by construction.  The
+    pending access log is replayed before a snapshot is taken, so the
+    snapshot holds the same hierarchy an in-loop cache model would.
+
+    A whole run (no ``resume_from``) also leaves its :class:`ArchRun` on
+    ``machine.arch_run``, for re-scoring under other cache geometries.
     """
-    from repro.arch.machine import MachineError, SimResult
+    from repro.arch.machine import MachineError
 
     linked = machine.linked
     narrow_rf = machine.narrow_rf
@@ -431,12 +451,23 @@ def run_fast(machine, checkpoint_at=None, resume_from=None) -> "SimResult":
     delta = linked.delta
     inst_bytes = linked.inst_bytes
     spec_mask = slice_mask(machine.slice_width)
+    # the I-line of pc is ``pc >> ishift``: instructions are 2 or 4 bytes
+    ishift = L1_LINE_SHIFT + 1 - inst_bytes.bit_length()
+    pc_bits = _pc_bits(n_insts)
 
     output: list = []
 
     hierarchy = MemoryHierarchy(machine.geometry)
-    fetch = hierarchy.fetch
-    data_access = hierarchy.data_access
+    # The L1 access stream, in program order: ``~pc`` for a fetch that
+    # leaves the icache's last line, ``addr << pc_bits | pc`` for a data
+    # access.  ``iline`` shadows ``hierarchy.icache._last_line``.
+    log = array("q")
+    log_append = log.append
+    iline = -1
+    # fetches since the log began: the same-line ones are icache hits
+    # that log nothing, but still count as accesses
+    log_from = 0
+    skipped = 0
 
     memory = FlatMemory()
     initialize_globals(memory, machine.module, linked.global_addresses)
@@ -477,15 +508,14 @@ def run_fast(machine, checkpoint_at=None, resume_from=None) -> "SimResult":
         snap = resume_from
         snap.check_resume(machine, "fast")
         hierarchy = restore_hierarchy(snap.hierarchy, machine.geometry)
-        fetch = hierarchy.fetch
-        data_access = hierarchy.data_access
+        iline = hierarchy.icache._last_line
         memory.data[:] = snap.memory_data
         regs[:] = snap.regs
         cmp_state = tuple(snap.cmp_state)
         carry = snap.carry
         last_load_reg = snap.last_load_reg
         pc = snap.pc
-        steps = snap.instructions
+        steps = log_from = snap.instructions
         output[:] = snap.output
         state = snap.state
         exec_counts[:] = state["exec_counts"]
@@ -502,6 +532,8 @@ def run_fast(machine, checkpoint_at=None, resume_from=None) -> "SimResult":
         if checkpoint_at is not None and steps >= checkpoint_at:
             from repro.arch.checkpoint import make_snapshot
 
+            replay(hierarchy, log, steps - log_from - skipped, inst_bytes,
+                   ic_l2_pc, ic_mem_pc, d_l2_pc, d_mem_pc)
             return make_snapshot(
                 machine, "fast",
                 instructions=steps, pc=pc, regs=regs, cmp_state=cmp_state,
@@ -528,18 +560,17 @@ def run_fast(machine, checkpoint_at=None, resume_from=None) -> "SimResult":
         if fx is not None:
             if fx.on_step(steps, pc, regs, memory) is not None:
                 # corrupted fetch: the slot executes as a bubble (same
-                # architectural effect as the legacy engine's skip)
+                # architectural effect as the legacy engine's skip) and
+                # fetches nothing
                 exec_counts[pc] += 1
+                skipped += 1
                 last_load_reg = -1
                 pc = pc + 1
                 continue
-        # instruction fetch
-        level = fetch(pc * inst_bytes)
-        if level != "l1":
-            if level == "l2":
-                ic_l2_pc[pc] += 1
-            else:
-                ic_mem_pc[pc] += 1
+        # instruction fetch: only a line transition reaches the log
+        if pc >> ishift != iline:
+            iline = pc >> ishift
+            log_append(~pc)
         exec_counts[pc] += 1
         # load-use hazard
         if last_load_reg >= 0:
@@ -603,12 +634,7 @@ def run_fast(machine, checkpoint_at=None, resume_from=None) -> "SimResult":
             w = t[5]
             r = w[0]
             regs[r] = (regs[r] & w[3]) | ((value & w[2]) << w[1])
-            lvl = data_access(addr)
-            if lvl != "l1":
-                if lvl == "l2":
-                    d_l2_pc[pc] += 1
-                else:
-                    d_mem_pc[pc] += 1
+            log_append(addr << pc_bits | pc)
             last_load_reg = t[6]
         elif op == OP_STORE:
             d = t[2]
@@ -624,12 +650,7 @@ def run_fast(machine, checkpoint_at=None, resume_from=None) -> "SimResult":
             addr = (base + t[4]) & 0xFFFFFFFF
             mem_store(addr, value, t[5])
             # legacy path discards the store's stall cycles; levels only
-            lvl = data_access(addr)
-            if lvl != "l1":
-                if lvl == "l2":
-                    d_l2_pc[pc] += 1
-                else:
-                    d_mem_pc[pc] += 1
+            log_append(addr << pc_bits | pc)
         elif op == OP_BCOND:
             a, b, width = cmp_state
             ty = int_type(64 if width == 8 else width * 8)
@@ -733,12 +754,7 @@ def run_fast(machine, checkpoint_at=None, resume_from=None) -> "SimResult":
                 d[1] if k == 0 else regs[13]
             )
             value = mem_load(addr, t[3])
-            lvl = data_access(addr)
-            if lvl != "l1":
-                if lvl == "l2":
-                    d_l2_pc[pc] += 1
-                else:
-                    d_mem_pc[pc] += 1
+            log_append(addr << pc_bits | pc)
             miss = value > spec_mask
             if fx is not None:
                 miss = fx.spec_outcome(miss)
@@ -960,12 +976,181 @@ def run_fast(machine, checkpoint_at=None, resume_from=None) -> "SimResult":
             raise MachineError(f"{t[2]} at {pc}")
         pc = next_pc
 
+    fetches = steps - log_from - skipped
+    if resume_from is None:
+        machine.arch_run = ArchRun(
+            machine, (exec_counts, hazard_pc, misspec_pc, taken_pc,
+                      movcond_pc, log), output, regs, fetches,
+        )
+    replay(hierarchy, log, fetches, inst_bytes,
+           ic_l2_pc, ic_mem_pc, d_l2_pc, d_mem_pc)
     return fold_result(
         machine, narrow_rf, code, effects, exec_counts,
         ic_l2_pc, ic_mem_pc, d_l2_pc, d_mem_pc,
         hazard_pc, misspec_pc, taken_pc, movcond_pc,
         output, memory, regs, fx,
     )
+
+
+def _pc_bits(n_insts: int) -> int:
+    """Low bits of a data-access log event that hold the pc."""
+    return n_insts.bit_length()
+
+
+def replay(hierarchy, log, fetches, inst_bytes,
+           ic_l2_pc, ic_mem_pc, d_l2_pc, d_mem_pc) -> None:
+    """Feed a :func:`run_fast` access log through ``hierarchy``'s LRU model.
+
+    Events are replayed in program order — the shared L2 makes the
+    interleaving of I and D traffic matter — and each L1 miss bumps the
+    serving level's per-pc array.  ``fetches`` is the number of
+    instruction fetches the log covers: the same-line ones never reach
+    the log but are icache accesses all the same.  Afterwards the
+    hierarchy is exactly as :meth:`MemoryHierarchy.fetch` /
+    :meth:`~MemoryHierarchy.data_access` per access would have left it:
+    way lists, :class:`~repro.arch.cache.CacheStats`, last-line fast
+    paths and ``dram_accesses``.
+    """
+    pc_bits = _pc_bits(len(ic_l2_pc))
+    pc_mask = (1 << pc_bits) - 1
+    d_shift = pc_bits + L1_LINE_SHIFT
+    icache, dcache, l2 = hierarchy.icache, hierarchy.dcache, hierarchy.l2
+    i_sets, i_mask, i_ways = icache._lines, icache._set_mask, icache.ways
+    d_sets, d_mask, d_ways = dcache._lines, dcache._set_mask, dcache.ways
+    l_sets, l_mask, l_ways = l2._lines, l2._set_mask, l2.ways
+    i_last, d_last, l_last = icache._last_line, dcache._last_line, l2._last_line
+    i_misses = d_accesses = d_misses = l_accesses = l_misses = dram = 0
+    for event in log:
+        if event < 0:
+            # an I-line transition: never the icache's last line
+            pc = ~event
+            line = i_last = (pc * inst_bytes) >> L1_LINE_SHIFT
+            ways = i_sets[line & i_mask]
+            if line in ways:
+                if ways[-1] != line:
+                    ways.remove(line)
+                    ways.append(line)
+                continue
+            i_misses += 1
+            ways.append(line)
+            if len(ways) > i_ways:
+                del ways[0]
+            l2_pc, mem_pc = ic_l2_pc, ic_mem_pc
+        else:
+            pc = event & pc_mask
+            line = event >> d_shift
+            d_accesses += 1
+            if line == d_last:
+                continue
+            d_last = line
+            ways = d_sets[line & d_mask]
+            if line in ways:
+                if ways[-1] != line:
+                    ways.remove(line)
+                    ways.append(line)
+                continue
+            d_misses += 1
+            ways.append(line)
+            if len(ways) > d_ways:
+                del ways[0]
+            l2_pc, mem_pc = d_l2_pc, d_mem_pc
+        # the L2's fast path is reset before every lookup: never taken
+        l_accesses += 1
+        l_last = line
+        ways = l_sets[line & l_mask]
+        if line in ways:
+            if ways[-1] != line:
+                ways.remove(line)
+                ways.append(line)
+            l2_pc[pc] += 1
+            continue
+        l_misses += 1
+        ways.append(line)
+        if len(ways) > l_ways:
+            del ways[0]
+        dram += 1
+        mem_pc[pc] += 1
+    icache.stats.accesses += fetches
+    icache.stats.misses += i_misses
+    icache._last_line = i_last
+    dcache.stats.accesses += d_accesses
+    dcache.stats.misses += d_misses
+    dcache._last_line = d_last
+    l2.stats.accesses += l_accesses
+    l2.stats.misses += l_misses
+    l2._last_line = l_last
+    hierarchy.dram_accesses += dram
+
+
+class ArchRun:
+    """One whole :func:`run_fast` execution with its cache traffic unscored.
+
+    Everything here is independent of cache geometry: the per-pc event
+    arrays, the output and registers, and the L1 access log.  :meth:`fold`
+    replays the log under any geometry and folds a :class:`SimResult`
+    bit-identical to simulating the program under that geometry.  The
+    memory image is deliberately not kept: a folded result has
+    ``memory=None``.  Nor is the machine: it holds this run on
+    ``Machine.arch_run``, and a reference back would make every fast
+    run a reference cycle that only the garbage collector frees.
+    """
+
+    __slots__ = ("linked", "module", "obs", "faults", "output", "regs",
+                 "fetches", "_events", "_packed")
+
+    def __init__(self, machine, events, output, regs, fetches) -> None:
+        self.linked = machine.linked
+        self.module = machine.module
+        self.obs = machine.obs
+        self.faults = machine.faults
+        self.output = output
+        self.regs = regs
+        self.fetches = fetches
+        #: the per-pc arrays in :func:`fold_result`'s order, then the log
+        self._events = events
+        self._packed = None
+
+    def pack(self) -> None:
+        """Compress the per-pc arrays and the log in place, for a run kept
+        to re-score later: crc32's 142 KB log packs to 16 KB, and the
+        mostly-zero arrays to almost nothing."""
+        if self._packed is None:
+            packer = zlib.compressobj(1)
+            chunks = [packer.compress(array("q", part)) for part in self._events]
+            chunks.append(packer.flush())
+            self._packed = b"".join(chunks)
+            self._events = None
+
+    def fold(self, geometry=None) -> "SimResult":
+        """The run's :class:`SimResult` under cache ``geometry``."""
+        from repro.arch.machine import Machine
+
+        linked = self.linked
+        machine = Machine(linked, self.module, obs=self.obs,
+                          geometry=geometry, faults=self.faults)
+        code, effects = predecode(linked, machine.narrow_rf)
+        n_insts = len(code)
+        if self._packed is None:
+            exec_counts, hazard_pc, misspec_pc, taken_pc, movcond_pc, log = (
+                self._events
+            )
+        else:
+            flat = array("q", zlib.decompress(self._packed))
+            exec_counts, hazard_pc, misspec_pc, taken_pc, movcond_pc = (
+                flat[i * n_insts:(i + 1) * n_insts].tolist() for i in range(5)
+            )
+            log = flat[5 * n_insts:]
+        ic_l2_pc, ic_mem_pc, d_l2_pc, d_mem_pc = (
+            [0] * n_insts for _ in range(4)
+        )
+        replay(MemoryHierarchy(geometry), log, self.fetches,
+               linked.inst_bytes, ic_l2_pc, ic_mem_pc, d_l2_pc, d_mem_pc)
+        return fold_result(
+            machine, machine.narrow_rf, code, effects, exec_counts,
+            ic_l2_pc, ic_mem_pc, d_l2_pc, d_mem_pc,
+            hazard_pc, misspec_pc, taken_pc, movcond_pc,
+            self.output, None, self.regs, self.faults,
+        )
 
 
 def fold_result(

@@ -201,6 +201,20 @@ class _SliceUnion:
             if index == count:
                 return
 
+    def overlaps(self, segments: list) -> bool:
+        """Whether any placed segment overlaps ``segments``: the
+        :meth:`collect` walk, stopped at its first hit."""
+        ends, starts = self.ends, self.starts
+        count = len(ends)
+        index = 0
+        for start, end in segments:
+            index = bisect_left(ends, start, index)
+            if index == count:
+                return False
+            if starts[index] <= end:
+                return True
+        return False
+
 
 class RegisterAllocator:
     """Allocates one machine function; see module docstring."""
@@ -368,6 +382,14 @@ class RegisterAllocator:
                 union.collect(interval.segments, found)
         return [found[seq] for seq in sorted(found)]
 
+    def _overlaps(self, reg: int, offset: int, size: int, interval: Interval) -> bool:
+        """Whether :meth:`_conflicts` would return anything."""
+        for slice_offset, slice_size in _OVERLAPPING[offset, size]:
+            union = self._unions.get((reg, slice_offset, slice_size))
+            if union is not None and union.overlaps(interval.segments):
+                return True
+        return False
+
     def _candidate_regs(self, interval: Interval) -> list[int]:
         candidates = list(self.pool)
         if interval.crosses_call:
@@ -406,7 +428,7 @@ class RegisterAllocator:
         for reg in self._candidate_regs(interval):
             offsets = range(0, 5 - size, size) if size < 4 else (0,)
             for offset in offsets:
-                if not self._conflicts(reg, offset, size, interval):
+                if not self._overlaps(reg, offset, size, interval):
                     self._place(interval, reg, offset, size)
                     return True
         return False

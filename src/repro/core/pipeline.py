@@ -315,19 +315,33 @@ class CompiledBinary:
         campaigns shrink it so a corrupted loop counter cannot spin for
         the full default budget).
         """
-        if inputs:
-            set_global_inputs(self.module, inputs)
         if entry != "main":
             raise ValueError("the machine image always enters at main")
+        return self.machine(
+            inputs, obs=obs, faults=faults, step_limit=step_limit, engine=engine
+        ).run()
+
+    def machine(
+        self,
+        inputs: Optional[dict] = None,
+        *,
+        obs: bool = False,
+        faults=None,
+        step_limit: Optional[int] = None,
+        engine: Optional[str] = None,
+    ) -> Machine:
+        """The :class:`Machine` that :meth:`run` would simulate on, with
+        ``inputs`` injected; same arguments as :meth:`run`."""
+        if inputs:
+            set_global_inputs(self.module, inputs)
         kwargs = {}
         if step_limit is not None:
             kwargs["step_limit"] = step_limit
-        machine = Machine(
+        return Machine(
             self.linked, self.module, obs=obs,
             engine="fast" if (obs and engine is None) else engine,
             geometry=self.config.cache_geometry(), faults=faults, **kwargs,
         )
-        return machine.run()
 
     def interpret(
         self, inputs: Optional[dict] = None, entry: str = "main", trace: bool = False

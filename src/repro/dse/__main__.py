@@ -208,7 +208,7 @@ def cmd_best(args, parser) -> int:
             print(_table(
                 ["region", "energy (pJ)", "insts", "misspecs"],
                 [
-                    [f"{r['function']}#{r['region']}", f"{r['energy_pj']:.0f}",
+                    [r["region"], f"{r['energy_pj']:.0f}",
                      r["instructions"], r["misspeculations"]]
                     for r in explanation["regions"][:args.top]
                 ],

@@ -15,6 +15,7 @@ the CI smoke job.
 from __future__ import annotations
 
 from repro.obs.attribution import attribute, check_conservation
+from repro.obs.report import _region_labels
 from repro.workloads import get_workload
 
 #: variable stems reported per explanation
@@ -94,16 +95,18 @@ def explain_point(
         )
     deltas.sort(key=lambda d: (abs(d["delta_pj"]), d["variable"]), reverse=True)
 
+    # raw region ids come from a process-wide counter: report the
+    # per-function ordinals obs and faults use
+    labels = _region_labels(winner["by_region"])
     regions = []
-    for (function, region_id), tally in sorted(
-        winner["by_region"].items(), key=lambda item: (item[0][0], str(item[0][1]))
-    ):
-        if region_id is None:
+    for key, tally in winner["by_region"].items():
+        label = labels.get(key)
+        if label is None:
             continue  # pcs outside any speculative region
         regions.append(
             {
-                "function": function,
-                "region": region_id,
+                "function": key[0],
+                "region": label,
                 "energy_pj": round(
                     tally.energy(slice_bits=winner["slice_bits"]).total, 6
                 ),
@@ -111,7 +114,7 @@ def explain_point(
                 "misspeculations": tally.misspeculations,
             }
         )
-    regions.sort(key=lambda r: -r["energy_pj"])
+    regions.sort(key=lambda r: (-r["energy_pj"], r["region"]))
 
     total_delta = winner["total_energy"] - reference["total_energy"]
     return {

@@ -104,7 +104,9 @@ def test_memo_keeps_no_memory_image(tmp_path):
     4 MiB memory image alive."""
     tasks = [_task("crc32"), _task("crc32", CompilerConfig.bitspec("max"))]
     run_matrix(tasks, jobs=1, cache_dir=tmp_path / "c")
-    assert not _reachable_memories([harness._SIM_CACHE, harness._RUN_CACHE])
+    assert not _reachable_memories(
+        [harness._SIM_CACHE, harness._ARCH_RUNS, harness._RUN_CACHE]
+    )
     memo = [harness.run(t.workload, t.config) for t in tasks]
 
     harness.clear_caches()  # a fresh process: every record comes from disk

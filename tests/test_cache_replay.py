@@ -1,0 +1,221 @@
+"""Cache replay: one fast-engine run, re-scored under every cache geometry.
+
+The fast engine logs the L1 access stream instead of probing the cache
+model per step, and :func:`repro.arch.predecode.replay` feeds that log
+through a :class:`~repro.arch.cache.MemoryHierarchy` afterwards.  Cache
+geometry never changes architectural state, so one execution's
+:class:`~repro.arch.predecode.ArchRun` must fold, under *any* geometry,
+to exactly what simulating under that geometry produces.  The reference
+is the legacy interpreter, which still probes the hierarchy on every
+access; the per-pc cache arrays are checked against the compiled
+engine, which keeps its own inlined cache model.
+"""
+
+import dataclasses
+import gc
+import weakref
+
+import pytest
+
+from repro.arch.cache import CacheGeometry
+from repro.arch.checkpoint import Snapshot
+from repro.arch.machine import Machine
+from repro.core.pipeline import CompilerConfig, set_global_inputs
+from repro.eval import harness
+from repro.eval.harness import BENCHMARKS, get_binary
+from repro.workloads import get_workload
+
+from test_machine_predecode import (
+    CONFIGS,
+    CORPUS_DIR,
+    _corpus_binary,
+    assert_sims_identical,
+)
+
+CORPUS = tuple(sorted(p.stem for p in CORPUS_DIR.glob("*.json")))
+
+#: L1 {4, 8, 16} KiB x L2 {64, 256} KiB, plus a tiny hierarchy: the
+#: test inputs mostly fit in 4 KiB, and only small caches evict
+GEOMETRIES = tuple(
+    CacheGeometry(l1_kb=l1, l2_kb=l2) for l1 in (4, 8, 16) for l2 in (64, 256)
+) + (CacheGeometry(l1_kb=1, l1_ways=2, l2_kb=8, l2_ways=2),)
+
+PCSAMPLE_ARRAYS = (
+    "exec_counts", "icache_l2", "icache_mem", "dcache_l2", "dcache_mem",
+    "hazards", "misspecs", "taken", "movconds",
+)
+
+
+def _label(geometry):
+    return f"l1={geometry.l1_kb}x{geometry.l1_ways}/l2={geometry.l2_kb}"
+
+
+def _machine(binary, inputs, engine, geometry=None, **kwargs):
+    if inputs:
+        set_global_inputs(binary.module, inputs)
+    return Machine(
+        binary.linked, binary.module, engine=engine, geometry=geometry, **kwargs
+    )
+
+
+def assert_replays_match(binary, inputs, geometries, label, *, pcsample=False):
+    """Execute once on the fast engine; every geometry's replay must equal
+    a legacy run under that geometry (and, with ``pcsample``, the
+    compiled engine's per-pc arrays)."""
+    machine = _machine(binary, inputs, "fast", obs=pcsample)
+    first = machine.run()
+    arch = machine.arch_run
+    assert arch is not None, label
+    assert_sims_identical(
+        arch.fold(None), dataclasses.replace(first, memory=None), label
+    )
+    packed = _machine(binary, inputs, "fast", obs=pcsample)
+    packed.run()
+    packed.arch_run.pack()
+    for geometry in geometries:
+        where = f"{label}@{_label(geometry)}"
+        replayed = arch.fold(geometry)
+        assert_sims_identical(packed.arch_run.fold(geometry), replayed, where)
+        assert replayed.memory is None, where
+        ref = _machine(binary, inputs, "legacy", geometry).run()
+        assert ref.output == first.output, where
+        assert_sims_identical(replayed, dataclasses.replace(ref, memory=None), where)
+        if pcsample:
+            compiled = _machine(binary, inputs, "compiled", geometry, obs=True).run()
+            for name in PCSAMPLE_ARRAYS:
+                assert getattr(replayed.obs, name) == getattr(compiled.obs, name), (
+                    f"{where}: PcSample.{name} differs"
+                )
+
+
+@pytest.mark.parametrize("config", CONFIGS, ids=lambda c: c.name)
+@pytest.mark.parametrize("name", CORPUS)
+def test_corpus_replays_match_legacy(name, config):
+    binary, inputs = _corpus_binary(name, config)
+    assert_replays_match(
+        binary, inputs, GEOMETRIES, f"{name}/{config.name}", pcsample=True
+    )
+
+
+@pytest.mark.parametrize("config", CONFIGS, ids=lambda c: c.name)
+@pytest.mark.parametrize("workload_name", ("crc32", "sha"))
+def test_workload_replays_match_legacy(workload_name, config):
+    binary = get_binary(workload_name, config)
+    inputs = get_workload(workload_name).inputs("test", 0)
+    assert_replays_match(
+        binary, inputs, (GEOMETRIES[0], GEOMETRIES[-1]),
+        f"{workload_name}/{config.name}", pcsample=True,
+    )
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("config", CONFIGS, ids=lambda c: c.name)
+@pytest.mark.parametrize("workload_name", BENCHMARKS)
+def test_roster_replays_match_legacy(workload_name, config):
+    binary = get_binary(workload_name, config)
+    inputs = get_workload(workload_name).inputs("test", 0)
+    assert_replays_match(
+        binary, inputs, GEOMETRIES, f"{workload_name}/{config.name}"
+    )
+
+
+@pytest.mark.parametrize("name", ("seed000", "seed009", "regression-shl-slice-carry"))
+def test_snapshot_hierarchy_matches_per_access_model(name):
+    """At a checkpoint the fast engine has replayed its pending log: its
+    hierarchy (tag order, stats, last-line fast paths, DRAM count) is the
+    one the legacy engine built by probing per access."""
+    binary, inputs = _corpus_binary(name, CompilerConfig.bitspec("max"))
+    n = _machine(binary, inputs, "fast").run().instructions
+    for geometry in (GEOMETRIES[0], GEOMETRIES[-1]):
+        for cut in sorted({1, n // 3, n - 1}):
+            fast = _machine(binary, inputs, "fast", geometry).run(checkpoint_at=cut)
+            legacy = _machine(binary, inputs, "legacy", geometry).run(
+                checkpoint_at=cut
+            )
+            assert isinstance(fast, Snapshot) and isinstance(legacy, Snapshot)
+            assert fast.hierarchy == legacy.hierarchy, f"{name}@{cut}"
+
+
+def test_fast_run_is_freed_without_the_garbage_collector():
+    """The machine holds its ArchRun; nothing may point back, or every
+    fast run's log would wait for a gc pass."""
+    binary, inputs = _corpus_binary("seed000", CompilerConfig.bitspec("max"))
+    machine = _machine(binary, inputs, "fast")
+    gc.disable()
+    try:
+        machine.run()
+        assert machine.arch_run is not None
+        alive = weakref.ref(machine)
+        del machine
+        assert alive() is None
+    finally:
+        gc.enable()
+
+
+def test_resumed_run_leaves_no_arch_run():
+    """Only a whole run's log starts from a cold hierarchy."""
+    binary, inputs = _corpus_binary("seed000", CompilerConfig.bitspec("max"))
+    snap = _machine(binary, inputs, "fast").run(checkpoint_at=5)
+    machine = _machine(binary, inputs, "fast")
+    machine.run(resume_from=snap)
+    assert machine.arch_run is None
+
+
+# -- the harness: geometry cells share one execution -------------------------
+
+
+def test_geometry_sweep_executes_once_per_compile_slice(monkeypatch):
+    simulations = []
+    machine_run = Machine.run
+
+    def counting_run(self, *args, **kwargs):
+        simulations.append(self)
+        return machine_run(self, *args, **kwargs)
+
+    monkeypatch.delenv("REPRO_MACHINE_ENGINE", raising=False)
+    slices = (CompilerConfig.bitspec("max"), CompilerConfig.baseline())
+    # sha's test input misses in L1 below 4 KiB only
+    configs = [
+        dataclasses.replace(base, l1_kb=l1_kb)
+        for base in slices
+        for l1_kb in (1, 2, 4)
+    ]
+    harness.clear_caches()
+    monkeypatch.setattr(Machine, "run", counting_run)
+    records = [harness.run("sha", config) for config in configs]
+    assert len(simulations) == len(slices)
+    assert len({r.total_energy for r in records}) == len(configs)
+    for config, record in zip(configs, records):
+        harness.clear_caches()
+        fresh = harness.run("sha", config)
+        assert fresh.total_energy == record.total_energy, config.name
+        assert_sims_identical(record.sim, fresh.sim, config.name)
+    assert len(simulations) == len(slices) + len(configs)
+
+
+def test_harness_keeps_one_arch_run_per_workload():
+    harness.clear_caches()
+    for l1_kb in (4, 8):
+        for workload_name in ("crc32", "bitcount"):
+            harness.run(workload_name, CompilerConfig.bitspec("max", l1_kb=l1_kb))
+    assert sorted(harness._ARCH_RUNS) == ["bitcount", "crc32"]
+    harness.run("crc32", CompilerConfig.baseline())
+    key, _ = harness._ARCH_RUNS["crc32"]
+    assert key[1] == CompilerConfig.baseline().compile_key()
+
+
+def test_other_engines_simulate_every_geometry(monkeypatch):
+    simulations = []
+    machine_run = Machine.run
+
+    def counting_run(self, *args, **kwargs):
+        simulations.append(self.geometry)
+        return machine_run(self, *args, **kwargs)
+
+    harness.clear_caches()
+    monkeypatch.setattr(Machine, "run", counting_run)
+    for l1_kb in (4, 8):
+        harness.run("crc32", CompilerConfig.bitspec("max", l1_kb=l1_kb),
+                    engine="compiled")
+    assert [g.l1_kb for g in simulations] == [4, 8]
+    assert not harness._ARCH_RUNS

@@ -18,6 +18,7 @@ mismatch guards (wrong engine, wrong binary, fault composition).
 """
 
 import dataclasses
+import hashlib
 import json
 from pathlib import Path
 
@@ -128,6 +129,37 @@ def test_workload_roster_resume(ckpt_engine):
         snap = _machine(binary, inputs, ckpt_engine).run(checkpoint_at=cut)
         sim = _machine(binary, inputs, ckpt_engine).run(resume_from=snap)
         assert_sims_identical(sim, ref, f"{workload_name}/{ckpt_engine}@{cut}")
+
+
+#: SHA-256 of fast-engine snapshot bytes (the ``save`` form) for the
+#: bitspec-max test-input runs, recorded when the cache model still ran
+#: inside the step loop: replaying the access log before a snapshot must
+#: leave every byte where it was
+GOLDEN_SNAPSHOTS = {
+    ("crc32", 1): "ebeec0d3fd3f859e3ea204c285a606b47ef8d7c25c356fa0353e3bc2d9d892f9",
+    ("crc32", 20000): "91be5497086a1f4e1d1c95b5dcec5ee63e0bb41f1ffb17fffb8323b35d90bcb3",
+    ("crc32", 29771): "3a83d7da265a6c2375506b9bd6bbc6bccaba360aec8c36e7f03be99f604476a0",
+    ("susan-edges", 1): "f77ef6d556a3eff9dc2154a99028cb73524165e08ef168a0aabe83328c6031a6",
+    ("susan-edges", 20000): "d2991a0eb6b241ddcb9f21ea153554c5718a5d3eed2281d639fe454d92a06f45",
+    ("susan-edges", 93198): "1a065d7ec12ce16cbf7920f82d3acff75e21855e3219fa203a8025c71ea20fbe",
+}
+
+
+@pytest.mark.parametrize("workload_name", ("crc32", "susan-edges"))
+def test_fast_snapshot_bytes_are_golden(workload_name):
+    binary = get_binary(workload_name, CompilerConfig.bitspec("max"))
+    inputs = get_workload(workload_name).inputs("test", 0)
+    ref = _machine(binary, inputs, "fast").run()
+    for (name, cut), digest in GOLDEN_SNAPSHOTS.items():
+        if name != workload_name:
+            continue
+        snap = _machine(binary, inputs, "fast").run(checkpoint_at=cut)
+        data = json.dumps(
+            snap.to_dict(), sort_keys=True, separators=(",", ":")
+        ).encode()
+        assert hashlib.sha256(data).hexdigest() == digest, f"{name}@{cut}"
+        sim = _machine(binary, inputs, "fast").run(resume_from=snap)
+        assert_sims_identical(sim, ref, f"{name}@{cut}")
 
 
 # -- multi-hop chains and reuse ----------------------------------------------

@@ -1,7 +1,7 @@
 """The compile path's indexes against the scans they replace.
 
-``RegisterAllocator._conflicts`` answers from per-(register, byte slice)
-segment lists; ``predecessor_map`` builds every block's predecessors in one
+``RegisterAllocator._conflicts`` (and its early-exit twin ``_overlaps``)
+answers from per-(register, byte slice) segment lists; ``predecessor_map`` builds every block's predecessors in one
 pass.  Each is checked here against a brute-force scan that lives only in
 this file.
 """
@@ -70,6 +70,7 @@ def test_conflicts_match_a_brute_force_scan(isa, seed):
         reg, offset = rng.choice(alloc.pool), rng.choice(offsets)
         got = alloc._conflicts(reg, offset, size, interval)
         assert _key(got) == _key(_scan_conflicts(placed, reg, offset, size, interval))
+        assert alloc._overlaps(reg, offset, size, interval) == bool(got)
         if got and rng.random() < 0.5:
             for entry in got:
                 alloc._evict(reg, entry)
@@ -77,6 +78,7 @@ def test_conflicts_match_a_brute_force_scan(isa, seed):
                 evictions += 1
             got = alloc._conflicts(reg, offset, size, interval)
             assert _key(got) == _key(_scan_conflicts(placed, reg, offset, size, interval))
+            assert not alloc._overlaps(reg, offset, size, interval)
         if not got:
             alloc._place(interval, reg, offset, size)
             placed.append((reg, (placements, interval, offset, size)))

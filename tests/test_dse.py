@@ -264,6 +264,19 @@ def test_explain_attributes_delta_and_conserves():
     assert explanation["regions"], "winner has speculative regions"
 
 
+def test_explain_labels_regions_by_ordinal():
+    """Raw region ids come from a process-wide counter; the explanation
+    must not depend on how much compilation ran before it."""
+    first = explain_point(SpecPoint(), "sha")
+    harness.clear_caches()
+    harness.get_binary("fft", CompilerConfig.bitspec("max"))
+    second = explain_point(SpecPoint(), "sha")
+    assert second == first
+    assert all(
+        r["region"].startswith(f"{r['function']}#SR") for r in first["regions"]
+    )
+
+
 # ---------------------------------------------------------------------------
 # the figure
 # ---------------------------------------------------------------------------
