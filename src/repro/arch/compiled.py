@@ -17,16 +17,20 @@ function per basic-block region, the first time a run enters it:
   one entry counter, misspeculation exits bump one site counter, and the
   per-pc execution/hazard arrays are reconstructed after the run as
   ``entries − Σ earlier-exit counts`` per offset;
-* instruction fetches are elided for same-cache-line successors: the
-  :class:`repro.arch.cache.Cache` last-line fast path makes such
-  lookups observably inert (no LRU movement, no L2 traffic), so only
-  line-transition pcs issue real ``fetch()`` calls;
-* genuinely dynamic events (cache miss levels, taken conditional
-  branches, committed ``movcond``, misspeculations, cross-region
-  load-use hazards) are recorded in the same nine per-pc arrays the
-  fast path keeps, so the final aggregation is literally the shared
+* the cache hierarchy is not in the regions at all: they append to the
+  same L1 access log as :func:`repro.arch.predecode.run_fast` — ``~pc``
+  per I-line transition (a same-line successor is known statically, so
+  only a region entry compares against the line shadow) and
+  ``addr << pc_bits | pc`` per load, store and ``bs_ldr`` — and the
+  shared :func:`repro.arch.predecode.replay` scores it after the run;
+* genuinely dynamic events (taken conditional branches, committed
+  ``movcond``, misspeculations, cross-region load-use hazards) are
+  recorded in the same per-pc arrays the fast path keeps, so the run
+  leaves the same :class:`repro.arch.predecode.ArchRun` on
+  ``machine.arch_run`` and the final aggregation is literally the shared
   :func:`repro.arch.predecode.fold_result` — the two engines cannot
-  drift in how they fold events into a :class:`SimResult`.
+  drift in how they score caches or fold events into a
+  :class:`SimResult`.
 
 Control transfers (branches, calls, returns, misspeculation redirects
 into the Δ-skeleton) leave the region and go through a small dispatch
@@ -62,21 +66,22 @@ limit after every region.
 The compiled image is cached on the :class:`LinkedProgram` instance
 (keyed by register-file narrowing and slice width) and keeps one code
 object per translated region, so repeated runs of one binary recompile
-nothing.  Each image also keeps a pool of reusable :class:`_Runtime`
-instances keyed by cache geometry, which share those code objects:
-registers, the 4 MB flat memory, cache way lists and all per-pc counter
-arrays are reset in place between runs, and results are copied out so a
-cached runtime never aliases a returned :class:`SimResult`.
+nothing.  Each image also keeps one reusable :class:`_Runtime`, whatever
+the cache geometry: registers, the 4 MB flat memory, the access log and
+all per-pc counter arrays are reset in place between runs, and results
+are copied out so the runtime never aliases a returned
+:class:`SimResult` or :class:`ArchRun`.
 """
 
 from __future__ import annotations
 
 import builtins
+from array import array
 from itertools import islice
 from struct import Struct
 from types import CodeType, FunctionType
 
-from repro.arch.cache import L1_LINE_SHIFT, CacheGeometry, MemoryHierarchy
+from repro.arch.cache import L1_LINE_SHIFT, MemoryHierarchy
 from repro.arch.machine import HALT
 from repro.arch.predecode import (
     OP_ADC,
@@ -111,8 +116,11 @@ from repro.arch.predecode import (
     OP_SUBS,
     OP_SUBSPI,
     OP_UMULL,
+    ArchRun,
+    _pc_bits,
     fold_result,
     predecode,
+    replay,
     run_fast,
 )
 from repro.arch.widths import BYTE_MASKS as _MASKS, slice_mask
@@ -142,10 +150,9 @@ _SIGNED = {"slt": "<", "sle": "<=", "sgt": ">", "sge": ">="}
 
 #: names the generated factory binds from its argument dict
 _BIND_NAMES = (
-    "regs", "S", "data", "out_append",
-    "IC2", "ICM", "DC2", "DCM", "HZ", "MS", "TK", "MC", "BE", "BX",
+    "regs", "S", "data", "out_append", "LA",
+    "HZ", "MS", "TK", "MC", "BE", "BX",
     "ICD", "MERR", "U16", "U32", "P16", "P32",
-    "IW", "DW", "LW", "ISM", "LSM", "INW", "LNW",
 )
 
 
@@ -158,15 +165,15 @@ class CompiledImage:
     """One program's translation, grown a region at a time.
 
     :func:`_build_image` predecodes the program and finds its static
-    region entries; each region is translated the first time a runtime's
-    dispatcher enters it (:meth:`translate`).  The code objects and fold
-    metadata live here, so every :class:`_Runtime` of the image shares
-    them and no region is compiled twice.
+    region entries; each region is translated the first time the
+    runtime's dispatcher enters it (:meth:`translate`).  The code objects
+    and fold metadata live here; the image's one :class:`_Runtime`
+    installs each region once, so a warm run translates nothing.
     """
 
     __slots__ = ("code", "n_insts", "inst_bytes", "delta", "spec_mask",
                  "leaders", "regions", "fold_regions",
-                 "n_sites", "runtimes")
+                 "n_sites", "runtime")
 
     def __init__(self, code, leaders, inst_bytes, delta, spec_mask):
         self.code = code
@@ -176,8 +183,8 @@ class CompiledImage:
         self.spec_mask = spec_mask
         #: region-entry pcs (a dict used as an ordered set): the static
         #: ones, then every fallthrough pc a MAX_REGION cap has made an
-        #: entry, in registration order — a runtime stubs the tail it has
-        #: not seen yet
+        #: entry, in registration order — the runtime stubs the tail it
+        #: has not seen yet
         self.leaders = dict.fromkeys(sorted(leaders))
         #: leader -> code object of that region's ``_factory(B)``
         self.regions = {}
@@ -185,9 +192,8 @@ class CompiledImage:
         #: region, in translation order — region and site indices too
         self.fold_regions = []
         self.n_sites = 0
-        #: reusable :class:`_Runtime` instances keyed by cache geometry
-        #: — see run_compiled
-        self.runtimes = {}
+        #: the reusable :class:`_Runtime` — see run_compiled
+        self.runtime = None
 
     @property
     def n_regions(self):
@@ -243,6 +249,7 @@ class _RegionEmitter:
         self.region_idx = region_idx
         self.site_base = site_base
         self.leaders = leaders
+        self.pc_bits = _pc_bits(n)
         self.body: list = []          # (indent, text)
         self.pending_loads: list = []  # regs first read by the current inst
         self.bound: set = set()       # regs bound as locals
@@ -436,22 +443,19 @@ class _RegionEmitter:
             line_no = (pc * self.inst_bytes) >> L1_LINE_SHIFT
             if line_no != prev_line_no:
                 if prev_line_no is None:
-                    # region entry: the line may equal the icache's current
-                    # last line (S[4] shadows Cache._last_line exactly: the
-                    # skipped probe would have been the observably-inert
-                    # same-line fast path)
+                    # region entry: the line may equal the icache's last
+                    # line, which S[4] shadows exactly as run_fast's
+                    # ``iline`` does — a same-line fetch logs nothing
                     self.line(0, f"if S[4] != {line_no}:")
                     self.line(1, f"S[4] = {line_no}")
-                    self._icache_probe(1, line_no, pc)
+                    self.line(1, f"LA({~pc})")
                 else:
                     # intra-region transition: execution follows emission
                     # order exactly, so at run time the shadow always holds
                     # the previous instruction's line — a differing static
-                    # line therefore never matches it: probe unconditionally
-                    # (a matching one needs no probe at all: the skipped
-                    # lookup is the observably-inert same-line fast path)
+                    # line never matches it, and a matching one logs nothing
                     self.line(0, f"S[4] = {line_no}")
-                    self._icache_probe(0, line_no, pc)
+                    self.line(0, f"LA({~pc})")
             prev_line_no = line_no
             mark = len(self.body)
             nxt = self.emit_inst(pc, off, t)
@@ -470,65 +474,10 @@ class _RegionEmitter:
                 return
             pc = nxt_pc
 
-    def _icache_probe(self, indent, line_no, pc):
-        """Inline set-associative LRU probe of the icache at a static line.
-
-        Replicates exactly the observable parts of ``Cache.lookup`` +
-        ``MemoryHierarchy.fetch`` (ways-list mutations and the served
-        level); the skipped parts — CacheStats, ``dram_accesses``, the
-        L2 ``_last_line`` (reset before every L2 lookup, so its fast path
-        never fires) — never escape ``run_compiled``.
-        """
-        L = line_no
-        self.line(indent, f"iw_ = IW[{L} & ISM]")
-        self.line(indent, f"if {L} in iw_:")
-        self.line(indent + 1, f"if iw_[-1] != {L}:")
-        self.line(indent + 2, f"iw_.remove({L})")
-        self.line(indent + 2, f"iw_.append({L})")
-        self.line(indent, "else:")
-        self.line(indent + 1, f"iw_.append({L})")
-        self.line(indent + 1, "if len(iw_) > INW:")
-        self.line(indent + 2, "iw_.pop(0)")
-        self.line(indent + 1, f"lw_ = LW[{L} & LSM]")
-        self.line(indent + 1, f"if {L} in lw_:")
-        self.line(indent + 2, f"if lw_[-1] != {L}:")
-        self.line(indent + 3, f"lw_.remove({L})")
-        self.line(indent + 3, f"lw_.append({L})")
-        self.line(indent + 2, f"IC2[{pc}] += 1")
-        self.line(indent + 1, "else:")
-        self.line(indent + 2, f"lw_.append({L})")
-        self.line(indent + 2, "if len(lw_) > LNW:")
-        self.line(indent + 3, "lw_.pop(0)")
-        self.line(indent + 2, f"ICM[{pc}] += 1")
-
-    def _dcache_bump(self, pc):
-        # S[5] shadows the dcache's last line: a same-line access is the
-        # observably-inert fast path in Cache.lookup, so skip the probe
-        # entirely; otherwise probe the inlined dcache/L2 model (same
-        # equivalence argument as _icache_probe, dynamic line)
-        self.line(0, f"dl_ = a_ >> {L1_LINE_SHIFT}")
-        self.line(0, "if dl_ != S[5]:")
-        self.line(1, "S[5] = dl_")
-        self.line(1, "dw_ = DW[dl_ & ISM]")
-        self.line(1, "if dl_ in dw_:")
-        self.line(2, "if dw_[-1] != dl_:")
-        self.line(3, "dw_.remove(dl_)")
-        self.line(3, "dw_.append(dl_)")
-        self.line(1, "else:")
-        self.line(2, "dw_.append(dl_)")
-        self.line(2, "if len(dw_) > INW:")
-        self.line(3, "dw_.pop(0)")
-        self.line(2, "lw_ = LW[dl_ & LSM]")
-        self.line(2, "if dl_ in lw_:")
-        self.line(3, "if lw_[-1] != dl_:")
-        self.line(4, "lw_.remove(dl_)")
-        self.line(4, "lw_.append(dl_)")
-        self.line(3, f"DC2[{pc}] += 1")
-        self.line(2, "else:")
-        self.line(3, "lw_.append(dl_)")
-        self.line(3, "if len(lw_) > LNW:")
-        self.line(4, "lw_.pop(0)")
-        self.line(3, f"DCM[{pc}] += 1")
+    def _log_data(self, pc):
+        # one data-access event, unfiltered as in run_fast: the replay
+        # counts every data event as a dcache access
+        self.line(0, f"LA(a_ << {self.pc_bits} | {pc})")
 
     def _addr(self, base_expr, disp):
         if disp:
@@ -615,7 +564,7 @@ class _RegionEmitter:
             else:
                 self.line(0, "v_ = U32(data, a_)[0]")
             self.wr(0, t[5], "v_", _MASKS[size])
-            self._dcache_bump(pc)
+            self._log_data(pc)
             self.llr = t[6]
             return None
 
@@ -635,7 +584,7 @@ class _RegionEmitter:
                 self.line(0, f"P16(data, a_, {sv})")
             else:
                 self.line(0, f"P32(data, a_, {v})")
-            self._dcache_bump(pc)
+            self._log_data(pc)
             return None
 
         if op == OP_BCOND:
@@ -772,7 +721,7 @@ class _RegionEmitter:
                 self.line(0, "v_ = U16(data, a_)[0]")
             else:
                 self.line(0, "v_ = U32(data, a_)[0]")
-            self._dcache_bump(pc)
+            self._log_data(pc)
             if _MASKS[size] > spec:
                 self.line(0, f"if v_ > {spec}:")
                 self.misspec_exit(pc, off)
@@ -1028,60 +977,50 @@ _ZERO_MEM = bytes(MEMORY_SIZE)
 class _Runtime:
     """Reusable execution state for one :class:`CompiledImage`.
 
-    Building a run's machinery — the cache-way lists, a dozen counter
-    arrays and a fresh flat memory — costs on the order of a
-    millisecond, which rivals the execute phase of short workloads.  One
-    instance per cache geometry is cached on the image and reset in place
-    between runs; :func:`run_compiled` copies everything that outlives
-    the call (memory image, output, obs arrays) out of this shared state
-    before returning.
+    Building a run's machinery — counter arrays as long as the program
+    and a fresh flat memory — costs on the order of a millisecond, which
+    rivals the execute phase of short workloads.  One instance is cached on the
+    image and reset in place between runs.  Cache geometry is not part
+    of it: the regions only log the L1 access stream, and
+    :func:`run_compiled` replays the log under the machine's geometry.
+    :func:`run_compiled` copies everything that outlives the call
+    (memory image, output, registers, per-pc arrays, the log) out of
+    this shared state before returning.
 
     Every region entry holds a function in :attr:`table` and, as
     ``_b<pc>``, in the namespace the region code runs in.  Until the
     dispatcher first enters a region that function is a stub: it
-    translates the region (or takes the image's code object, when another
-    runtime already did), installs the region function in both places
+    translates the region, installs the region function in both places
     and calls it.  Installed functions stay across runs, so a warm run
     translates nothing.
     """
 
-    __slots__ = ("image", "memory", "regs", "S", "output", "entries",
-                 "exits", "ic2", "icm", "dc2", "dcm", "hz", "ms", "tk", "mc",
-                 "ways", "table", "ns", "binds", "n_stubbed", "_zeros")
+    __slots__ = ("image", "memory", "regs", "S", "output", "log", "entries",
+                 "exits", "hz", "ms", "tk", "mc",
+                 "table", "ns", "binds", "n_stubbed", "_zeros")
 
-    def __init__(self, image, geometry):
+    def __init__(self, image):
         from repro.arch.machine import MachineError
 
         n = image.n_insts
-        hierarchy = MemoryHierarchy(geometry)
-        icache, dcache, l2 = hierarchy.icache, hierarchy.dcache, hierarchy.l2
         self.image = image
         self.memory = FlatMemory()
         self.regs = [0] * 16
-        self.S = [(0, 0, 4), 0, -1, 0, -1, -1]
+        self.S = [(0, 0, 4), 0, -1, 0, -1]
         self.output = []
-        (self.ic2, self.icm, self.dc2, self.dcm, self.hz, self.ms,
-         self.tk, self.mc) = ([0] * n for _ in range(8))
+        self.log = array("q")
+        self.hz, self.ms, self.tk, self.mc = ([0] * n for _ in range(4))
         # the region closures bind these two by identity, so they only
         # ever grow in place (see _sync)
         self.entries = []
         self.exits = []
-        # every cache set's ways list, for in-place clearing on reset —
-        # the generated code probes these lists directly, so no other
-        # hierarchy state is live
-        self.ways = (*icache._lines, *dcache._lines, *l2._lines)
         self.binds = {
             "regs": self.regs, "S": self.S, "data": self.memory.data,
-            "out_append": self.output.append,
-            "IC2": self.ic2, "ICM": self.icm,
-            "DC2": self.dc2, "DCM": self.dcm,
+            "out_append": self.output.append, "LA": self.log.append,
             "HZ": self.hz, "MS": self.ms, "TK": self.tk, "MC": self.mc,
             "BE": self.entries, "BX": self.exits,
             "ICD": _icmp_dyn, "MERR": MachineError,
             "U16": _U16, "U32": _U32, "P16": _P16, "P32": _P32,
-            "IW": icache._lines, "DW": dcache._lines, "LW": l2._lines,
-            "ISM": icache._set_mask, "LSM": l2._set_mask,
-            "INW": icache.ways, "LNW": l2.ways,
         }
         self.ns = {"__builtins__": builtins}
         self.table = [None] * n
@@ -1105,9 +1044,7 @@ class _Runtime:
 
     def install(self, leader):
         """Put region ``leader``'s function in the table and namespace."""
-        code = self.image.regions.get(leader)
-        if code is None:
-            code = self.image.translate(leader)
+        code = self.image.translate(leader)
         self._sync()
         fn = FunctionType(code, self.ns)(self.binds)
         self.table[leader] = self.ns[f"_b{leader}"] = fn
@@ -1118,20 +1055,14 @@ class _Runtime:
         self.regs[:] = (0,) * 16
         self.regs[13] = STACK_TOP
         self.regs[14] = HALT
-        self.S[:] = ((0, 0, 4), 0, -1, 0, -1, -1)
+        self.S[:] = ((0, 0, 4), 0, -1, 0, -1)
         del self.output[:]
+        del self.log[:]
         z = self._zeros
-        for arr in (self.ic2, self.icm, self.dc2, self.dcm,
-                    self.hz, self.ms, self.tk, self.mc):
+        for arr in (self.hz, self.ms, self.tk, self.mc):
             arr[:] = z
-        # other runtimes of the image may have translated regions the
-        # fold will visit: bring the counters up to the image's counts
-        self._sync()
         self.entries[:] = (0,) * len(self.entries)
         self.exits[:] = (0,) * len(self.exits)
-        for w in self.ways:
-            if w:
-                del w[:]
         self.memory.data[:] = _ZERO_MEM
 
 
@@ -1173,20 +1104,17 @@ def run_compiled(machine):
     image = get_image(linked, narrow_rf, spec_mask)
     n = image.n_insts
 
-    # Reuse (or build) the cached runtime for this cache geometry: its
-    # installed region closures permanently bind its arrays, so the same
-    # instance serves every run after an in-place reset.
-    g = machine.geometry or CacheGeometry()
-    key = (g.l1_kb, g.l1_ways, g.l2_kb, g.l2_ways)
-    rt = image.runtimes.get(key)
+    # Reuse (or build) the image's runtime: its installed region closures
+    # permanently bind its arrays, so the same instance serves every run
+    # after an in-place reset.
+    rt = image.runtime
     if rt is None:
-        image.runtimes[key] = rt = _Runtime(image, machine.geometry)
+        image.runtime = rt = _Runtime(image)
     rt.reset()
     memory = rt.memory
     initialize_globals(memory, machine.module, linked.global_addresses)
-    regs = rt.regs
     # shared mutable slots: cmp state, carry, pending load-use reg, steps,
-    # icache shadow last-line, dcache shadow last-line
+    # icache shadow last-line
     S = rt.S
     table = rt.table
 
@@ -1224,21 +1152,12 @@ def run_compiled(machine):
             raise MachineError(f"pc out of range: {nxt}")
         fn = table[nxt]
 
-    # With obs on, the per-pc event arrays outlive this call inside the
-    # returned PcSample — snapshot them so the next run's reset can't
-    # mutate a caller-held result.  Without obs they are only read below,
-    # so the runtime's arrays are used directly.
+    # The per-pc arrays and the log outlive this call in the ArchRun (and,
+    # with obs on, in the returned PcSample): copy them out of the
+    # runtime, which the next run resets in place.
     entries, exits = rt.entries, rt.exits
-    if machine.obs:
-        ic_l2_pc, ic_mem_pc = list(rt.ic2), list(rt.icm)
-        d_l2_pc, d_mem_pc = list(rt.dc2), list(rt.dcm)
-        hazard_pc, misspec_pc = list(rt.hz), list(rt.ms)
-        taken_pc, movcond_pc = list(rt.tk), list(rt.mc)
-    else:
-        ic_l2_pc, ic_mem_pc = rt.ic2, rt.icm
-        d_l2_pc, d_mem_pc = rt.dc2, rt.dcm
-        hazard_pc, misspec_pc = rt.hz, rt.ms
-        taken_pc, movcond_pc = rt.tk, rt.mc
+    hazard_pc, misspec_pc = list(rt.hz), list(rt.ms)
+    taken_pc, movcond_pc = list(rt.tk), list(rt.mc)
     exec_counts = [0] * n
 
     # reconstruct per-pc execution counts and static hazards from the
@@ -1275,8 +1194,19 @@ def run_compiled(machine):
             if r > 0:
                 hazard_pc[pcs[hoff]] += r
 
-    # the result's memory image and output list must not alias runtime
-    # state — both are caller-visible and the runtime is reset in place
+    log = rt.log[:]
+    output = list(rt.output)
+    regs = list(rt.regs)
+    fetches = S[3]
+    machine.arch_run = ArchRun(
+        machine, (exec_counts, hazard_pc, misspec_pc, taken_pc,
+                  movcond_pc, log), output, regs, fetches,
+    )
+    ic_l2_pc, ic_mem_pc, d_l2_pc, d_mem_pc = ([0] * n for _ in range(4))
+    replay(MemoryHierarchy(machine.geometry), log, fetches, image.inst_bytes,
+           ic_l2_pc, ic_mem_pc, d_l2_pc, d_mem_pc)
+    # the result's memory image must not alias runtime state — it is
+    # caller-visible and the runtime is reset in place
     result_memory = FlatMemory.__new__(FlatMemory)
     result_memory.size = memory.size
     result_memory.data = bytearray(memory.data)
@@ -1284,5 +1214,5 @@ def run_compiled(machine):
         machine, narrow_rf, code, effects, exec_counts,
         ic_l2_pc, ic_mem_pc, d_l2_pc, d_mem_pc,
         hazard_pc, misspec_pc, taken_pc, movcond_pc,
-        list(rt.output), result_memory, regs, None,
+        output, result_memory, regs, None,
     )

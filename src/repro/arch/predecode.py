@@ -1014,45 +1014,57 @@ def replay(hierarchy, log, fetches, inst_bytes,
     pc_bits = _pc_bits(len(ic_l2_pc))
     pc_mask = (1 << pc_bits) - 1
     d_shift = pc_bits + L1_LINE_SHIFT
+    # the I-line of pc is ``pc >> i_shift``: instructions are 2 or 4 bytes
+    i_shift = L1_LINE_SHIFT + 1 - inst_bytes.bit_length()
     icache, dcache, l2 = hierarchy.icache, hierarchy.dcache, hierarchy.l2
     i_sets, i_mask, i_ways = icache._lines, icache._set_mask, icache.ways
     d_sets, d_mask, d_ways = dcache._lines, dcache._set_mask, dcache.ways
     l_sets, l_mask, l_ways = l2._lines, l2._set_mask, l2.ways
     i_last, d_last, l_last = icache._last_line, dcache._last_line, l2._last_line
+    # every L1 set's most recent way: a hit on one changes nothing, so
+    # most events end at one set-membership test (the dcache's last line
+    # is always among them, which covers its same-line fast path)
+    i_mru = {ways[-1] for ways in i_sets if ways}
+    d_mru = {ways[-1] for ways in d_sets if ways}
     i_misses = d_accesses = d_misses = l_accesses = l_misses = dram = 0
     for event in log:
         if event < 0:
             # an I-line transition: never the icache's last line
-            pc = ~event
-            line = i_last = (pc * inst_bytes) >> L1_LINE_SHIFT
+            line = i_last = ~event >> i_shift
+            if line in i_mru:
+                continue
             ways = i_sets[line & i_mask]
+            if ways:
+                i_mru.discard(ways[-1])
+            i_mru.add(line)
             if line in ways:
-                if ways[-1] != line:
-                    ways.remove(line)
-                    ways.append(line)
+                ways.remove(line)
+                ways.append(line)
                 continue
             i_misses += 1
             ways.append(line)
             if len(ways) > i_ways:
                 del ways[0]
+            pc = ~event
             l2_pc, mem_pc = ic_l2_pc, ic_mem_pc
         else:
-            pc = event & pc_mask
-            line = event >> d_shift
             d_accesses += 1
-            if line == d_last:
+            line = d_last = event >> d_shift
+            if line in d_mru:
                 continue
-            d_last = line
             ways = d_sets[line & d_mask]
+            if ways:
+                d_mru.discard(ways[-1])
+            d_mru.add(line)
             if line in ways:
-                if ways[-1] != line:
-                    ways.remove(line)
-                    ways.append(line)
+                ways.remove(line)
+                ways.append(line)
                 continue
             d_misses += 1
             ways.append(line)
             if len(ways) > d_ways:
                 del ways[0]
+            pc = event & pc_mask
             l2_pc, mem_pc = d_l2_pc, d_mem_pc
         # the L2's fast path is reset before every lookup: never taken
         l_accesses += 1

@@ -41,7 +41,9 @@ The scenarios:
 * ``serve-restart`` — a live :class:`repro.serve.server.ReproServer` is
   stopped mid-burst with async jobs in flight and restarted on the same
   cache + journal; every job id must resolve with the byte-identical
-  body a direct request produces.
+  body a direct request produces.  A direct request that itself fails
+  (say a 503 under load) leaves nothing to compare: the cell is
+  ``degraded`` and records the first such status as ``direct_status``.
 
 Determinism contract: the emitted document carries no wall-clock, pid,
 port, or path — the same campaign seed yields byte-identical JSON on
@@ -519,32 +521,43 @@ def _scenario_serve_restart(cell_seed: int, workdir: Path) -> dict:
                     lost += 1
                 else:
                     bodies[job_id] = body
-            mismatches = 0
+            # only two 200 bodies can disagree: a direct answer that is
+            # an error (a 503 or a timeout under load) proves nothing
+            # about the recovered body
+            mismatches, direct_status = 0, None
             for doc, job_id in zip(docs, job_ids):
                 if job_id not in bodies:
                     continue
                 direct = await submit_report(
                     "127.0.0.1", server.port, doc
                 )
-                if direct.body != bodies[job_id]:
+                if direct.status != 200:
+                    if direct_status is None:
+                        direct_status = direct.status
+                elif direct.body != bodies[job_id]:
                     mismatches += 1
-            return len(job_ids), lost, mismatches
+            return len(job_ids), lost, mismatches, direct_status
         finally:
             await server.stop()
 
-    submitted, lost, mismatches = asyncio.run(drive())
+    submitted, lost, mismatches, direct_status = asyncio.run(drive())
     if mismatches or submitted < len(docs):
         category = CORRUPTION if mismatches else LOST_WORK
     elif lost:
         category = LOST_WORK
+    elif direct_status is not None:
+        category = DEGRADED
     else:
         category = RECOVERED
-    return {
+    cell = {
         "category": category,
         "jobs": len(docs),
         "lost": lost,
         "byte_mismatches": mismatches,
     }
+    if direct_status is not None:
+        cell["direct_status"] = direct_status
+    return cell
 
 
 # -- the campaign -------------------------------------------------------------

@@ -14,12 +14,14 @@ config it reads (:attr:`CompilerConfig.MACHINE_KNOBS`,
   cache geometry or DTS knobs compile once;
 * the :class:`SimResult` on the compile slice plus the cache geometry —
   configs that differ only in DTS knobs simulate once;
-* on the ``fast`` engine, the architectural run on the compile slice
-  alone (:class:`repro.arch.predecode.ArchRun`) — configs that differ
+* on the ``fast`` and ``compiled`` engines, which both leave an
+  :class:`repro.arch.predecode.ArchRun` on the machine, the
+  architectural run on the compile slice alone — configs that differ
   only in cache geometry execute once and replay its L1 access log per
-  geometry.  Only the latest such run per workload is kept, packed: DSE
-  grids vary the cache knobs innermost, so each workload's geometry
-  variants follow one another;
+  geometry.  Only the latest such run per workload is kept, packed once
+  another workload runs: DSE grids vary the cache knobs innermost, so
+  each workload's geometry variants follow one another.  ``legacy`` and
+  ``ooo`` keep their own cache models and simulate every geometry;
 * energy per record, from the record's own config, as a pure function of
   the event counts.
 
@@ -97,7 +99,8 @@ _BINARY_CACHE: dict = {}
 #: simulations, keyed on the compile slice, cache geometry and run inputs
 _SIM_CACHE: dict = {}
 #: workload -> (key without cache geometry, ArchRun): the latest
-#: fast-engine execution of each workload, replayable per geometry
+#: fast- or compiled-engine execution of each workload, replayable per
+#: geometry
 _ARCH_RUNS: dict = {}
 #: finished records, keyed by :func:`_run_key`
 _RUN_CACHE: dict = {}
@@ -304,20 +307,22 @@ def run(
 
 
 def _simulate(binary, inputs, engine, arch_key) -> SimResult:
-    """Simulate ``binary``, or re-score the workload's latest fast-engine
-    run when it differs from this one only in cache geometry."""
-    machine = binary.machine(inputs, engine=engine)
-    if machine.resolve_engine() != "fast":
-        return machine.run()
+    """Simulate ``binary``, or re-score the workload's latest batched run
+    when it differs from this one only in cache geometry."""
     workload_name = arch_key[0]
     held = _ARCH_RUNS.get(workload_name)
     if held is not None and held[0] == arch_key:
         return held[1].fold(binary.config.cache_geometry())
+    # a simulation drops the workload's held run; the other workloads'
+    # wait packed.  The newest run stays unpacked until another workload
+    # runs, so a run that no geometry variant follows is never packed
+    _ARCH_RUNS.pop(workload_name, None)
+    for _, arch in _ARCH_RUNS.values():
+        arch.pack()
+    machine = binary.machine(inputs, engine=engine)
     sim = machine.run()
-    sim.memory = None  # freed before packing adds its own transient
-    arch = machine.arch_run
-    arch.pack()
-    _ARCH_RUNS[workload_name] = (arch_key, arch)
+    if machine.arch_run is not None:
+        _ARCH_RUNS[workload_name] = (arch_key, machine.arch_run)
     return sim
 
 

@@ -1,14 +1,15 @@
-"""Cache replay: one fast-engine run, re-scored under every cache geometry.
+"""Cache replay: one batched run, re-scored under every cache geometry.
 
-The fast engine logs the L1 access stream instead of probing the cache
-model per step, and :func:`repro.arch.predecode.replay` feeds that log
-through a :class:`~repro.arch.cache.MemoryHierarchy` afterwards.  Cache
-geometry never changes architectural state, so one execution's
+The fast and compiled engines log the L1 access stream instead of
+probing the cache model per step, and
+:func:`repro.arch.predecode.replay` feeds that log through a
+:class:`~repro.arch.cache.MemoryHierarchy` afterwards.  Cache geometry
+never changes architectural state, so one execution's
 :class:`~repro.arch.predecode.ArchRun` must fold, under *any* geometry,
-to exactly what simulating under that geometry produces.  The reference
-is the legacy interpreter, which still probes the hierarchy on every
-access; the per-pc cache arrays are checked against the compiled
-engine, which keeps its own inlined cache model.
+to exactly what simulating under that geometry produces.  The two
+engines must write the same log and per-pc arrays.  The reference is
+the legacy interpreter, which still probes the hierarchy on every
+access.
 """
 
 import dataclasses
@@ -59,31 +60,45 @@ def _machine(binary, inputs, engine, geometry=None, **kwargs):
 
 
 def assert_replays_match(binary, inputs, geometries, label, *, pcsample=False):
-    """Execute once on the fast engine; every geometry's replay must equal
-    a legacy run under that geometry (and, with ``pcsample``, the
-    compiled engine's per-pc arrays)."""
-    machine = _machine(binary, inputs, "fast", obs=pcsample)
-    first = machine.run()
-    arch = machine.arch_run
-    assert arch is not None, label
-    assert_sims_identical(
-        arch.fold(None), dataclasses.replace(first, memory=None), label
-    )
+    """Execute once on each batching engine: the compiled run's log and
+    per-pc arrays must equal the fast run's, and every geometry's replay
+    of either must equal a legacy run under that geometry (and, with
+    ``pcsample``, a compiled run's per-pc arrays under that geometry)."""
+    arch_runs = {}
+    for engine in ("fast", "compiled"):
+        machine = _machine(binary, inputs, engine, obs=pcsample)
+        first = machine.run()
+        arch = machine.arch_run
+        assert arch is not None, f"{label}/{engine}"
+        assert_sims_identical(
+            arch.fold(None), dataclasses.replace(first, memory=None),
+            f"{label}/{engine}",
+        )
+        arch_runs[engine] = arch
+    fast, compiled = arch_runs["fast"], arch_runs["compiled"]
+    assert compiled._events[-1] == fast._events[-1], f"{label}: logs differ"
+    assert compiled._events == fast._events, f"{label}: per-pc arrays differ"
+    assert (compiled.fetches, compiled.output, compiled.regs) == (
+        fast.fetches, fast.output, fast.regs
+    ), label
     packed = _machine(binary, inputs, "fast", obs=pcsample)
     packed.run()
     packed.arch_run.pack()
     for geometry in geometries:
         where = f"{label}@{_label(geometry)}"
-        replayed = arch.fold(geometry)
+        replayed = fast.fold(geometry)
         assert_sims_identical(packed.arch_run.fold(geometry), replayed, where)
         assert replayed.memory is None, where
-        ref = _machine(binary, inputs, "legacy", geometry).run()
-        assert ref.output == first.output, where
-        assert_sims_identical(replayed, dataclasses.replace(ref, memory=None), where)
+        ref = dataclasses.replace(
+            _machine(binary, inputs, "legacy", geometry).run(), memory=None
+        )
+        assert ref.output == fast.output, where
+        for engine, arch in arch_runs.items():
+            assert_sims_identical(arch.fold(geometry), ref, f"{where}/{engine}")
         if pcsample:
-            compiled = _machine(binary, inputs, "compiled", geometry, obs=True).run()
+            direct = _machine(binary, inputs, "compiled", geometry, obs=True).run()
             for name in PCSAMPLE_ARRAYS:
-                assert getattr(replayed.obs, name) == getattr(compiled.obs, name), (
+                assert getattr(replayed.obs, name) == getattr(direct.obs, name), (
                     f"{where}: PcSample.{name} differs"
                 )
 
@@ -204,7 +219,7 @@ def test_harness_keeps_one_arch_run_per_workload():
     assert key[1] == CompilerConfig.baseline().compile_key()
 
 
-def test_other_engines_simulate_every_geometry(monkeypatch):
+def _count_runs(monkeypatch):
     simulations = []
     machine_run = Machine.run
 
@@ -212,10 +227,45 @@ def test_other_engines_simulate_every_geometry(monkeypatch):
         simulations.append(self.geometry)
         return machine_run(self, *args, **kwargs)
 
-    harness.clear_caches()
     monkeypatch.setattr(Machine, "run", counting_run)
-    for l1_kb in (4, 8):
-        harness.run("crc32", CompilerConfig.bitspec("max", l1_kb=l1_kb),
-                    engine="compiled")
-    assert [g.l1_kb for g in simulations] == [4, 8]
-    assert not harness._ARCH_RUNS
+    return simulations
+
+
+def test_other_engines_simulate_every_geometry(monkeypatch):
+    """``legacy`` and ``ooo`` keep their own cache models: no ArchRun."""
+    simulations = _count_runs(monkeypatch)
+    for engine in ("legacy", "ooo"):
+        harness.clear_caches()
+        del simulations[:]
+        for l1_kb in (4, 8):
+            harness.run("crc32", CompilerConfig.bitspec("max", l1_kb=l1_kb),
+                        engine=engine)
+        assert [g.l1_kb for g in simulations] == [4, 8], engine
+        assert not harness._ARCH_RUNS, engine
+
+
+def test_compiled_geometry_sweep_executes_once_per_workload():
+    """The compiled engine leaves an ArchRun too, so its geometry
+    variants replay the held run exactly as the fast engine's do."""
+    # sha's test input misses in L1 below 4 KiB only.  The workloads
+    # alternate, as in a DSE grid: each held run waits while the other
+    # workload runs
+    cells = [(name, CompilerConfig.bitspec("max", l1_kb=l1_kb))
+             for l1_kb in (1, 4) for name in ("crc32", "sha")]
+    harness.clear_caches()
+    fast = [harness.run(name, config, engine="fast") for name, config in cells]
+    harness.clear_caches()
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        simulations = _count_runs(monkeypatch)
+        records = [harness.run(name, config, engine="compiled")
+                   for name, config in cells]
+    assert len(simulations) == 2
+    assert sorted(harness._ARCH_RUNS) == ["crc32", "sha"]
+    assert all(key[-2] == "compiled" for key, _ in harness._ARCH_RUNS.values())
+    # crc32's run was packed when sha's ran; sha's, the newest, was not
+    assert harness._ARCH_RUNS["crc32"][1]._packed is not None
+    assert harness._ARCH_RUNS["sha"][1]._packed is None
+    sha = [r.total_energy for (name, _), r in zip(cells, records) if name == "sha"]
+    assert sha[0] != sha[1]
+    for (name, config), ref, record in zip(cells, fast, records):
+        assert_sims_identical(record.sim, ref.sim, f"{name}/{config.name}")

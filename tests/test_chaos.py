@@ -85,6 +85,24 @@ def test_serve_restart_loses_nothing():
     assert record["status"] == "ok"
     assert record["category"] == RECOVERED
     assert record["lost"] == 0 and record["byte_mismatches"] == 0
+    assert "direct_status" not in record
+
+
+@pytest.mark.slow
+def test_serve_restart_error_answer_is_not_corruption(monkeypatch):
+    """A direct answer that is not a 200 has no body to compare: the
+    cell is degraded and says why, it does not read as corruption."""
+    from repro.serve import client
+
+    async def unavailable(host, port, doc, **kwargs):
+        return client.Response(status=503, headers={}, body=b"{}")
+
+    monkeypatch.setattr(client, "submit_report", unavailable)
+    record = run_cell("serve-restart", iteration_seed(9, 0))
+    assert record["status"] == "ok"
+    assert record["category"] == DEGRADED
+    assert record["direct_status"] == 503
+    assert record["lost"] == 0 and record["byte_mismatches"] == 0
 
 
 # -- determinism --------------------------------------------------------------

@@ -2,16 +2,16 @@
 
 :func:`repro.arch.compiled._build_image` only predecodes the program and
 finds its static region entries; each region is emitted and compiled
-when a runtime's dispatcher first calls its stub, and the code object is
-shared by every runtime (cache geometry) of the image.  These tests pin
-the three properties that design rests on: a run translates exactly the
-regions it enters and a warm run translates nothing; runtimes of one
-image grow their counter arrays in place when another runtime translated
-regions they later enter; and a transfer that finds no region entry
-deoptimizes to the per-step engine, bit-identically.
+when the runtime's dispatcher first calls its stub.  An image has one
+runtime, whatever the cache geometry: the regions only log the L1
+access stream, and each run replays it under its own geometry.  These
+tests pin the three properties that design rests on: a run translates
+exactly the regions it enters and a warm run translates nothing; runs
+under any geometry share the one runtime, whose counter arrays grow in
+place as later runs translate more regions; and a transfer that finds
+no region entry deoptimizes to the per-step engine, bit-identically.
 """
 
-import dataclasses
 import re
 from types import CodeType
 
@@ -29,7 +29,7 @@ from test_machine_predecode import assert_sims_identical
 
 WORKLOAD = "susan-edges"
 
-#: a second cache geometry; its runtime shares the image's regions
+#: a second cache geometry; its runs share the image's one runtime
 SMALL_L1 = CacheGeometry(l1_kb=4, l1_ways=2)
 
 _EXIT_NAME = re.compile(r"_b\d+$")
@@ -82,7 +82,7 @@ def test_translates_only_entered_regions(binary, monkeypatch):
     machine = _machine(binary, 0)
     first = machine.run()
     image = _image(machine)
-    (rt,) = image.runtimes.values()
+    rt = image.runtime
 
     entered = {pcs[0] for idx, pcs, _hz, _sites in image.fold_regions
                if rt.entries[idx]}
@@ -104,15 +104,16 @@ def test_translates_only_entered_regions(binary, monkeypatch):
                           f"{WORKLOAD}/warm-vs-fast")
 
 
-def test_runtimes_share_regions_across_geometries(binary, monkeypatch):
+def test_geometries_share_one_runtime(binary, monkeypatch):
     # seed 2 enters a strict subset of seed 0's regions, so the small-L1
-    # runtime translates regions the default runtime never entered.  The
-    # default runtime's fold then visits them before (seed 2 again) and
-    # after (seed 1) it enters them, with counter arrays grown in place
+    # run translates regions the first run never entered.  The fold then
+    # visits them before (seed 2 again) and after (seed 1) a run enters
+    # them, with counter arrays grown in place
     plan = ((None, 2, False), (SMALL_L1, 0, False), (None, 2, False),
             (None, 1, True))
     calls = _counting_compile(monkeypatch)
     translated = []
+    runtimes = []
     for geometry, seed, obs in plan:
         machine = _machine(binary, seed, geometry=geometry, obs=obs)
         sim = machine.run()
@@ -121,6 +122,8 @@ def test_runtimes_share_regions_across_geometries(binary, monkeypatch):
         assert_sims_identical(sim, ref, label)
         image = _image(machine)
         translated.append(len(image.regions))
+        runtimes.append((image.runtime, image.runtime.entries,
+                         image.runtime.exits))
         if obs:
             from repro.obs.attribution import attribute, check_conservation
 
@@ -128,14 +131,16 @@ def test_runtimes_share_regions_across_geometries(binary, monkeypatch):
 
     assert translated[0] < translated[1]
     assert len(calls) == translated[-1] == translated[1]
-    assert len(image.runtimes) == 2
-    for rt in image.runtimes.values():
-        assert len(rt.entries) == image.n_regions
-        assert len(rt.exits) == image.n_sites
-    # the default runtime's last run entered the regions the small-L1
-    # runtime translated, counting them in slots it grew in place
-    default = image.runtimes[dataclasses.astuple(CacheGeometry())]
-    assert all(default.entries[translated[0]:translated[1]])
+    # one runtime, whose counter arrays the region closures bind by
+    # identity: they grew in place to the image's counts
+    rt = image.runtime
+    for runtime, entries, exits in runtimes:
+        assert runtime is rt and entries is rt.entries and exits is rt.exits
+    assert len(rt.entries) == image.n_regions
+    assert len(rt.exits) == image.n_sites
+    # the last run entered the regions the small-L1 run translated,
+    # counting them in the slots grown for them
+    assert all(rt.entries[translated[0]:translated[1]])
 
 
 def test_missing_region_entry_deoptimizes(binary, monkeypatch):
