@@ -24,7 +24,8 @@ snapshot resumes on the engine that took it (a mismatch raises
 :class:`SnapshotError` instead of silently diverging).  The batching
 engines degrade: requesting ``checkpoint_at``/``resume_from`` on the
 ``compiled`` or ``ooo`` engine runs the predecoded stepper whole-run,
-mirroring how fault injection degrades (docs/resilience.md) — the
+a rung of :meth:`repro.arch.machine.Machine.run`'s engine ladder
+(docs/engines.md) — the
 in-order trio is bit-identical, and the OoO engine keeps its committed
 view through :func:`repro.arch.machine.committed_view`.
 

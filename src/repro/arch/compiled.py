@@ -22,14 +22,14 @@ function per basic-block region, the first time a run enters it:
   per I-line transition (a same-line successor is known statically, so
   only a region entry compares against the line shadow) and
   ``addr << pc_bits | pc`` per load, store and ``bs_ldr`` — and the
-  shared :func:`repro.arch.predecode.replay` scores it after the run;
+  shared :func:`repro.arch.predecode.replay` scores it in the fold;
 * genuinely dynamic events (taken conditional branches, committed
   ``movcond``, misspeculations, cross-region load-use hazards) are
   recorded in the same per-pc arrays the fast path keeps, so the run
   leaves the same :class:`repro.arch.predecode.ArchRun` on
-  ``machine.arch_run`` and the final aggregation is literally the shared
-  :func:`repro.arch.predecode.fold_result` — the two engines cannot
-  drift in how they score caches or fold events into a
+  ``machine.arch_run`` and folds through it: replay and aggregation are
+  literally :meth:`repro.arch.predecode.ArchRun.fold` — the two engines
+  cannot drift in how they score caches or fold events into a
   :class:`SimResult`.
 
 Control transfers (branches, calls, returns, misspeculation redirects
@@ -46,16 +46,14 @@ installs the region function and runs it.  Most of a BITSPEC image is
 the Δ-handler skeleton, which a run enters only on misspeculation, so a
 run typically compiles a small fraction of the program.
 
-Hook degradation (the four-engine contract, see docs/engines.md):
-
-* ``faults`` — a :class:`repro.faults.session.FaultSession` must observe
-  every architectural step, so a compiled run with a live fault session
-  degrades to :func:`repro.arch.predecode.run_fast` for the entire run
-  (same counters, same classifications — only slower);
-* ``obs`` — survives compilation natively: the per-pc arrays *are* the
-  sample, so ``obs=True`` costs the compiled engine nothing;
-* ``trace_hook`` — rejected, exactly as on the fast path: per-step
-  tracing is the legacy interpreter's job.
+Hook degradation is not decided here: :meth:`Machine.resolve_engine
+<repro.arch.machine.Machine.resolve_engine>` and :meth:`Machine.run
+<repro.arch.machine.Machine.run>` hold the one engine ladder
+(docs/engines.md), which sends fault-injected and checkpointed runs to
+:func:`repro.arch.predecode.run_fast` and rejects a ``trace_hook``.
+``obs`` survives compilation natively: the per-pc arrays *are* the
+sample.  The only fallback left to this module is the deoptimization
+above.
 
 Each region is one straight-line body, emitted in one pass.  Small
 loops are unrolled by tracing through their back edges up to
@@ -66,23 +64,22 @@ limit after every region.
 The compiled image is cached on the :class:`LinkedProgram` instance
 (keyed by register-file narrowing and slice width) and keeps one code
 object per translated region, so repeated runs of one binary recompile
-nothing.  Each image also keeps one reusable :class:`_Runtime`, whatever
-the cache geometry: registers, the 4 MB flat memory, the access log and
-all per-pc counter arrays are reset in place between runs, and results
-are copied out so the runtime never aliases a returned
-:class:`SimResult` or :class:`ArchRun`.
+nothing.  The image also holds the run state, whatever the cache
+geometry: registers, the 4 MB flat memory, the access log and all
+per-pc counter arrays are reset in place between runs, and results are
+copied out so the image never aliases a returned :class:`SimResult` or
+:class:`ArchRun`.
 """
 
 from __future__ import annotations
 
 import builtins
 from array import array
-from itertools import islice
 from struct import Struct
 from types import CodeType, FunctionType
 
-from repro.arch.cache import L1_LINE_SHIFT, MemoryHierarchy
-from repro.arch.machine import HALT
+from repro.arch.cache import L1_LINE_SHIFT
+from repro.arch.machine import HALT, MachineError
 from repro.arch.predecode import (
     OP_ADC,
     OP_ADDS,
@@ -118,9 +115,8 @@ from repro.arch.predecode import (
     OP_UMULL,
     ArchRun,
     _pc_bits,
-    fold_result,
+    fold_result,  # noqa: F401 - perf/tracing.py spans it under this name
     predecode,
-    replay,
     run_fast,
 )
 from repro.arch.widths import BYTE_MASKS as _MASKS, slice_mask
@@ -138,6 +134,9 @@ MAX_REGION = 256
 UNROLL_SPAN = 64
 
 _SPEC_OPS = (OP_BS_BIN, OP_BS_TRUNC, OP_BS_TRUNC_HI, OP_BS_LDR)
+
+#: shared all-zero page for resetting an image's flat memory in place
+_ZERO_MEM = bytes(MEMORY_SIZE)
 
 _U16 = Struct("<H").unpack_from
 _U32 = Struct("<I").unpack_from
@@ -162,59 +161,113 @@ def _icmp_dyn(cond, a, b, width):
 
 
 class CompiledImage:
-    """One program's translation, grown a region at a time.
+    """One program's translation, grown a region at a time, and the
+    reusable state its regions run on.
 
     :func:`_build_image` predecodes the program and finds its static
     region entries; each region is translated the first time the
-    runtime's dispatcher enters it (:meth:`translate`).  The code objects
-    and fold metadata live here; the image's one :class:`_Runtime`
-    installs each region once, so a warm run translates nothing.
+    dispatcher enters it (:meth:`translate`).  Building a run's machinery
+    — counter arrays as long as the program and a 4 MB flat memory —
+    costs on the order of a millisecond, which rivals the execute phase
+    of short workloads, so the image holds one set and :meth:`reset`
+    restores it in place between runs.  Cache geometry is not part of
+    it: the regions only log the L1 access stream, and the run's
+    :class:`ArchRun` replays the log under the machine's geometry.
+    :func:`run_compiled` copies everything that outlives the call
+    (memory image, output, registers, per-pc arrays, the log) out first.
+
+    Every region entry holds a function in :attr:`table` and, as
+    ``_b<pc>``, in the namespace the region code runs in.  Until the
+    dispatcher first enters a region that function is a stub that
+    translates the region, installs the region function in both places
+    and calls it; installed functions stay, so a warm run translates
+    nothing.
     """
 
     __slots__ = ("code", "n_insts", "inst_bytes", "delta", "spec_mask",
                  "leaders", "regions", "fold_regions",
-                 "n_sites", "runtime")
+                 "memory", "regs", "S", "output", "log", "entries", "exits",
+                 "hz", "ms", "tk", "mc", "table", "ns", "binds", "_zeros")
 
     def __init__(self, code, leaders, inst_bytes, delta, spec_mask):
+        n = len(code)
         self.code = code
-        self.n_insts = len(code)
+        self.n_insts = n
         self.inst_bytes = inst_bytes
         self.delta = delta
         self.spec_mask = spec_mask
-        #: region-entry pcs (a dict used as an ordered set): the static
-        #: ones, then every fallthrough pc a MAX_REGION cap has made an
-        #: entry, in registration order — the runtime stubs the tail it
-        #: has not seen yet
-        self.leaders = dict.fromkeys(sorted(leaders))
+        #: region-entry pcs: the static ones, then every fallthrough pc a
+        #: MAX_REGION cap has made an entry
+        self.leaders = set()
         #: leader -> code object of that region's ``_factory(B)``
         self.regions = {}
         #: (region index, pcs, hazard offsets, exit sites) per translated
         #: region, in translation order — region and site indices too
         self.fold_regions = []
-        self.n_sites = 0
-        #: the reusable :class:`_Runtime` — see run_compiled
-        self.runtime = None
+        self.memory = FlatMemory()
+        self.regs = [0] * 16
+        # shared mutable slots: cmp state, carry, pending load-use reg,
+        # steps, icache shadow last-line
+        self.S = [(0, 0, 4), 0, -1, 0, -1]
+        self.output = []
+        self.log = array("q")
+        self.hz, self.ms, self.tk, self.mc = ([0] * n for _ in range(4))
+        # per-region entry and per-site exit counters: the region closures
+        # bind these two by identity, so they only ever grow in place
+        self.entries = []
+        self.exits = []
+        self.binds = {
+            "regs": self.regs, "S": self.S, "data": self.memory.data,
+            "out_append": self.output.append, "LA": self.log.append,
+            "HZ": self.hz, "MS": self.ms, "TK": self.tk, "MC": self.mc,
+            "BE": self.entries, "BX": self.exits,
+            "ICD": _icmp_dyn, "MERR": MachineError,
+            "U16": _U16, "U32": _U32, "P16": _P16, "P32": _P32,
+        }
+        self.ns = {"__builtins__": builtins}
+        self.table = [None] * n
+        self._zeros = [0] * n
+        for leader in leaders:
+            self._add_leader(leader)
 
     @property
     def n_regions(self):
         return len(self.fold_regions)
 
+    @property
+    def n_sites(self):
+        return sum(len(sites) for *_, sites in self.fold_regions)
+
+    def _add_leader(self, leader):
+        """Make ``leader`` a region entry, holding a translating stub."""
+        def stub():
+            return self.install(leader)()
+
+        self.leaders.add(leader)
+        self.table[leader] = self.ns[f"_b{leader}"] = stub
+
+    def install(self, leader):
+        """Put region ``leader``'s function in the table and namespace."""
+        fn = FunctionType(self.translate(leader), self.ns)(self.binds)
+        self.table[leader] = self.ns[f"_b{leader}"] = fn
+        return fn
+
     def translate(self, leader):
         """Emit and compile the region entered at ``leader``.
 
         Returns the code object of a ``_factory(B)`` that binds the
-        runtime's arrays from ``B`` and returns the region function.
-        Exits to other regions load ``_b<pc>`` from the runtime's
+        image's arrays from ``B`` and returns the region function.
+        Exits to other regions load ``_b<pc>`` from the image's
         namespace, where an untranslated region holds a stub.
         """
         em = _RegionEmitter(self.code, leader, self.n_insts, self.inst_bytes,
                             self.delta, self.spec_mask,
-                            region_idx=len(self.fold_regions),
-                            site_base=self.n_sites, leaders=self.leaders)
+                            region_idx=len(self.entries),
+                            site_base=len(self.exits), leaders=self.leaders)
         em.emit()
         ft = em.fallthrough_target
         if ft is not None and ft not in self.leaders:
-            self.leaders[ft] = None
+            self._add_leader(ft)
         src = ["def _factory(B):"]
         src.extend(f"    {name} = B['{name}']" for name in _BIND_NAMES)
         src.extend(em.render(f"_b{leader}"))
@@ -224,8 +277,24 @@ class CompiledImage:
         self.regions[leader] = code
         self.fold_regions.append((em.region_idx, tuple(em.pcs),
                                   tuple(em.hz_offsets), tuple(em.sites)))
-        self.n_sites += len(em.sites)
+        self.entries.append(0)
+        self.exits.extend([0] * len(em.sites))
         return code
+
+    def reset(self):
+        """Restore pristine architectural and counter state in place."""
+        self.regs[:] = (0,) * 16
+        self.regs[13] = STACK_TOP
+        self.regs[14] = HALT
+        self.S[:] = ((0, 0, 4), 0, -1, 0, -1)
+        del self.output[:]
+        del self.log[:]
+        z = self._zeros
+        for arr in (self.hz, self.ms, self.tk, self.mc):
+            arr[:] = z
+        self.entries[:] = (0,) * len(self.entries)
+        self.exits[:] = (0,) * len(self.exits)
+        self.memory.data[:] = _ZERO_MEM
 
 
 class _RegionEmitter:
@@ -970,102 +1039,6 @@ def _build_image(linked, narrow_rf, spec_mask):
     return CompiledImage(code, leaders, linked.inst_bytes, delta, spec_mask)
 
 
-#: shared all-zero page for resetting a runtime's flat memory in place
-_ZERO_MEM = bytes(MEMORY_SIZE)
-
-
-class _Runtime:
-    """Reusable execution state for one :class:`CompiledImage`.
-
-    Building a run's machinery — counter arrays as long as the program
-    and a fresh flat memory — costs on the order of a millisecond, which
-    rivals the execute phase of short workloads.  One instance is cached on the
-    image and reset in place between runs.  Cache geometry is not part
-    of it: the regions only log the L1 access stream, and
-    :func:`run_compiled` replays the log under the machine's geometry.
-    :func:`run_compiled` copies everything that outlives the call
-    (memory image, output, registers, per-pc arrays, the log) out of
-    this shared state before returning.
-
-    Every region entry holds a function in :attr:`table` and, as
-    ``_b<pc>``, in the namespace the region code runs in.  Until the
-    dispatcher first enters a region that function is a stub: it
-    translates the region, installs the region function in both places
-    and calls it.  Installed functions stay across runs, so a warm run
-    translates nothing.
-    """
-
-    __slots__ = ("image", "memory", "regs", "S", "output", "log", "entries",
-                 "exits", "hz", "ms", "tk", "mc",
-                 "table", "ns", "binds", "n_stubbed", "_zeros")
-
-    def __init__(self, image):
-        from repro.arch.machine import MachineError
-
-        n = image.n_insts
-        self.image = image
-        self.memory = FlatMemory()
-        self.regs = [0] * 16
-        self.S = [(0, 0, 4), 0, -1, 0, -1]
-        self.output = []
-        self.log = array("q")
-        self.hz, self.ms, self.tk, self.mc = ([0] * n for _ in range(4))
-        # the region closures bind these two by identity, so they only
-        # ever grow in place (see _sync)
-        self.entries = []
-        self.exits = []
-        self.binds = {
-            "regs": self.regs, "S": self.S, "data": self.memory.data,
-            "out_append": self.output.append, "LA": self.log.append,
-            "HZ": self.hz, "MS": self.ms, "TK": self.tk, "MC": self.mc,
-            "BE": self.entries, "BX": self.exits,
-            "ICD": _icmp_dyn, "MERR": MachineError,
-            "U16": _U16, "U32": _U32, "P16": _P16, "P32": _P32,
-        }
-        self.ns = {"__builtins__": builtins}
-        self.table = [None] * n
-        self.n_stubbed = 0
-        self._zeros = [0] * n
-        self._sync()
-
-    def _sync(self):
-        """Catch up with regions and entries the image gained since."""
-        image = self.image
-        for leader in islice(image.leaders, self.n_stubbed, None):
-            self.table[leader] = self.ns[f"_b{leader}"] = self._stub(leader)
-        self.n_stubbed = len(image.leaders)
-        self.entries.extend([0] * (image.n_regions - len(self.entries)))
-        self.exits.extend([0] * (image.n_sites - len(self.exits)))
-
-    def _stub(self, leader):
-        def stub():
-            return self.install(leader)()
-        return stub
-
-    def install(self, leader):
-        """Put region ``leader``'s function in the table and namespace."""
-        code = self.image.translate(leader)
-        self._sync()
-        fn = FunctionType(code, self.ns)(self.binds)
-        self.table[leader] = self.ns[f"_b{leader}"] = fn
-        return fn
-
-    def reset(self):
-        """Restore pristine architectural and counter state in place."""
-        self.regs[:] = (0,) * 16
-        self.regs[13] = STACK_TOP
-        self.regs[14] = HALT
-        self.S[:] = ((0, 0, 4), 0, -1, 0, -1)
-        del self.output[:]
-        del self.log[:]
-        z = self._zeros
-        for arr in (self.hz, self.ms, self.tk, self.mc):
-            arr[:] = z
-        self.entries[:] = (0,) * len(self.entries)
-        self.exits[:] = (0,) * len(self.exits)
-        self.memory.data[:] = _ZERO_MEM
-
-
 def get_image(linked, narrow_rf, spec_mask) -> CompiledImage:
     """Build (or fetch the cached) image of a linked program."""
     cache = getattr(linked, "_compiled_cache", None)
@@ -1087,36 +1060,20 @@ def run_compiled(machine):
     both :meth:`Machine._run_legacy` and
     :func:`repro.arch.predecode.run_fast` —
     ``tests/test_engine_equivalence.py`` asserts this differentially.
+    :meth:`Machine.resolve_engine` sends fault-injected, traced and
+    checkpointed runs elsewhere; the one fallback decided here is the
+    deoptimization below.
     """
-    from repro.arch.machine import MachineError
-
-    if machine.trace_hook is not None:
-        raise ValueError("trace_hook requires the legacy path")
-    if machine.faults is not None:
-        # a live FaultSession must observe every architectural step:
-        # degrade the whole run to the per-step engine (bit-identical)
-        return run_fast(machine)
-
     linked = machine.linked
-    narrow_rf = machine.narrow_rf
-    spec_mask = slice_mask(machine.slice_width)
-    code, effects = predecode(linked, narrow_rf)
-    image = get_image(linked, narrow_rf, spec_mask)
+    image = get_image(linked, machine.narrow_rf,
+                      slice_mask(machine.slice_width))
     n = image.n_insts
-
-    # Reuse (or build) the image's runtime: its installed region closures
-    # permanently bind its arrays, so the same instance serves every run
-    # after an in-place reset.
-    rt = image.runtime
-    if rt is None:
-        image.runtime = rt = _Runtime(image)
-    rt.reset()
-    memory = rt.memory
-    initialize_globals(memory, machine.module, linked.global_addresses)
-    # shared mutable slots: cmp state, carry, pending load-use reg, steps,
-    # icache shadow last-line
-    S = rt.S
-    table = rt.table
+    # the installed region closures permanently bind the image's arrays,
+    # so every run reuses them after an in-place reset
+    image.reset()
+    initialize_globals(image.memory, machine.module, linked.global_addresses)
+    S = image.S
+    table = image.table
 
     # Each region returns either the *next region's function* (statically
     # known transfers — branches, calls, misspec redirects, fallthroughs)
@@ -1154,10 +1111,10 @@ def run_compiled(machine):
 
     # The per-pc arrays and the log outlive this call in the ArchRun (and,
     # with obs on, in the returned PcSample): copy them out of the
-    # runtime, which the next run resets in place.
-    entries, exits = rt.entries, rt.exits
-    hazard_pc, misspec_pc = list(rt.hz), list(rt.ms)
-    taken_pc, movcond_pc = list(rt.tk), list(rt.mc)
+    # image, which the next run resets in place.
+    entries, exits = image.entries, image.exits
+    hazard_pc, misspec_pc = list(image.hz), list(image.ms)
+    taken_pc, movcond_pc = list(image.tk), list(image.mc)
     exec_counts = [0] * n
 
     # reconstruct per-pc execution counts and static hazards from the
@@ -1194,25 +1151,14 @@ def run_compiled(machine):
             if r > 0:
                 hazard_pc[pcs[hoff]] += r
 
-    log = rt.log[:]
-    output = list(rt.output)
-    regs = list(rt.regs)
-    fetches = S[3]
-    machine.arch_run = ArchRun(
-        machine, (exec_counts, hazard_pc, misspec_pc, taken_pc,
-                  movcond_pc, log), output, regs, fetches,
+    run = ArchRun(
+        machine, (exec_counts, hazard_pc, misspec_pc, taken_pc, movcond_pc,
+                  image.log[:]), list(image.output), list(image.regs), S[3],
     )
-    ic_l2_pc, ic_mem_pc, d_l2_pc, d_mem_pc = ([0] * n for _ in range(4))
-    replay(MemoryHierarchy(machine.geometry), log, fetches, image.inst_bytes,
-           ic_l2_pc, ic_mem_pc, d_l2_pc, d_mem_pc)
-    # the result's memory image must not alias runtime state — it is
-    # caller-visible and the runtime is reset in place
-    result_memory = FlatMemory.__new__(FlatMemory)
-    result_memory.size = memory.size
-    result_memory.data = bytearray(memory.data)
-    return fold_result(
-        machine, narrow_rf, code, effects, exec_counts,
-        ic_l2_pc, ic_mem_pc, d_l2_pc, d_mem_pc,
-        hazard_pc, misspec_pc, taken_pc, movcond_pc,
-        output, result_memory, regs, None,
-    )
+    machine.arch_run = run
+    # the result's memory image must not alias the image's — it is
+    # caller-visible and reset in place by the next run
+    memory = FlatMemory.__new__(FlatMemory)
+    memory.size = image.memory.size
+    memory.data = bytearray(image.memory.data)
+    return run.fold(machine.geometry, memory=memory)

@@ -201,8 +201,8 @@ def parse_engine_list(spec: str) -> tuple:
 class Machine:
     """Executes a :class:`LinkedProgram`.
 
-    Three execution engines produce bit-identical results (the contract
-    is documented in docs/engines.md and enforced differentially by
+    Four execution engines share one architectural contract (documented
+    in docs/engines.md and enforced differentially by
     ``tests/test_engine_equivalence.py``):
 
     * the *fast path* (default): the program is predecoded once into dense
@@ -210,26 +210,21 @@ class Machine:
       (:mod:`repro.arch.predecode`);
     * the *compiled engine*: a block-specialized template JIT that
       translates the predecoded program into straight-line Python per
-      basic-block region (:mod:`repro.arch.compiled`); select it with
-      ``engine="compiled"`` or ``REPRO_MACHINE_ENGINE=compiled``;
+      basic-block region (:mod:`repro.arch.compiled`);
     * the *legacy path*: the original instruction-at-a-time interpreter,
-      kept as the differential-testing reference and used automatically
-      when a ``trace_hook`` needs per-step callbacks;
+      kept as the differential-testing reference and the only engine
+      that calls a ``trace_hook`` before every step;
     * the *ooo engine*: an R10K-style out-of-order core model
       (:mod:`repro.arch.ooo`) — bit-identical in the committed
       architectural contract (:data:`COMMITTED_FIELDS`) but with its own
-      cycle count and energy events; select it with ``engine="ooo"`` or
-      ``REPRO_MACHINE_ENGINE=ooo``.
+      cycle count and energy events.
 
-    Engine selection precedence: an explicit ``engine=`` argument, then
-    the ``REPRO_MACHINE_ENGINE`` environment variable, then the default:
-    the fast path, or the legacy path when a trace hook is installed.
+    The three in-order engines are bit-identical in every field.  Which
+    one runs is decided here and nowhere else: :meth:`resolve_engine`
+    and :meth:`run` apply the ladder docs/engines.md tabulates.
 
     ``obs=True`` attaches a per-pc event sample to ``SimResult.obs`` for
-    :mod:`repro.obs`.  Observability is a fast-path feature: the sample
-    is the loop's own batched per-pc counters, so it forces the fast
-    engine rather than falling back to the legacy interpreter (the two
-    engines are bit-identical, so this never changes results).
+    :mod:`repro.obs`: the batching engines' own per-pc counters.
     """
 
     def __init__(
@@ -247,8 +242,10 @@ class Machine:
         self.linked = linked
         self.module = module
         self.step_limit = step_limit
-        #: optional :class:`repro.faults.session.FaultSession`; both
-        #: engines consult it behind one ``is not None`` guard per step
+        #: optional :class:`repro.faults.session.FaultSession`; the
+        #: stepping engines (legacy, fast) consult it behind one
+        #: ``is not None`` guard per step, ``ooo`` only when it is
+        #: ``ooo_native`` (:meth:`resolve_engine`)
         self.faults = faults
         self.narrow_rf = linked.isa == "ARM_BS"
         #: speculative slice width in bits, stamped on the linked image
@@ -268,23 +265,42 @@ class Machine:
         #: explicit engine selection ("legacy" / "fast" / "compiled" /
         #: "ooo"); None resolves at run() time (env var, obs, trace_hook)
         self.engine = engine
-        #: the fast engine's last whole run before cache replay
+        #: the last whole fast or compiled run before cache replay
         #: (:class:`repro.arch.predecode.ArchRun`): ``arch_run.fold(g)``
         #: re-scores it under cache geometry ``g`` without re-executing
         self.arch_run = None
 
     def resolve_engine(self) -> str:
-        """The engine :meth:`run` will use, after all defaulting rules."""
-        if self.engine is not None:
-            return self.engine
-        env = _env_engine()
-        if self.obs:
-            # obs is a batching-path feature; the env default cannot
-            # force an engine that cannot produce a PcSample
-            return "fast" if env in ("", "legacy", "ooo") else env
-        if self.trace_hook is not None and not env:
-            return "legacy"
-        return env or "fast"
+        """The engine :meth:`run` will use, by the ladder in
+        docs/engines.md; :meth:`run` adds the checkpoint rung and
+        rejects a ``trace_hook`` or ``obs`` the chosen engine lacks.
+
+        1. an explicit ``engine=``, then ``REPRO_MACHINE_ENGINE``, then
+           ``fast`` (``legacy`` when a trace hook is installed); with
+           ``obs=True`` an env ``legacy``/``ooo`` reads as ``fast``,
+           since neither loop produces a per-pc sample;
+        2. a fault session must observe every step: ``compiled`` runs
+           ``fast``, and so does ``ooo`` unless the session is one of
+           its native recovery kinds (``ooo_native``);
+        3. ``ooo`` with ``obs=True`` and no fault session runs ``fast``.
+        """
+        engine = self.engine
+        if engine is None:
+            env = _env_engine()
+            if self.obs:
+                engine = "fast" if env in ("", "legacy", "ooo") else env
+            elif self.trace_hook is not None and not env:
+                engine = "legacy"
+            else:
+                engine = env or "fast"
+        fx = self.faults
+        if engine == "compiled" and fx is not None:
+            return "fast"
+        if engine == "ooo" and (
+            self.obs if fx is None else not getattr(fx, "ooo_native", False)
+        ):
+            return "fast"
+        return engine
 
     def run(self, *, checkpoint_at=None, resume_from=None) -> SimResult:
         """Execute the program; returns a :class:`SimResult`.
@@ -310,25 +326,18 @@ class Machine:
             if checkpoint_at is not None and checkpoint_at < 0:
                 raise ValueError("checkpoint_at must be >= 0")
             if engine in ("compiled", "ooo"):
-                # degradation ladder: the batching/OoO engines cannot
-                # stop at an instruction boundary; the predecoded
-                # stepper is bit-identical in the committed contract
                 engine = "fast"
+        if self.trace_hook is not None and engine != "legacy":
+            raise ValueError("trace_hook requires the legacy path")
         if engine == "compiled":
-            if self.trace_hook is not None:
-                raise ValueError("trace_hook requires the legacy path")
             from repro.arch.compiled import run_compiled
 
             return run_compiled(self)
         if engine == "ooo":
-            if self.trace_hook is not None:
-                raise ValueError("trace_hook requires the legacy path")
             from repro.arch.ooo import run_ooo
 
             return run_ooo(self)
         if engine == "fast":
-            if self.trace_hook is not None:
-                raise ValueError("trace_hook requires the legacy path")
             from repro.arch.predecode import run_fast
 
             return run_fast(

@@ -56,9 +56,9 @@ bookkeeping (checkpoints, recoveries by mechanism, wrong-path uops).
 Fault hooks: the engine consults a fault session only at recovery time
 (:meth:`repro.faults.session.FaultSession.recovery_action`) for the two
 OoO-native kinds — rename-checkpoint corruption and flush suppression.
-Any other fault kind (and any ``obs=True`` run) degrades to the
-predecoded stepper, exactly as the compiled engine does, so the generic
-campaign classification stays engine-invariant.
+:meth:`repro.arch.machine.Machine.resolve_engine` sends any other fault
+kind (and an ``obs=True`` run without one) to the predecoded stepper, so
+the generic campaign classification stays engine-invariant.
 """
 
 from __future__ import annotations
@@ -159,20 +159,11 @@ class OooStats:
 def run_ooo(machine) -> SimResult:
     """Execute ``machine``'s program on the out-of-order model.
 
-    Degrades to the predecoded stepper for ``obs=True`` runs and for any
-    fault session the OoO model does not natively implement — identical
-    committed state either way (docs/engines.md).
+    :meth:`Machine.resolve_engine` hands ``obs=True`` runs and fault
+    sessions the OoO model does not natively implement to the predecoded
+    stepper; a session reaching this loop is ``ooo_native``.
     """
     fx = machine.faults
-    if fx is not None and not getattr(fx, "ooo_native", False):
-        from repro.arch.predecode import run_fast
-
-        return run_fast(machine)
-    if fx is None and machine.obs:
-        from repro.arch.predecode import run_fast
-
-        return run_fast(machine)
-
     params = ooo_params()
     ROB = params.rob
     IQ = params.iq

@@ -445,8 +445,7 @@ def run_fast(machine, checkpoint_at=None, resume_from=None) -> "SimResult":
     from repro.arch.machine import MachineError
 
     linked = machine.linked
-    narrow_rf = machine.narrow_rf
-    code, effects = predecode(linked, narrow_rf)
+    code = predecode(linked, machine.narrow_rf)[0]
     n_insts = len(code)
     delta = linked.delta
     inst_bytes = linked.inst_bytes
@@ -976,20 +975,14 @@ def run_fast(machine, checkpoint_at=None, resume_from=None) -> "SimResult":
             raise MachineError(f"{t[2]} at {pc}")
         pc = next_pc
 
-    fetches = steps - log_from - skipped
-    if resume_from is None:
-        machine.arch_run = ArchRun(
-            machine, (exec_counts, hazard_pc, misspec_pc, taken_pc,
-                      movcond_pc, log), output, regs, fetches,
-        )
-    replay(hierarchy, log, fetches, inst_bytes,
-           ic_l2_pc, ic_mem_pc, d_l2_pc, d_mem_pc)
-    return fold_result(
-        machine, narrow_rf, code, effects, exec_counts,
-        ic_l2_pc, ic_mem_pc, d_l2_pc, d_mem_pc,
-        hazard_pc, misspec_pc, taken_pc, movcond_pc,
-        output, memory, regs, fx,
+    run = ArchRun(
+        machine, (exec_counts, hazard_pc, misspec_pc, taken_pc, movcond_pc,
+                  log), output, regs, steps - log_from - skipped,
     )
+    if resume_from is None:
+        machine.arch_run = run
+    return run.fold(machine.geometry, memory=memory, hierarchy=hierarchy,
+                    served=(ic_l2_pc, ic_mem_pc, d_l2_pc, d_mem_pc))
 
 
 def _pc_bits(n_insts: int) -> int:
@@ -1095,14 +1088,15 @@ def replay(hierarchy, log, fetches, inst_bytes,
 
 
 class ArchRun:
-    """One whole :func:`run_fast` execution with its cache traffic unscored.
+    """One fast or compiled execution with its cache traffic unscored.
 
     Everything here is independent of cache geometry: the per-pc event
     arrays, the output and registers, and the L1 access log.  :meth:`fold`
     replays the log under any geometry and folds a :class:`SimResult`
-    bit-identical to simulating the program under that geometry.  The
-    memory image is deliberately not kept: a folded result has
-    ``memory=None``.  Nor is the machine: it holds this run on
+    bit-identical to simulating the program under that geometry; both
+    engines end their own runs with it.  The memory image is
+    deliberately not kept: a re-scored result has ``memory=None``.  Nor
+    is the machine: it holds this run on
     ``Machine.arch_run``, and a reference back would make every fast
     run a reference cycle that only the garbage collector frees.
     """
@@ -1133,60 +1127,63 @@ class ArchRun:
             self._packed = b"".join(chunks)
             self._events = None
 
-    def fold(self, geometry=None) -> "SimResult":
-        """The run's :class:`SimResult` under cache ``geometry``."""
+    def fold(self, geometry=None, *, memory=None, hierarchy=None,
+             served=None) -> "SimResult":
+        """The run's :class:`SimResult` under cache ``geometry``.
+
+        The engine folding its own run passes what the log cannot
+        rebuild: the final ``memory`` image and, after a resume, the
+        restored ``hierarchy`` and the per-pc cache-level arrays
+        (``served``: icache L2/DRAM, dcache L2/DRAM) it has been filling.
+        """
         from repro.arch.machine import Machine
 
         linked = self.linked
         machine = Machine(linked, self.module, obs=self.obs,
                           geometry=geometry, faults=self.faults)
-        code, effects = predecode(linked, machine.narrow_rf)
-        n_insts = len(code)
+        n_insts = len(linked.insts)
         if self._packed is None:
-            exec_counts, hazard_pc, misspec_pc, taken_pc, movcond_pc, log = (
-                self._events
-            )
+            events = self._events
         else:
             flat = array("q", zlib.decompress(self._packed))
-            exec_counts, hazard_pc, misspec_pc, taken_pc, movcond_pc = (
-                flat[i * n_insts:(i + 1) * n_insts].tolist() for i in range(5)
-            )
-            log = flat[5 * n_insts:]
-        ic_l2_pc, ic_mem_pc, d_l2_pc, d_mem_pc = (
-            [0] * n_insts for _ in range(4)
-        )
-        replay(MemoryHierarchy(geometry), log, self.fetches,
-               linked.inst_bytes, ic_l2_pc, ic_mem_pc, d_l2_pc, d_mem_pc)
-        return fold_result(
-            machine, machine.narrow_rf, code, effects, exec_counts,
-            ic_l2_pc, ic_mem_pc, d_l2_pc, d_mem_pc,
-            hazard_pc, misspec_pc, taken_pc, movcond_pc,
-            self.output, None, self.regs, self.faults,
-        )
+            events = [flat[i * n_insts:(i + 1) * n_insts].tolist()
+                      for i in range(5)]
+            events.append(flat[5 * n_insts:])
+        if served is None:
+            served = [[0] * n_insts for _ in range(4)]
+        if hierarchy is None:
+            hierarchy = MemoryHierarchy(geometry)
+        return fold_result(machine, self, events, served, hierarchy, memory)
 
 
-def fold_result(
-    machine, narrow_rf, code, effects, exec_counts,
-    ic_l2_pc, ic_mem_pc, d_l2_pc, d_mem_pc,
-    hazard_pc, misspec_pc, taken_pc, movcond_pc,
-    output, memory, regs, fx,
-):
-    """Fold static effects and per-pc dynamic events into a SimResult.
+def fold_result(machine, run, events, served, hierarchy, memory):
+    """Replay ``run``'s access log and fold its events into a SimResult.
 
-    Everything below is derived from (exec count, per-pc event arrays)
-    and must stay bit-identical to the legacy interpreter.  The per-pc
-    form of the same derivation lives in :func:`pc_counters`; the
-    conservation tests in tests/test_obs.py pin the two together.
+    ``events`` are ``run``'s per-pc arrays and log (unpacked).  The log
+    is replayed through ``hierarchy`` into the four ``served`` per-pc
+    cache-level arrays; then static effects and per-pc dynamic events
+    are folded.  Everything below is derived from (exec count, per-pc
+    event arrays) and must stay bit-identical to the legacy interpreter.
+    The per-pc form of the same derivation lives in :func:`pc_counters`;
+    the conservation tests in tests/test_obs.py pin the two together.
 
-    Shared by the predecoded stepper (:func:`run_fast`) and the compiled
-    engine (:mod:`repro.arch.compiled`): both record the same nine per-pc
-    arrays, so aggregation is literally the same code path and cannot
-    drift between engines.
+    Reached only through :meth:`ArchRun.fold`, by the predecoded stepper
+    (:func:`run_fast`), the compiled engine (:mod:`repro.arch.compiled`)
+    and every geometry re-score: they record the same nine per-pc arrays
+    and one log, so replay and aggregation are literally one code path.
     """
     from repro.arch.machine import SimResult
 
-    delta = machine.linked.delta
-    result = SimResult(output=output, slice_width=machine.slice_width)
+    exec_counts, hazard_pc, misspec_pc, taken_pc, movcond_pc, log = events
+    ic_l2_pc, ic_mem_pc, d_l2_pc, d_mem_pc = served
+    linked = machine.linked
+    narrow_rf = machine.narrow_rf
+    code, effects = predecode(linked, narrow_rf)
+    replay(hierarchy, log, run.fetches, linked.inst_bytes,
+           ic_l2_pc, ic_mem_pc, d_l2_pc, d_mem_pc)
+    fx = machine.faults
+    delta = linked.delta
+    result = SimResult(output=run.output, slice_width=machine.slice_width)
     counters = result.counters
 
     totals = [0] * N_STATIC
@@ -1286,7 +1283,7 @@ def fold_result(
         "branch": totals[K_BRANCH],
     }
     result.memory = memory
-    result.return_value = regs[0]
+    result.return_value = run.regs[0]
 
     if machine.obs:
         from repro.obs.events import PcSample

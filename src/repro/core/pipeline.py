@@ -295,17 +295,13 @@ class CompiledBinary:
         """Simulate on the architecture model with the given inputs.
 
         ``obs=True`` attaches a per-pc :class:`repro.obs.events.PcSample`
-        to ``SimResult.obs``.  The sample comes from the batching
-        engines' own per-pc counters, so obs selects the fast engine
-        (never a ``_run_legacy`` fallback — the engines are bit-identical,
-        so ``REPRO_MACHINE_ENGINE`` is ignored for obs runs) unless an
-        explicit ``engine`` says otherwise.
+        to ``SimResult.obs``.
 
         ``engine`` picks the execution engine ("legacy" / "fast" /
-        "compiled" / "ooo"); None defers to ``REPRO_MACHINE_ENGINE`` and
-        the historical defaults.  The in-order engines produce
-        bit-identical results; "ooo" is held to their committed view
-        (docs/engines.md).
+        "compiled" / "ooo"); :meth:`Machine.resolve_engine` settles the
+        rest (``REPRO_MACHINE_ENGINE``, ``obs``, ``faults``).  The
+        in-order engines produce bit-identical results; "ooo" is held to
+        their committed view (docs/engines.md).
 
         The result holds event counts only, whatever the config's energy
         knobs: DTS energy is ``self.config.dts_model().apply(result)``.
@@ -338,8 +334,7 @@ class CompiledBinary:
         if step_limit is not None:
             kwargs["step_limit"] = step_limit
         return Machine(
-            self.linked, self.module, obs=obs,
-            engine="fast" if (obs and engine is None) else engine,
+            self.linked, self.module, obs=obs, engine=engine,
             geometry=self.config.cache_geometry(), faults=faults, **kwargs,
         )
 

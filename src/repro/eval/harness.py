@@ -346,14 +346,6 @@ BENCHMARKS = (
 )
 
 
-def baseline_config(**kw) -> CompilerConfig:
-    return CompilerConfig.baseline(**kw)
-
-
-def bitspec_config(heuristic: str = "max", **kw) -> CompilerConfig:
-    return CompilerConfig.bitspec(heuristic, **kw)
-
-
 def geomean(values) -> float:
     import math
 

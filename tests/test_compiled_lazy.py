@@ -2,14 +2,14 @@
 
 :func:`repro.arch.compiled._build_image` only predecodes the program and
 finds its static region entries; each region is emitted and compiled
-when the runtime's dispatcher first calls its stub.  An image has one
-runtime, whatever the cache geometry: the regions only log the L1
-access stream, and each run replays it under its own geometry.  These
-tests pin the three properties that design rests on: a run translates
-exactly the regions it enters and a warm run translates nothing; runs
-under any geometry share the one runtime, whose counter arrays grow in
-place as later runs translate more regions; and a transfer that finds
-no region entry deoptimizes to the per-step engine, bit-identically.
+when the dispatcher first calls its stub.  The image holds the run
+state, whatever the cache geometry: the regions only log the L1 access
+stream, and each run replays it under its own geometry.  These tests
+pin the three properties that design rests on: a run translates exactly
+the regions it enters and a warm run translates nothing; runs under any
+geometry share the one image, whose counter arrays grow in place as
+later runs translate more regions; and a transfer that finds no region
+entry deoptimizes to the per-step engine, bit-identically.
 """
 
 import re
@@ -29,7 +29,7 @@ from test_machine_predecode import assert_sims_identical
 
 WORKLOAD = "susan-edges"
 
-#: a second cache geometry; its runs share the image's one runtime
+#: a second cache geometry; its runs share the one image
 SMALL_L1 = CacheGeometry(l1_kb=4, l1_ways=2)
 
 _EXIT_NAME = re.compile(r"_b\d+$")
@@ -82,7 +82,7 @@ def test_translates_only_entered_regions(binary, monkeypatch):
     machine = _machine(binary, 0)
     first = machine.run()
     image = _image(machine)
-    rt = image.runtime
+    rt = image
 
     entered = {pcs[0] for idx, pcs, _hz, _sites in image.fold_regions
                if rt.entries[idx]}
@@ -113,7 +113,7 @@ def test_geometries_share_one_runtime(binary, monkeypatch):
             (None, 1, True))
     calls = _counting_compile(monkeypatch)
     translated = []
-    runtimes = []
+    images = []
     for geometry, seed, obs in plan:
         machine = _machine(binary, seed, geometry=geometry, obs=obs)
         sim = machine.run()
@@ -122,8 +122,7 @@ def test_geometries_share_one_runtime(binary, monkeypatch):
         assert_sims_identical(sim, ref, label)
         image = _image(machine)
         translated.append(len(image.regions))
-        runtimes.append((image.runtime, image.runtime.entries,
-                         image.runtime.exits))
+        images.append((image, image.entries, image.exits))
         if obs:
             from repro.obs.attribution import attribute, check_conservation
 
@@ -131,11 +130,11 @@ def test_geometries_share_one_runtime(binary, monkeypatch):
 
     assert translated[0] < translated[1]
     assert len(calls) == translated[-1] == translated[1]
-    # one runtime, whose counter arrays the region closures bind by
+    # one image, whose counter arrays the region closures bind by
     # identity: they grew in place to the image's counts
-    rt = image.runtime
-    for runtime, entries, exits in runtimes:
-        assert runtime is rt and entries is rt.entries and exits is rt.exits
+    rt = image
+    for seen, entries, exits in images:
+        assert seen is rt and entries is rt.entries and exits is rt.exits
     assert len(rt.entries) == image.n_regions
     assert len(rt.exits) == image.n_sites
     # the last run entered the regions the small-L1 run translated,
@@ -153,7 +152,11 @@ def test_missing_region_entry_deoptimizes(binary, monkeypatch):
     # pc, find no table entry, and the run replays on the per-step engine
     monkeypatch.delattr(binary.linked, "_compiled_cache")
     machine = _machine(binary, 0)
-    del _image(machine).leaders[dropped]
+    full = _image(machine)
+    binary.linked._compiled_cache[
+        (machine.narrow_rf, slice_mask(machine.slice_width))
+    ] = compiled.CompiledImage(full.code, full.leaders - {dropped},
+                               full.inst_bytes, full.delta, full.spec_mask)
     deopts = []
     run_fast = compiled.run_fast
 

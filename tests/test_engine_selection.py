@@ -1,8 +1,13 @@
-"""Negative paths of the engine-selection surfaces.
+"""Engine selection: the validators and the one engine ladder.
 
 ``parse_engine_list`` is the shared validator behind the pytest
 ``--engines`` option: a typo'd or empty selection must abort loudly (a
 silently-deselected engine matrix would pass CI while testing nothing).
+
+:meth:`Machine.resolve_engine` and :meth:`Machine.run` are the only
+place an engine is chosen (docs/engines.md, "The engine ladder").  The
+table below drives every rung through both, and reads which engine
+actually ran off the machine state each one leaves behind.
 """
 
 import subprocess
@@ -11,7 +16,11 @@ from pathlib import Path
 
 import pytest
 
-from repro.arch.machine import ENGINES, parse_engine_list
+from repro.arch.checkpoint import Snapshot
+from repro.arch.machine import ENGINES, Machine, parse_engine_list
+from repro.core.pipeline import CompilerConfig, compile_binary, set_global_inputs
+from repro.faults.plan import FaultPlan
+from repro.faults.session import FaultSession
 
 REPO = Path(__file__).resolve().parent.parent
 
@@ -61,3 +70,141 @@ def test_pytest_engines_option_rejects_unknown_engine_up_front():
     # pytest exits with EXIT_USAGEERROR (4) on UsageError
     assert proc.returncode == 4, proc.stdout + proc.stderr
     assert "unknown engines" in proc.stderr
+
+
+# -- the engine ladder ---------------------------------------------------------
+
+LOOP = """
+u32 n;
+u32 acc;
+void main() {
+    u32 i = 0;
+    while (i < n) { acc += i; i += 1; }
+    out(acc);
+}
+"""
+
+
+def _hook(pc, regs):
+    pass
+
+
+#: a step-kind session: the OoO model does not run it natively
+STEP = "step"
+#: a recovery-kind session that never fires: the OoO model runs it natively
+NATIVE = "native"
+
+_TRACE = "trace_hook requires the legacy path"
+_OBS = "obs=True requires the predecoded fast path"
+_SPLIT = "does not compose with fault"
+
+#: (requested engine, REPRO_MACHINE_ENGINE, obs, trace_hook, fault session,
+#:  checkpoint) -> (resolve_engine(), engine that ran or the error raised)
+LADDER = [
+    # explicit engine, then env, then default
+    ((None, "", False, False, None, False), ("fast", "fast")),
+    ((None, "compiled", False, False, None, False), ("compiled", "compiled")),
+    ((None, "ooo", False, False, None, False), ("ooo", "ooo")),
+    (("legacy", "compiled", False, False, None, False), ("legacy", "legacy")),
+    (("compiled", "legacy", False, False, None, False),
+     ("compiled", "compiled")),
+    # trace_hook: legacy by default, an error on every other engine
+    ((None, "", False, True, None, False), ("legacy", "legacy")),
+    ((None, "compiled", False, True, None, False), ("compiled", _TRACE)),
+    (("fast", "", False, True, None, False), ("fast", _TRACE)),
+    (("ooo", "", False, True, None, False), ("ooo", _TRACE)),
+    ((None, "", True, True, None, False), ("fast", _TRACE)),
+    # obs: an env legacy/ooo reads as fast, compiled keeps its sample
+    ((None, "", True, False, None, False), ("fast", "fast")),
+    ((None, "legacy", True, False, None, False), ("fast", "fast")),
+    ((None, "ooo", True, False, None, False), ("fast", "fast")),
+    ((None, "compiled", True, False, None, False), ("compiled", "compiled")),
+    (("ooo", "", True, False, None, False), ("fast", "fast")),
+    (("legacy", "", True, False, None, False), ("legacy", _OBS)),
+    # fault sessions step on fast, except the OoO model's native kinds
+    (("compiled", "", False, False, STEP, False), ("fast", "fast")),
+    ((None, "compiled", False, False, STEP, False), ("fast", "fast")),
+    (("ooo", "", False, False, STEP, False), ("fast", "fast")),
+    (("ooo", "", False, False, NATIVE, False), ("ooo", "ooo")),
+    (("ooo", "", True, False, NATIVE, False), ("ooo", "ooo")),
+    (("compiled", "", False, False, NATIVE, False), ("fast", "fast")),
+    (("legacy", "", False, False, STEP, False), ("legacy", "legacy")),
+    # checkpoints stop on a stepping engine, never beside a fault session
+    ((None, "", False, False, None, True), ("fast", "fast")),
+    (("compiled", "", False, False, None, True), ("compiled", "fast")),
+    ((None, "ooo", False, False, None, True), ("ooo", "fast")),
+    (("legacy", "", False, False, None, True), ("legacy", "legacy")),
+    (("fast", "", False, False, STEP, True), ("fast", _SPLIT)),
+]
+
+
+@pytest.fixture(scope="module")
+def loop_binary():
+    binary = compile_binary(LOOP, CompilerConfig.bitspec("max"),
+                            profile_inputs={"n": 40})
+    set_global_inputs(binary.module, {"n": 40})
+    return binary
+
+
+def _session(kind):
+    if kind == STEP:
+        return FaultSession(FaultPlan("dts_timing", 0, trigger_step=1))
+    if kind == NATIVE:
+        return FaultSession(FaultPlan("ooo_flush_drop", 0, nth_event=10**9))
+    return None
+
+
+def _engine_ran(machine, result):
+    """Which engine produced ``result``, from the state it left behind."""
+    if isinstance(result, Snapshot):
+        return result.engine
+    if result.ooo is not None:
+        return "ooo"
+    if machine.arch_run is None:
+        return "legacy"
+    # only the compiled engine builds (and caches) a compiled image
+    compiled = getattr(machine.linked, "_compiled_cache", None)
+    return "compiled" if compiled else "fast"
+
+
+@pytest.mark.parametrize(
+    "row, expected", LADDER,
+    ids=["-".join(str(a) for a in row) for row, _ in LADDER],
+)
+def test_engine_ladder(loop_binary, monkeypatch, row, expected):
+    engine, env, obs, hook, faults, checkpoint = row
+    resolved, ran = expected
+    monkeypatch.setenv("REPRO_MACHINE_ENGINE", env)
+    monkeypatch.delattr(loop_binary.linked, "_compiled_cache", raising=False)
+    machine = Machine(
+        loop_binary.linked, loop_binary.module, engine=engine, obs=obs,
+        trace_hook=_hook if hook else None, faults=_session(faults),
+    )
+    assert machine.resolve_engine() == resolved
+    run_kwargs = {"checkpoint_at": 5} if checkpoint else {}
+    if ran not in ENGINES:
+        with pytest.raises(ValueError, match=ran):
+            machine.run(**run_kwargs)
+        return
+    result = machine.run(**run_kwargs)
+    assert _engine_ran(machine, result) == ran
+    if checkpoint:
+        assert isinstance(result, Snapshot)
+    elif obs and ran != "ooo":
+        assert result.obs is not None
+
+
+def test_obs_env_engine_agrees_across_entry_points(loop_binary, monkeypatch):
+    """``CompiledBinary.machine`` leaves the choice to the Machine: with
+    ``REPRO_MACHINE_ENGINE=compiled`` an obs run compiles either way."""
+    monkeypatch.setenv("REPRO_MACHINE_ENGINE", "compiled")
+    for machine in (
+        loop_binary.machine(obs=True),
+        Machine(loop_binary.linked, loop_binary.module, obs=True),
+    ):
+        monkeypatch.delattr(loop_binary.linked, "_compiled_cache",
+                            raising=False)
+        assert machine.resolve_engine() == "compiled"
+        sim = machine.run()
+        assert _engine_ran(machine, sim) == "compiled"
+        assert sim.obs is not None
