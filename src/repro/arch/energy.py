@@ -84,30 +84,6 @@ class EnergyCounters:
     iq_wakeups: int = 0
     ckpt_ops: int = 0
 
-    def merge(self, other: "EnergyCounters") -> None:
-        self.icache_l1 += other.icache_l1
-        self.icache_l2 += other.icache_l2
-        self.icache_mem += other.icache_mem
-        self.dcache_l1 += other.dcache_l1
-        self.dcache_l2 += other.dcache_l2
-        self.dcache_mem += other.dcache_mem
-        for width in (1, 2, 4):
-            self.rf_reads_by_width[width] += other.rf_reads_by_width[width]
-            self.rf_writes_by_width[width] += other.rf_writes_by_width[width]
-        self.alu32_ops += other.alu32_ops
-        self.alu8_ops += other.alu8_ops
-        self.mul_ops += other.mul_ops
-        self.div_ops += other.div_ops
-        self.move_ops += other.move_ops
-        self.cycles += other.cycles
-        self.rename_reads += other.rename_reads
-        self.rename_writes += other.rename_writes
-        self.rob_writes += other.rob_writes
-        self.rob_reads += other.rob_reads
-        self.iq_writes += other.iq_writes
-        self.iq_wakeups += other.iq_wakeups
-        self.ckpt_ops += other.ckpt_ops
-
 
 @dataclass
 class EnergyBreakdown:

@@ -256,7 +256,7 @@ class Machine:
         self.geometry = geometry
         #: optional debug callback: trace_hook(pc, regs) before each step
         self.trace_hook = trace_hook
-        #: collect a per-pc PcSample on SimResult.obs (fast path only)
+        #: collect a per-pc PcSample on SimResult.obs (fast or compiled only)
         self.obs = obs
         if engine is not None and engine not in ENGINES:
             raise ValueError(

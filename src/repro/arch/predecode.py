@@ -37,20 +37,23 @@ Observability rides the same batching (:mod:`repro.obs`): the loop keeps
 *per-pc* arrays for the genuinely dynamic events (load-use hazards,
 misspeculations, taken conditional branches, conditional-move commits)
 and the replay adds the per-pc cache misses, each bumped only when the
-event actually occurs.  The fold then *derives* the common-case counters
-(L1 hits, slice writes of successful ``bs_*`` ops, stall cycles) from
-``exec − events`` instead of bumping them per step — so attribution data
-is a free by-product of the fast path.  When ``Machine.obs`` is set, the
-arrays are handed to the caller as a :class:`repro.obs.events.PcSample`
-on ``SimResult.obs``.
+event actually occurs.  The fold gathers the arrays into a
+:class:`PcSample` and *derives* the common-case counters (L1 hits, slice
+writes of successful ``bs_*`` ops, stall cycles) from ``exec − events``
+in :func:`tally_pcs` instead of bumping them per step.  Attribution calls
+the same function per group of pcs, so its data is a free by-product of
+the fast path.  When ``Machine.obs`` is set, the sample is handed to the
+caller on ``SimResult.obs``.
 """
 
 from __future__ import annotations
 
 import zlib
 from array import array
+from dataclasses import dataclass, field
 
 from repro.arch.cache import L1_LINE_SHIFT, MemoryHierarchy
+from repro.arch.energy import EnergyCounters
 from repro.arch.machine import HALT, _DIV_OPS
 from repro.arch.widths import BYTE_MASKS as _MASKS, slice_mask
 from repro.backend.mir import Imm, Slice
@@ -1087,6 +1090,36 @@ def replay(hierarchy, log, fetches, inst_bytes,
     hierarchy.dram_accesses += dram
 
 
+@dataclass
+class PcSample:
+    """Per-pc dynamic event counts from one fast or compiled run.
+
+    Parallel arrays indexed by pc over the full image (code + skeleton).
+    ``exec_counts[pc]`` is the number of dynamic executions; the other
+    arrays count the rare events.  Common-case counters (L1 hits,
+    successful speculative writes, stall cycles) are *derived* — see
+    :func:`tally_pcs`.  :func:`fold_result` builds one for every run and
+    keeps it on ``SimResult.obs`` for an obs run; :mod:`repro.obs`
+    re-exports it as ``repro.obs.events.PcSample``.
+    """
+
+    narrow_rf: bool
+    delta: int
+    exec_counts: list = field(default_factory=list)
+    icache_l2: list = field(default_factory=list)
+    icache_mem: list = field(default_factory=list)
+    dcache_l2: list = field(default_factory=list)
+    dcache_mem: list = field(default_factory=list)
+    hazards: list = field(default_factory=list)
+    misspecs: list = field(default_factory=list)
+    taken: list = field(default_factory=list)
+    movconds: list = field(default_factory=list)
+
+    @property
+    def n_insts(self) -> int:
+        return len(self.exec_counts)
+
+
 class ArchRun:
     """One fast or compiled execution with its cache traffic unscored.
 
@@ -1094,9 +1127,11 @@ class ArchRun:
     arrays, the output and registers, and the L1 access log.  :meth:`fold`
     replays the log under any geometry and folds a :class:`SimResult`
     bit-identical to simulating the program under that geometry; both
-    engines end their own runs with it.  The memory image is
-    deliberately not kept: a re-scored result has ``memory=None``.  Nor
-    is the machine: it holds this run on
+    engines end their own runs with it.  The fold goes through the run's
+    :class:`PcSample` and :func:`tally_pcs`, so a re-score of an obs run
+    carries a sample that attribution can tally as well.  The memory
+    image is deliberately not kept: a re-scored result has
+    ``memory=None``.  Nor is the machine: it holds this run on
     ``Machine.arch_run``, and a reference back would make every fast
     run a reference cycle that only the garbage collector frees.
     """
@@ -1161,11 +1196,9 @@ def fold_result(machine, run, events, served, hierarchy, memory):
 
     ``events`` are ``run``'s per-pc arrays and log (unpacked).  The log
     is replayed through ``hierarchy`` into the four ``served`` per-pc
-    cache-level arrays; then static effects and per-pc dynamic events
-    are folded.  Everything below is derived from (exec count, per-pc
-    event arrays) and must stay bit-identical to the legacy interpreter.
-    The per-pc form of the same derivation lives in :func:`pc_counters`;
-    the conservation tests in tests/test_obs.py pin the two together.
+    cache-level arrays; the arrays then form the run's :class:`PcSample`,
+    and :func:`tally_pcs` over every pc gives the aggregates.  The sample
+    is kept on ``SimResult.obs`` when the machine runs with ``obs``.
 
     Reached only through :meth:`ArchRun.fold`, by the predecoded stepper
     (:func:`run_fast`), the compiled engine (:mod:`repro.arch.compiled`)
@@ -1177,14 +1210,65 @@ def fold_result(machine, run, events, served, hierarchy, memory):
     exec_counts, hazard_pc, misspec_pc, taken_pc, movcond_pc, log = events
     ic_l2_pc, ic_mem_pc, d_l2_pc, d_mem_pc = served
     linked = machine.linked
-    narrow_rf = machine.narrow_rf
-    code, effects = predecode(linked, narrow_rf)
     replay(hierarchy, log, run.fetches, linked.inst_bytes,
            ic_l2_pc, ic_mem_pc, d_l2_pc, d_mem_pc)
+    sample = PcSample(
+        narrow_rf=machine.narrow_rf,
+        delta=linked.delta,
+        exec_counts=exec_counts,
+        icache_l2=ic_l2_pc,
+        icache_mem=ic_mem_pc,
+        dcache_l2=d_l2_pc,
+        dcache_mem=d_mem_pc,
+        hazards=hazard_pc,
+        misspecs=misspec_pc,
+        taken=taken_pc,
+        movconds=movcond_pc,
+    )
+    fields, counters, class_counts = tally_pcs(
+        linked, sample, range(len(exec_counts)))
+    result = SimResult(output=run.output, slice_width=machine.slice_width,
+                       counters=counters, class_counts=class_counts,
+                       memory=memory, return_value=run.regs[0], **fields)
     fx = machine.faults
-    delta = linked.delta
-    result = SimResult(output=run.output, slice_width=machine.slice_width)
-    counters = result.counters
+    if fx is not None:
+        result.cycles += fx.extra_cycles
+        counters.cycles = result.cycles
+    if machine.obs:
+        result.obs = sample
+    return result
+
+
+#: the :class:`SimResult` counts :func:`tally_pcs` derives, in report order
+PC_COUNTER_FIELDS = (
+    "instructions", "cycles", "misspeculations", "branches",
+    "taken_branches", "loads", "stores", "spill_loads", "spill_stores",
+    "copies",
+)
+
+
+def tally_pcs(linked, sample, pcs):
+    """Fold the pcs ``pcs`` of ``sample`` into their aggregate counts.
+
+    Returns ``(fields, counters, class_counts)``: ``fields`` maps the
+    :data:`PC_COUNTER_FIELDS` names to integers, ``counters`` is an
+    :class:`~repro.arch.energy.EnergyCounters` and ``class_counts`` the
+    DTS instruction-class mix.  Static effects count ``effect × exec``;
+    the common-case dynamic counters (L1 hits, slice writes of successful
+    ``bs_*`` ops, stall cycles) are derived from ``exec − events``.
+
+    This is the one per-pc derivation.  :func:`fold_result` tallies every
+    pc into a run's :class:`SimResult`, :mod:`repro.obs.attribution`
+    tallies each group's pcs, so the groups of any partition sum to the
+    run's aggregates bit for bit.  The result must stay bit-identical to
+    the legacy interpreter's counts.
+    """
+    code, effects = predecode(linked, sample.narrow_rf)
+    exec_counts = sample.exec_counts
+    ic_l2_pc, ic_mem_pc = sample.icache_l2, sample.icache_mem
+    d_l2_pc, d_mem_pc = sample.dcache_l2, sample.dcache_mem
+    hazard_pc, misspec_pc = sample.hazards, sample.misspecs
+    taken_pc, movcond_pc = sample.taken, sample.movconds
 
     totals = [0] * N_STATIC
     instructions = 0
@@ -1195,7 +1279,8 @@ def fold_result(machine, run, events, served, hierarchy, memory):
     d_l2 = d_mem = 0
     rf_w_dyn = {1: 0, 2: 0, 4: 0}
     rf_r_dyn = {1: 0, 2: 0, 4: 0}
-    for pc_i, n in enumerate(exec_counts):
+    for pc_i in pcs:
+        n = exec_counts[pc_i]
         if not n:
             continue
         instructions += n
@@ -1237,43 +1322,44 @@ def fold_result(machine, run, events, served, hierarchy, memory):
                 rf_r_dyn[t[4]] += mv
         stall_cycles += stall
 
-    result.instructions = instructions
-    result.cycles = instructions + stall_cycles + totals[C_XCYCLES]
-    if fx is not None:
-        result.cycles += fx.extra_cycles
-    result.misspeculations = misspecs
-    result.branches = totals[C_BRANCHES]
-    result.taken_branches = totals[C_TAKEN] + taken_dyn
-    result.spill_stores = totals[C_SPILL_S]
-    result.spill_loads = totals[C_SPILL_L]
-    result.copies = totals[C_COPIES]
-    result.loads = totals[C_LOADS]
-    result.stores = totals[C_STORES]
-
-    counters.rf_reads_by_width = {
-        1: totals[C_RF_R1] + rf_r_dyn[1],
-        2: totals[C_RF_R2] + rf_r_dyn[2],
-        4: totals[C_RF_R4] + rf_r_dyn[4],
+    cycles = instructions + stall_cycles + totals[C_XCYCLES]
+    fields = {
+        "instructions": instructions,
+        "cycles": cycles,
+        "misspeculations": misspecs,
+        "branches": totals[C_BRANCHES],
+        "taken_branches": totals[C_TAKEN] + taken_dyn,
+        "loads": totals[C_LOADS],
+        "stores": totals[C_STORES],
+        "spill_loads": totals[C_SPILL_L],
+        "spill_stores": totals[C_SPILL_S],
+        "copies": totals[C_COPIES],
     }
-    counters.rf_writes_by_width = {
-        1: totals[C_RF_W1] + rf_w_dyn[1],
-        2: totals[C_RF_W2] + rf_w_dyn[2],
-        4: totals[C_RF_W4] + rf_w_dyn[4],
-    }
-    counters.alu32_ops = totals[C_ALU32]
-    counters.alu8_ops = totals[C_ALU8]
-    counters.mul_ops = totals[C_MUL]
-    counters.div_ops = totals[C_DIV]
-    counters.move_ops = totals[C_MOVE]
-    counters.cycles = result.cycles
-    counters.icache_l1 = instructions - ic_l2 - ic_mem
-    counters.icache_l2 = ic_l2
-    counters.icache_mem = ic_mem
-    counters.dcache_l1 = totals[C_LOADS] + totals[C_STORES] - d_l2 - d_mem
-    counters.dcache_l2 = d_l2
-    counters.dcache_mem = d_mem
-
-    result.class_counts = {
+    counters = EnergyCounters(
+        icache_l1=instructions - ic_l2 - ic_mem,
+        icache_l2=ic_l2,
+        icache_mem=ic_mem,
+        dcache_l1=totals[C_LOADS] + totals[C_STORES] - d_l2 - d_mem,
+        dcache_l2=d_l2,
+        dcache_mem=d_mem,
+        rf_reads_by_width={
+            1: totals[C_RF_R1] + rf_r_dyn[1],
+            2: totals[C_RF_R2] + rf_r_dyn[2],
+            4: totals[C_RF_R4] + rf_r_dyn[4],
+        },
+        rf_writes_by_width={
+            1: totals[C_RF_W1] + rf_w_dyn[1],
+            2: totals[C_RF_W2] + rf_w_dyn[2],
+            4: totals[C_RF_W4] + rf_w_dyn[4],
+        },
+        alu32_ops=totals[C_ALU32],
+        alu8_ops=totals[C_ALU8],
+        mul_ops=totals[C_MUL],
+        div_ops=totals[C_DIV],
+        move_ops=totals[C_MOVE],
+        cycles=cycles,
+    )
+    class_counts = {
         "alu32": totals[K_ALU32],
         "alu8": totals[K_ALU8],
         "mul": totals[K_MUL],
@@ -1282,131 +1368,4 @@ def fold_result(machine, run, events, served, hierarchy, memory):
         "mem": totals[K_MEM],
         "branch": totals[K_BRANCH],
     }
-    result.memory = memory
-    result.return_value = run.regs[0]
-
-    if machine.obs:
-        from repro.obs.events import PcSample
-
-        result.obs = PcSample(
-            narrow_rf=narrow_rf,
-            delta=delta,
-            exec_counts=exec_counts,
-            icache_l2=ic_l2_pc,
-            icache_mem=ic_mem_pc,
-            dcache_l2=d_l2_pc,
-            dcache_mem=d_mem_pc,
-            hazards=hazard_pc,
-            misspecs=misspec_pc,
-            taken=taken_pc,
-            movconds=movcond_pc,
-        )
-    return result
-
-
-#: counter names produced by :func:`pc_counters`, in report order
-PC_COUNTER_FIELDS = (
-    "instructions", "cycles", "misspeculations", "branches",
-    "taken_branches", "loads", "stores", "spill_loads", "spill_stores",
-    "copies",
-)
-
-
-def pc_counters(linked, narrow_rf, pc, sample):
-    """Rebuild one pc's aggregate contribution from a :class:`PcSample`.
-
-    Returns ``(fields, counters, class_counts)`` where ``fields`` maps
-    :data:`PC_COUNTER_FIELDS` names to integers and ``counters`` is an
-    :class:`repro.arch.energy.EnergyCounters` holding this pc's share.
-    Summing the return over every pc reproduces the :class:`SimResult`
-    aggregates *bit for bit* — the conservation invariant that
-    :mod:`repro.obs.attribution` builds on and tests/fuzzing enforce.
-    """
-    from repro.arch.energy import EnergyCounters
-
-    code, effects = predecode(linked, narrow_rf)
-    n = sample.exec_counts[pc]
-    fields = {name: 0 for name in PC_COUNTER_FIELDS}
-    counters = EnergyCounters()
-    classes = {k: 0 for k in
-               ("alu32", "alu8", "mul", "div", "move", "mem", "branch")}
-    if not n:
-        return fields, counters, classes
-
-    totals = [0] * N_STATIC
-    for cid, amount in effects[pc]:
-        totals[cid] += amount * n
-
-    fl2 = sample.icache_l2[pc]
-    fmem = sample.icache_mem[pc]
-    stall = 10 * fl2 + 70 * fmem + sample.hazards[pc]
-    t = code[pc]
-    op = t[0]
-    miss = sample.misspecs[pc]
-    stall += 3 * miss
-    rf_w_dyn = {1: 0, 2: 0, 4: 0}
-    rf_r_dyn = {1: 0, 2: 0, 4: 0}
-    al2 = amem = 0
-    taken_dyn = 0
-    if op == OP_LOAD or op == OP_STORE or op == OP_BS_LDR:
-        al2 = sample.dcache_l2[pc]
-        amem = sample.dcache_mem[pc]
-        if op != OP_STORE:
-            stall += (n - al2 - amem) + 10 * al2 + 70 * amem
-        if op == OP_BS_LDR:
-            rf_w_dyn[t[5]] += n - miss
-    elif op == OP_BCOND:
-        taken_dyn = sample.taken[pc]
-        stall += 2 * taken_dyn
-    elif op == OP_BS_BIN:
-        rf_w_dyn[t[6]] += n - miss
-    elif op == OP_BS_TRUNC:
-        rf_w_dyn[t[4]] += n - miss
-    elif op == OP_MOVCOND:
-        mv = sample.movconds[pc]
-        rf_w_dyn[t[6]] += mv
-        if t[4]:
-            rf_r_dyn[t[4]] += mv
-
-    fields["instructions"] = n
-    fields["cycles"] = n + stall + totals[C_XCYCLES]
-    fields["misspeculations"] = miss
-    fields["branches"] = totals[C_BRANCHES]
-    fields["taken_branches"] = totals[C_TAKEN] + taken_dyn
-    fields["loads"] = totals[C_LOADS]
-    fields["stores"] = totals[C_STORES]
-    fields["spill_loads"] = totals[C_SPILL_L]
-    fields["spill_stores"] = totals[C_SPILL_S]
-    fields["copies"] = totals[C_COPIES]
-
-    counters.rf_reads_by_width = {
-        1: totals[C_RF_R1] + rf_r_dyn[1],
-        2: totals[C_RF_R2] + rf_r_dyn[2],
-        4: totals[C_RF_R4] + rf_r_dyn[4],
-    }
-    counters.rf_writes_by_width = {
-        1: totals[C_RF_W1] + rf_w_dyn[1],
-        2: totals[C_RF_W2] + rf_w_dyn[2],
-        4: totals[C_RF_W4] + rf_w_dyn[4],
-    }
-    counters.alu32_ops = totals[C_ALU32]
-    counters.alu8_ops = totals[C_ALU8]
-    counters.mul_ops = totals[C_MUL]
-    counters.div_ops = totals[C_DIV]
-    counters.move_ops = totals[C_MOVE]
-    counters.cycles = fields["cycles"]
-    counters.icache_l1 = n - fl2 - fmem
-    counters.icache_l2 = fl2
-    counters.icache_mem = fmem
-    counters.dcache_l1 = totals[C_LOADS] + totals[C_STORES] - al2 - amem
-    counters.dcache_l2 = al2
-    counters.dcache_mem = amem
-
-    classes["alu32"] = totals[K_ALU32]
-    classes["alu8"] = totals[K_ALU8]
-    classes["mul"] = totals[K_MUL]
-    classes["div"] = totals[K_DIV]
-    classes["move"] = totals[K_MOVE]
-    classes["mem"] = totals[K_MEM]
-    classes["branch"] = totals[K_BRANCH]
-    return fields, counters, classes
+    return fields, counters, class_counts

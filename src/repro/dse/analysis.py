@@ -22,7 +22,7 @@ def _objective(row) -> tuple:
     return (row.energy_pj, row.cycles, row.misspec_rate)
 
 
-def _dominates(a: tuple, b: tuple) -> bool:
+def dominates(a: tuple, b: tuple) -> bool:
     """True iff ``a`` is no worse in every objective and better in one."""
     return all(x <= y for x, y in zip(a, b)) and any(
         x < y for x, y in zip(a, b)
@@ -41,7 +41,7 @@ def pareto_front(rows) -> list:
     for row in ok:
         mine = _objective(row)
         if any(
-            _dominates(_objective(other), mine) for other in ok if other is not row
+            dominates(_objective(other), mine) for other in ok if other is not row
         ):
             continue
         front.append(row)

@@ -65,9 +65,6 @@ class BasicBlock:
     def phis(self) -> list[Phi]:
         return [i for i in self.instructions if isinstance(i, Phi)]
 
-    def non_phis(self) -> list[Instruction]:
-        return [i for i in self.instructions if not isinstance(i, Phi)]
-
     def successors(self) -> list["BasicBlock"]:
         term = self.terminator
         return term.successors() if term is not None else []

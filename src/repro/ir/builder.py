@@ -53,9 +53,6 @@ class IRBuilder:
     def const(self, value: int, bits: int = 32) -> Constant:
         return Constant(int_type(bits), value)
 
-    def const_like(self, value: int, like: Value) -> Constant:
-        return Constant(like.type, value)
-
     # -- arithmetic / logic ----------------------------------------------------
 
     def binop(self, op: str, lhs: Value, rhs: Value, name: str = "") -> BinOp:
@@ -75,12 +72,6 @@ class IRBuilder:
 
     def urem(self, lhs: Value, rhs: Value, name: str = "") -> BinOp:
         return self.binop("urem", lhs, rhs, name)
-
-    def and_(self, lhs: Value, rhs: Value, name: str = "") -> BinOp:
-        return self.binop("and", lhs, rhs, name)
-
-    def or_(self, lhs: Value, rhs: Value, name: str = "") -> BinOp:
-        return self.binop("or", lhs, rhs, name)
 
     def xor(self, lhs: Value, rhs: Value, name: str = "") -> BinOp:
         return self.binop("xor", lhs, rhs, name)

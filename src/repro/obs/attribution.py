@@ -1,6 +1,6 @@
 """Attribution engine: join per-pc events with compiler debug metadata.
 
-Takes a :class:`~repro.obs.events.PcSample` from an obs-enabled run plus
+Takes the :class:`~repro.obs.events.PcSample` of an obs-enabled run plus
 the :class:`~repro.backend.layout.DebugInfo` the backend emitted at link
 time, and produces :class:`Tally` objects — full
 :class:`~repro.arch.energy.EnergyCounters` plus instruction/stall/
@@ -8,12 +8,13 @@ misspeculation counts — grouped any way the report needs: per variable,
 per function, per speculative region, per handler, per world
 (spec/orig/handler/skeleton).
 
-The cornerstone is the **conservation invariant**: the per-pc
-reconstruction (:func:`repro.arch.predecode.pc_counters`) uses the same
-derivation as the simulator's own fold, so summing every pc's tally
-reproduces the aggregate :class:`~repro.arch.machine.SimResult` counters
-*bit for bit* — integer-exact, no rounding tolerance.
-:func:`check_conservation` verifies it; the fuzzer's machine oracle and
+Each group is one call of :func:`repro.arch.predecode.tally_pcs` over
+the group's pcs, the same function the simulator's fold calls over
+every pc.  So the **conservation invariant** holds by construction:
+the groups of any partition of the executed pcs sum to the aggregate
+:class:`~repro.arch.machine.SimResult` counters *bit for bit* —
+integer-exact, no rounding tolerance.  :func:`check_conservation`
+still verifies it as a guard; the fuzzer's machine oracle and
 tests/test_obs.py enforce it.
 """
 
@@ -23,7 +24,7 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from repro.arch.energy import EnergyBreakdown, EnergyCounters, compute_energy
-from repro.arch.predecode import PC_COUNTER_FIELDS, pc_counters
+from repro.arch.predecode import PC_COUNTER_FIELDS, tally_pcs
 from repro.obs.events import PcSample
 
 #: DTS instruction classes, mirrored here to avoid importing the machine
@@ -53,14 +54,6 @@ class Tally:
     #: static instructions in the group that executed at least once
     static_insts: int = 0
 
-    def add(self, fields: dict, counters: EnergyCounters, classes: dict) -> None:
-        self.counters.merge(counters)
-        for cls in _CLASSES:
-            self.class_counts[cls] += classes[cls]
-        for name in PC_COUNTER_FIELDS:
-            setattr(self, name, getattr(self, name) + fields[name])
-        self.static_insts += 1
-
     def energy(
         self, scale: Optional[dict] = None, *, slice_bits: int = 8
     ) -> EnergyBreakdown:
@@ -86,42 +79,39 @@ def source_var(name: str) -> str:
 
 
 class Attribution:
-    """Per-pc tallies over one run, with grouping views.
+    """Tallies over one run's executed pcs, with grouping views.
 
-    Built by :func:`attribute`.  ``per_pc`` maps every pc that executed
-    to its :class:`Tally`; the ``by_*`` methods fold those into report
-    groups using the link-time :class:`DebugInfo`.
+    Built by :func:`attribute`.  ``pcs`` lists every pc that executed,
+    in order; the ``by_*`` methods group them with the link-time
+    :class:`DebugInfo` and tally each group in one
+    :func:`~repro.arch.predecode.tally_pcs` call.
     """
 
     def __init__(self, linked, sample: PcSample) -> None:
         self.linked = linked
         self.sample = sample
         self.debug = linked.debug
-        self.per_pc: dict[int, tuple] = {}
-        narrow_rf = sample.narrow_rf
-        for pc in range(sample.n_insts):
-            if sample.exec_counts[pc]:
-                self.per_pc[pc] = pc_counters(linked, narrow_rf, pc, sample)
+        exec_counts = sample.exec_counts
+        self.pcs = [pc for pc in range(sample.n_insts) if exec_counts[pc]]
 
     # -- grouping -------------------------------------------------------------
 
-    def group_by(self, key_fn) -> dict:
-        """Fold per-pc tallies into groups keyed by ``key_fn(pc)``."""
+    def _tally(self, pcs) -> Tally:
+        """One tally over the executed pcs ``pcs``."""
+        fields, counters, classes = tally_pcs(self.linked, self.sample, pcs)
+        return Tally(counters=counters, class_counts=classes,
+                     static_insts=len(pcs), **fields)
+
+    def group_by(self, key_fn, pcs=None) -> dict:
+        """Tally executed pcs (all, or ``pcs``) grouped by ``key_fn(pc)``."""
         groups: dict = {}
-        for pc, (fields, counters, classes) in self.per_pc.items():
-            key = key_fn(pc)
-            tally = groups.get(key)
-            if tally is None:
-                tally = groups[key] = Tally()
-            tally.add(fields, counters, classes)
-        return groups
+        for pc in self.pcs if pcs is None else pcs:
+            groups.setdefault(key_fn(pc), []).append(pc)
+        return {key: self._tally(members) for key, members in groups.items()}
 
     def total(self) -> Tally:
         """One tally over every executed pc (the conservation side)."""
-        total = Tally()
-        for fields, counters, classes in self.per_pc.values():
-            total.add(fields, counters, classes)
-        return total
+        return self._tally(self.pcs)
 
     def by_function(self) -> dict:
         owner = self.linked.owner
@@ -156,15 +146,11 @@ class Attribution:
         tally is the handler's own re-execution cost.
         """
         debug = self.debug
-        groups: dict = {}
-        for pc, (fields, counters, classes) in self.per_pc.items():
-            if debug.world[pc] != "handler":
-                continue
-            key = debug.block[pc]
-            tally = groups.get(key)
-            if tally is None:
-                tally = groups[key] = Tally()
-            tally.add(fields, counters, classes)
+        world = debug.world
+        groups = self.group_by(
+            lambda pc: debug.block[pc],
+            [pc for pc in self.pcs if world[pc] == "handler"],
+        )
         # charge entries: spec pc -> handler entry pc -> its block label
         for spec_pc, handler_pc in debug.handler_of.items():
             miss = (
@@ -185,7 +171,7 @@ class Attribution:
         """(pc, count) for every pc that misspeculated, most first."""
         out = [
             (pc, self.sample.misspecs[pc])
-            for pc in self.per_pc
+            for pc in self.pcs
             if self.sample.misspecs[pc]
         ]
         out.sort(key=lambda item: (-item[1], item[0]))
@@ -200,10 +186,6 @@ def attribute(linked, sample: PcSample) -> Attribution:
             "(e.g. binary.run(inputs, obs=True))"
         )
     return Attribution(linked, sample)
-
-
-#: SimResult integer fields re-summed by the conservation check
-_RESULT_FIELDS = PC_COUNTER_FIELDS
 
 
 def check_conservation(attribution: Attribution, sim) -> list:
@@ -221,7 +203,7 @@ def check_conservation(attribution: Attribution, sim) -> list:
         if got != want:
             mismatches.append(f"{name}: attributed {got} != simulated {want}")
 
-    for name in _RESULT_FIELDS:
+    for name in PC_COUNTER_FIELDS:
         check(name, getattr(total, name), getattr(sim, name))
 
     tc, sc = total.counters, sim.counters

@@ -1,22 +1,26 @@
 """Structured observability events.
 
-The machine's fast path does not emit events one at a time — that would
-put a callback in the hot loop.  Instead it hands back one
-:class:`PcSample` per run: per-pc arrays of the dynamic events the loop
-already had to notice (cache misses, load-use hazards, misspeculations,
-taken conditional branches, conditional-move commits), alongside the
-per-pc execution counts.  :func:`events_from_sample` expands a sample
-into *batched* typed events — one :class:`ObsEvent` per (kind, pc) with a
-``count`` — which is what a trace consumer or the report's per-kind
-event counts ingest.  Everything aggregate is derived, nothing is
-double-counted: :mod:`repro.obs.attribution` proves that by re-summing to the
-:class:`~repro.arch.machine.SimResult` totals bit for bit.
+The machine's batching engines do not emit events one at a time — that
+would put a callback in the hot loop.  Instead an obs run hands back one
+:class:`PcSample` (defined in :mod:`repro.arch.predecode`) per run:
+per-pc arrays of the dynamic events the loop already had to notice
+(cache misses, load-use hazards, misspeculations, taken conditional
+branches, conditional-move commits), alongside the per-pc execution
+counts.  :func:`events_from_sample` expands a sample into *batched*
+typed events — one :class:`ObsEvent` per (kind, pc) with a ``count`` —
+which is what a trace consumer or the report's per-kind event counts
+ingest.  Everything aggregate is derived, nothing is double-counted:
+:mod:`repro.obs.attribution` tallies groups of pcs with the simulator's
+own fold, so they re-sum to the :class:`~repro.arch.machine.SimResult`
+totals bit for bit.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterator
+
+from repro.arch.predecode import PcSample
 
 # -- event kinds --------------------------------------------------------------
 
@@ -55,34 +59,6 @@ class ObsEvent:
     pc: int
     count: int = 1
     info: str = ""
-
-
-@dataclass
-class PcSample:
-    """Per-pc dynamic event counts from one fast-path run.
-
-    Parallel arrays indexed by pc over the full image (code + skeleton).
-    ``exec_counts[pc]`` is the number of dynamic executions; the other
-    arrays count the rare events.  Common-case counters (L1 hits,
-    successful speculative writes, stall cycles) are *derived* — see
-    :func:`repro.arch.predecode.pc_counters`.
-    """
-
-    narrow_rf: bool
-    delta: int
-    exec_counts: list = field(default_factory=list)
-    icache_l2: list = field(default_factory=list)
-    icache_mem: list = field(default_factory=list)
-    dcache_l2: list = field(default_factory=list)
-    dcache_mem: list = field(default_factory=list)
-    hazards: list = field(default_factory=list)
-    misspecs: list = field(default_factory=list)
-    taken: list = field(default_factory=list)
-    movconds: list = field(default_factory=list)
-
-    @property
-    def n_insts(self) -> int:
-        return len(self.exec_counts)
 
 
 def events_from_sample(sample: PcSample, debug=None) -> Iterator[ObsEvent]:

@@ -24,6 +24,7 @@ import hashlib
 from repro.arch.energy import compute_energy
 from repro.arch.machine import INORDER_ENGINES, MachineError, committed_view
 from repro.core.pipeline import compile_binary
+from repro.dse.analysis import dominates
 from repro.dse.space import PRESETS as DSE_PRESETS
 from repro.obs.report import _region_labels
 from repro.serve.schema import REPORT_SCHEMA, build_config
@@ -243,23 +244,18 @@ def _pareto_section(canonical: dict, requested_row: dict) -> dict:
     def _vec(row):
         return (row["energy_pj"], row["cycles"], row["misspec_rate"])
 
-    def _dominates(a, b):
-        return all(x <= y for x, y in zip(a, b)) and any(
-            x < y for x, y in zip(a, b)
-        )
-
     pool = [r for r in rows if r["status"] == "ok"] + [requested_row]
     front = [
         r["config"]
         for r in pool
         if not any(
-            _dominates(_vec(other), _vec(r)) for other in pool if other is not r
+            dominates(_vec(other), _vec(r)) for other in pool if other is not r
         )
     ]
     dominated_by = sorted(
         r["config"]
         for r in pool
-        if r is not requested_row and _dominates(_vec(r), _vec(requested_row))
+        if r is not requested_row and dominates(_vec(r), _vec(requested_row))
     )
     return {
         "grid": rows,

@@ -1,8 +1,9 @@
 """Observability & attribution tests.
 
-The load-bearing property is **conservation**: summing the per-pc
-attribution over every executed pc reproduces the aggregate SimResult
-counters integer-exactly — no sampling, no tolerance.  Alongside it:
+The load-bearing property is **conservation**: tallying every executed
+pc, or every group of any grouping, reproduces the aggregate SimResult
+counters integer-exactly — no sampling, no tolerance — on both batching
+engines and on a run re-scored under another cache geometry.  Alongside it:
 equivalence of the fast path's event sample against a legacy-engine
 pc trace, the event expansion semantics, the pass-statistics
 registry, and a golden text report over the mini roster.
@@ -10,12 +11,16 @@ registry, and a golden text report over the mini roster.
 
 from __future__ import annotations
 
+import dataclasses
 import os
 from pathlib import Path
 
 import pytest
 
+from repro.arch.cache import CacheGeometry
+from repro.arch.energy import EnergyCounters
 from repro.arch.machine import Machine
+from repro.arch.predecode import PC_COUNTER_FIELDS
 from repro.core.pipeline import CompilerConfig, compile_binary
 from repro.eval import harness
 from repro.obs import (
@@ -60,8 +65,15 @@ def _misspec_binary():
 # -- conservation --------------------------------------------------------------
 
 
-def _assert_conserved(binary, inputs):
-    sim = binary.run(inputs, obs=True)
+#: a hierarchy small enough that the roster's test inputs miss L1 and L2
+SMALL_CACHES = CacheGeometry(l1_kb=1, l1_ways=2, l2_kb=8, l2_ways=2)
+
+
+def _assert_conserved(binary, inputs, engine=None):
+    machine = binary.machine(inputs, obs=True, engine=engine)
+    if engine is not None:
+        assert machine.resolve_engine() == engine
+    sim = machine.run()
     assert sim.obs is not None
     attribution = attribute(binary.linked, sim.obs)
     mismatches = check_conservation(attribution, sim)
@@ -89,9 +101,21 @@ def test_conservation_toy_with_misspeculation():
     ids=["crc32-misspec", "crc32", "sha-baseline", "bitcount-min"],
 )
 def test_conservation_on_workloads(workload, config, profile_kind):
+    """Both batching engines conserve, and so does their run re-scored
+    under a second cache geometry through ``ArchRun.fold``."""
     binary = harness.get_binary(workload, config, profile_kind=profile_kind)
     inputs = get_workload(workload).inputs("test", 0)
-    _assert_conserved(binary, inputs)
+    sims = {
+        engine: _assert_conserved(binary, inputs, engine)[0]
+        for engine in ("fast", "compiled")
+    }
+    machine = binary.machine(inputs, obs=True, engine="fast")
+    machine.run()
+    rescored = machine.arch_run.fold(SMALL_CACHES)
+    assert rescored.obs is not None
+    assert rescored.counters != sims["fast"].counters  # the geometry matters
+    attribution = attribute(binary.linked, rescored.obs)
+    assert check_conservation(attribution, rescored) == []
 
 
 def test_energy_partition_sums_to_total():
@@ -111,6 +135,42 @@ def test_energy_partition_sums_to_total():
     ):
         got = sum(t.energy().total for t in groups.values())
         assert got == pytest.approx(want)
+
+
+def _summed(tallies):
+    """Field-by-field sum of ``tallies``, in the shape of one tally."""
+    counters = EnergyCounters()
+    for f in dataclasses.fields(EnergyCounters):
+        values = [getattr(t.counters, f.name) for t in tallies]
+        if isinstance(values[0], dict):
+            setattr(counters, f.name,
+                    {w: sum(v[w] for v in values) for w in values[0]})
+        else:
+            setattr(counters, f.name, sum(values))
+    return (
+        {name: sum(getattr(t, name) for t in tallies)
+         for name in PC_COUNTER_FIELDS + ("static_insts",)},
+        counters,
+        {cls: sum(t.class_counts[cls] for t in tallies)
+         for cls in tallies[0].class_counts},
+    )
+
+
+def test_groupings_partition_total():
+    """``by_function``, ``by_world``, ``by_region`` and ``by_variable``
+    each partition the executed pcs: their tallies sum to ``total()``
+    field by field, integer-exactly."""
+    binary = harness.get_binary(
+        "crc32", CompilerConfig.bitspec("max"), profile_kind="train"
+    )
+    sim = binary.run(get_workload("crc32").inputs("test", 0), obs=True)
+    attribution = attribute(binary.linked, sim.obs)
+    want = _summed([attribution.total()])
+    assert want[0]["misspeculations"] > 0
+    for name in ("by_function", "by_world", "by_region", "by_variable"):
+        groups = getattr(attribution, name)()
+        assert len(groups) > 1, name
+        assert _summed(list(groups.values())) == want, name
 
 
 def test_attribute_requires_obs_sample():
