@@ -1,11 +1,11 @@
-"""Compiled simulation engine: a block-specialized template JIT.
+"""Translated tier of the in-order engine: a block-specialized template JIT.
 
-The predecoded fast path (:mod:`repro.arch.predecode`) still pays a
+The predecoded stepper (:func:`repro.arch.predecode.run_fast`) pays a
 Python-level dispatch per dynamic instruction: fetch the pc's tuple,
 branch on the integer opcode, decode operand descriptors, bump per-pc
-arrays.  This module removes that per-step tax by *translating* the
-predecoded program into straight-line Python source, one specialized
-function per basic-block region, the first time a run enters it:
+arrays.  This module removes that per-step tax for hot code by
+*translating* regions of the predecoded program into straight-line
+Python source, one specialized function per basic-block region:
 
 * every handler is specialized to its pc — operand registers become
   function locals, immediates/masks/shifts become literals, and the
@@ -14,46 +14,33 @@ function per basic-block region, the first time a run enters it:
   and spilled back once per exit;
 * statically-determined event counts (execution counts, intra-region
   load-use hazards) are not counted at run time at all: the region bumps
-  one entry counter, misspeculation exits bump one site counter, and the
-  per-pc execution/hazard arrays are reconstructed after the run as
-  ``entries − Σ earlier-exit counts`` per offset;
+  one entry counter, early exits bump one site counter, and
+  :meth:`Tier.fold_counts` adds ``entries − Σ earlier-exit counts`` per
+  offset to the stepper's per-pc arrays after the run;
 * the cache hierarchy is not in the regions at all: they append to the
-  same L1 access log as :func:`repro.arch.predecode.run_fast` — ``~pc``
-  per I-line transition (a same-line successor is known statically, so
-  only a region entry compares against the line shadow) and
-  ``addr << pc_bits | pc`` per load, store and ``bs_ldr`` — and the
-  shared :func:`repro.arch.predecode.replay` scores it in the fold;
+  stepper's L1 access log — ``~pc`` per I-line transition (a same-line
+  successor is known statically, so only a region entry compares
+  against the line shadow) and ``addr << pc_bits | pc`` per load, store
+  and ``bs_ldr`` — and :func:`repro.arch.predecode.replay` scores it in
+  the fold;
 * genuinely dynamic events (taken conditional branches, committed
-  ``movcond``, misspeculations, cross-region load-use hazards) are
-  recorded in the same per-pc arrays the fast path keeps, so the run
-  leaves the same :class:`repro.arch.predecode.ArchRun` on
-  ``machine.arch_run`` and folds through it: replay and aggregation are
-  literally :meth:`repro.arch.predecode.ArchRun.fold` — the two engines
-  cannot drift in how they score caches or fold events into a
-  :class:`SimResult`.
+  ``movcond``, misspeculations, cross-region load-use hazards) go to
+  the stepper's own per-pc arrays, so a run is one
+  :class:`repro.arch.predecode.ArchRun` whichever tier executed each
+  instruction, folded by :meth:`repro.arch.predecode.ArchRun.fold`.
 
-Control transfers (branches, calls, returns, misspeculation redirects
-into the Δ-skeleton) leave the region and go through a small dispatch
-loop indexed by pc.  A transfer to a pc that is not a region entry
-(e.g. an indirect jump through a corrupted return address) *deoptimizes*:
-the whole run is replayed on the per-step engine, which is bit-identical,
-so correctness never depends on the compiled cover being complete.
-
-Translation is lazy.  Building an image only predecodes the program and
-collects its static region entries; every entry starts as a stub that,
-when the dispatcher first calls it, emits and ``compile()``s its region,
-installs the region function and runs it.  Most of a BITSPEC image is
-the Δ-handler skeleton, which a run enters only on misspeculation, so a
-run typically compiles a small fraction of the program.
-
-Hook degradation is not decided here: :meth:`Machine.resolve_engine
-<repro.arch.machine.Machine.resolve_engine>` and :meth:`Machine.run
-<repro.arch.machine.Machine.run>` hold the one engine ladder
-(docs/engines.md), which sends fault-injected and checkpointed runs to
-:func:`repro.arch.predecode.run_fast` and rejects a ``trace_hook``.
-``obs`` survives compilation natively: the per-pc arrays *are* the
-sample.  The only fallback left to this module is the deoptimization
-above.
+The stepper decides what runs translated: a region entered more than
+:data:`repro.arch.predecode.TRANSLATE_AFTER` times in a run is
+translated (if no earlier run has) and instantiated for the run, and
+from then on control transfers into it run the region function.
+Statically known transfers between hot regions return the next region
+function directly; anything else (a ``bx`` through a dynamic ``r14``,
+an exit to a cold region or to a pc no region starts at, HALT) returns
+an integer pc to :meth:`Tier.run`, which either continues at a hot
+region or hands the pc back to the stepper.  So correctness never
+depends on the translated cover being complete, and a missing region
+costs steps, not a replay.  The ``compiled`` engine is the same engine
+with a threshold of zero (:func:`run_compiled`).
 
 Each region is one straight-line body, emitted in one pass.  Small
 loops are unrolled by tracing through their back edges up to
@@ -61,25 +48,22 @@ loops are unrolled by tracing through their back edges up to
 region there and leaves through the dispatcher, which checks the step
 limit after every region.
 
-The compiled image is cached on the :class:`LinkedProgram` instance
-(keyed by register-file narrowing and slice width) and keeps one code
-object per translated region, so repeated runs of one binary recompile
-nothing.  The image also holds the run state, whatever the cache
-geometry: registers, the 4 MB flat memory, the access log and all
-per-pc counter arrays are reset in place between runs, and results are
-copied out so the image never aliases a returned :class:`SimResult` or
-:class:`ArchRun`.
+Only code is kept between runs.  :func:`get_image` caches a
+:class:`CompiledImage` on the :class:`LinkedProgram` instance (keyed by
+register-file narrowing and slice width): the region entries and one
+code object per translated region, so repeated runs of one binary
+recompile nothing.  Every run binds those code objects to its own
+registers, memory and counters in a :class:`Tier` that dies with it.
 """
 
 from __future__ import annotations
 
 import builtins
-from array import array
 from struct import Struct
 from types import CodeType, FunctionType
 
 from repro.arch.cache import L1_LINE_SHIFT
-from repro.arch.machine import HALT, MachineError
+from repro.arch.machine import MachineError
 from repro.arch.predecode import (
     OP_ADC,
     OP_ADDS,
@@ -113,15 +97,14 @@ from repro.arch.predecode import (
     OP_SUBS,
     OP_SUBSPI,
     OP_UMULL,
-    ArchRun,
     _pc_bits,
     fold_result,  # noqa: F401 - perf/tracing.py spans it under this name
     predecode,
     run_fast,
 )
-from repro.arch.widths import BYTE_MASKS as _MASKS, slice_mask
+from repro.arch.widths import BYTE_MASKS as _MASKS
 from repro.interp.interpreter import evaluate_icmp
-from repro.interp.memory import MEMORY_SIZE, STACK_TOP, FlatMemory, initialize_globals
+from repro.interp.memory import MEMORY_SIZE
 from repro.ir.types import int_type
 
 #: a region stops extending past this many instructions (codegen bound;
@@ -134,9 +117,6 @@ MAX_REGION = 256
 UNROLL_SPAN = 64
 
 _SPEC_OPS = (OP_BS_BIN, OP_BS_TRUNC, OP_BS_TRUNC_HI, OP_BS_LDR)
-
-#: shared all-zero page for resetting an image's flat memory in place
-_ZERO_MEM = bytes(MEMORY_SIZE)
 
 _U16 = Struct("<H").unpack_from
 _U32 = Struct("<I").unpack_from
@@ -161,140 +141,225 @@ def _icmp_dyn(cond, a, b, width):
 
 
 class CompiledImage:
-    """One program's translation, grown a region at a time, and the
-    reusable state its regions run on.
+    """One program's translated code, grown a region at a time.
 
     :func:`_build_image` predecodes the program and finds its static
-    region entries; each region is translated the first time the
-    dispatcher enters it (:meth:`translate`).  Building a run's machinery
-    — counter arrays as long as the program and a 4 MB flat memory —
-    costs on the order of a millisecond, which rivals the execute phase
-    of short workloads, so the image holds one set and :meth:`reset`
-    restores it in place between runs.  Cache geometry is not part of
-    it: the regions only log the L1 access stream, and the run's
-    :class:`ArchRun` replays the log under the machine's geometry.
-    :func:`run_compiled` copies everything that outlives the call
-    (memory image, output, registers, per-pc arrays, the log) out first.
-
-    Every region entry holds a function in :attr:`table` and, as
-    ``_b<pc>``, in the namespace the region code runs in.  Until the
-    dispatcher first enters a region that function is a stub that
-    translates the region, installs the region function in both places
-    and calls it; installed functions stay, so a warm run translates
-    nothing.
+    region entries (:attr:`leaders`); :meth:`translate` emits and
+    compiles the region entered at one of them.  The image is code only:
+    it is cached on the :class:`LinkedProgram`, so it must not keep a
+    run alive, and every run binds the code objects to state of its own
+    (:class:`Tier`).  Region and exit-site indices are global to the
+    image, so a run's entry and exit counters cover every region
+    translated so far, whichever run translated it.
     """
 
     __slots__ = ("code", "n_insts", "inst_bytes", "delta", "spec_mask",
-                 "leaders", "regions", "fold_regions",
-                 "memory", "regs", "S", "output", "log", "entries", "exits",
-                 "hz", "ms", "tk", "mc", "table", "ns", "binds", "_zeros")
+                 "leaders", "regions", "fold_regions", "n_sites")
 
     def __init__(self, code, leaders, inst_bytes, delta, spec_mask):
-        n = len(code)
         self.code = code
-        self.n_insts = n
+        self.n_insts = len(code)
         self.inst_bytes = inst_bytes
         self.delta = delta
         self.spec_mask = spec_mask
         #: region-entry pcs: the static ones, then every fallthrough pc a
         #: MAX_REGION cap has made an entry
-        self.leaders = set()
-        #: leader -> code object of that region's ``_factory(B)``
+        self.leaders = set(leaders)
+        #: leader -> (code object of that region's ``_factory(B)``, the
+        #: ``(name, pc)`` of every region entry its exits load)
         self.regions = {}
         #: (region index, pcs, hazard offsets, exit sites) per translated
         #: region, in translation order — region and site indices too
         self.fold_regions = []
-        self.memory = FlatMemory()
-        self.regs = [0] * 16
-        # shared mutable slots: cmp state, carry, pending load-use reg,
-        # steps, icache shadow last-line
-        self.S = [(0, 0, 4), 0, -1, 0, -1]
-        self.output = []
-        self.log = array("q")
-        self.hz, self.ms, self.tk, self.mc = ([0] * n for _ in range(4))
-        # per-region entry and per-site exit counters: the region closures
-        # bind these two by identity, so they only ever grow in place
-        self.entries = []
-        self.exits = []
-        self.binds = {
-            "regs": self.regs, "S": self.S, "data": self.memory.data,
-            "out_append": self.output.append, "LA": self.log.append,
-            "HZ": self.hz, "MS": self.ms, "TK": self.tk, "MC": self.mc,
-            "BE": self.entries, "BX": self.exits,
-            "ICD": _icmp_dyn, "MERR": MachineError,
-            "U16": _U16, "U32": _U32, "P16": _P16, "P32": _P32,
-        }
-        self.ns = {"__builtins__": builtins}
-        self.table = [None] * n
-        self._zeros = [0] * n
-        for leader in leaders:
-            self._add_leader(leader)
+        self.n_sites = 0
 
     @property
     def n_regions(self):
         return len(self.fold_regions)
 
-    @property
-    def n_sites(self):
-        return sum(len(sites) for *_, sites in self.fold_regions)
-
-    def _add_leader(self, leader):
-        """Make ``leader`` a region entry, holding a translating stub."""
-        def stub():
-            return self.install(leader)()
-
-        self.leaders.add(leader)
-        self.table[leader] = self.ns[f"_b{leader}"] = stub
-
-    def install(self, leader):
-        """Put region ``leader``'s function in the table and namespace."""
-        fn = FunctionType(self.translate(leader), self.ns)(self.binds)
-        self.table[leader] = self.ns[f"_b{leader}"] = fn
-        return fn
-
     def translate(self, leader):
         """Emit and compile the region entered at ``leader``.
 
-        Returns the code object of a ``_factory(B)`` that binds the
-        image's arrays from ``B`` and returns the region function.
-        Exits to other regions load ``_b<pc>`` from the image's
-        namespace, where an untranslated region holds a stub.
+        Returns ``regions[leader]``: the code object of a
+        ``_factory(B)`` that binds a run's arrays from ``B`` and returns
+        the region function, and the region entries its exits load as
+        ``_b<pc>`` from the run's namespace.
         """
         em = _RegionEmitter(self.code, leader, self.n_insts, self.inst_bytes,
                             self.delta, self.spec_mask,
-                            region_idx=len(self.entries),
-                            site_base=len(self.exits), leaders=self.leaders)
+                            region_idx=self.n_regions,
+                            site_base=self.n_sites, leaders=self.leaders)
         em.emit()
         ft = em.fallthrough_target
-        if ft is not None and ft not in self.leaders:
-            self._add_leader(ft)
+        if ft is not None:
+            self.leaders.add(ft)
         src = ["def _factory(B):"]
         src.extend(f"    {name} = B['{name}']" for name in _BIND_NAMES)
-        src.extend(em.render(f"_b{leader}"))
-        src.append(f"    return _b{leader}")
+        # the function is named apart from its ``_b<leader>`` global: a
+        # region that loops to itself then loads itself from the run's
+        # namespace, which :meth:`Tier.close` clears, instead of from a
+        # closure cell, a cycle that would keep the run's memory alive
+        # until the garbage collector ran
+        src.extend(em.render())
+        src.append("    return _region")
         module = compile("\n".join(src) + "\n", "<repro.arch.compiled>", "exec")
         code = next(c for c in module.co_consts if isinstance(c, CodeType))
-        self.regions[leader] = code
+        region = (code, tuple((f"_b{pc}", pc) for pc in sorted(em.targets)))
+        self.regions[leader] = region
         self.fold_regions.append((em.region_idx, tuple(em.pcs),
                                   tuple(em.hz_offsets), tuple(em.sites)))
-        self.entries.append(0)
-        self.exits.extend([0] * len(em.sites))
-        return code
+        self.n_sites += len(em.sites)
+        return region
 
-    def reset(self):
-        """Restore pristine architectural and counter state in place."""
-        self.regs[:] = (0,) * 16
-        self.regs[13] = STACK_TOP
-        self.regs[14] = HALT
-        self.S[:] = ((0, 0, 4), 0, -1, 0, -1)
-        del self.output[:]
-        del self.log[:]
-        z = self._zeros
-        for arr in (self.hz, self.ms, self.tk, self.mc):
-            arr[:] = z
-        self.entries[:] = (0,) * len(self.entries)
-        self.exits[:] = (0,) * len(self.exits)
-        self.memory.data[:] = _ZERO_MEM
+
+class Tier:
+    """One run's translated tier: the image's regions bound to the run.
+
+    The stepper (:func:`repro.arch.predecode.run_fast`) owns the run's
+    registers, memory, output, access log and per-pc event arrays; the
+    tier binds the same objects into every region it instantiates, adds
+    the ``S`` slots the regions share with the stepper and the per-region
+    entry and per-site exit counters, and keeps ``budget``: per pc, the
+    entries a leader is still stepped before the tier translates it
+    (``0``: run it translated, as from the start for a region an earlier
+    run translated), and ``-1`` for a pc no region starts at.
+
+    Each region function is created from the image's code object the
+    first time the run enters it hot.  Its exits load ``_b<pc>`` from
+    the run's namespace, which holds the region function of a hot entry
+    and the integer pc of a cold one, so an exit to a cold entry returns
+    to the dispatcher in :meth:`run`.  :meth:`close` breaks the
+    namespace's reference cycle, so the run's state dies with the run.
+    """
+
+    __slots__ = ("image", "after", "budget", "S", "binds", "ns", "table",
+                 "entries", "exits")
+
+    def __init__(self, image, after, regs, data, output, log,
+                 hz, ms, tk, mc):
+        self.image = image
+        self.after = after
+        budget = [-1] * image.n_insts
+        for leader in image.leaders:
+            budget[leader] = after
+        for leader in image.regions:
+            # translated by an earlier run: nothing is left to amortize
+            budget[leader] = 0
+        self.budget = budget
+        # shared mutable slots: cmp state, carry, pending load-use reg,
+        # steps, icache shadow last-line
+        self.S = [(0, 0, 4), 0, -1, 0, -1]
+        # the region closures bind these two by identity, so they only
+        # ever grow in place
+        self.entries = [0] * image.n_regions
+        self.exits = [0] * image.n_sites
+        self.binds = {
+            "regs": regs, "S": self.S, "data": data,
+            "out_append": output.append, "LA": log.append,
+            "HZ": hz, "MS": ms, "TK": tk, "MC": mc,
+            "BE": self.entries, "BX": self.exits,
+            "ICD": _icmp_dyn, "MERR": MachineError,
+            "U16": _U16, "U32": _U32, "P16": _P16, "P32": _P32,
+        }
+        self.ns = {"__builtins__": builtins}
+        self.table = [None] * image.n_insts
+
+    def enter(self, leader):
+        """The run's region function for ``leader``, translating the
+        region first if no run has."""
+        image = self.image
+        region = image.regions.get(leader)
+        if region is None:
+            region = image.translate(leader)
+            self.entries.extend([0] * (image.n_regions - len(self.entries)))
+            self.exits.extend([0] * (image.n_sites - len(self.exits)))
+        code, targets = region
+        ns = self.ns
+        budget = self.budget
+        fn = FunctionType(code, ns)(self.binds)
+        for name, pc in targets:
+            if name not in ns:
+                ns[name] = pc
+                if budget[pc] < 0:
+                    # an entry a MAX_REGION cap made after this run began
+                    budget[pc] = self.after
+        ns[f"_b{leader}"] = self.table[leader] = fn
+        return fn
+
+    def run(self, pc, limit):
+        """Run translated code from hot leader ``pc``; return the pc the
+        stepper continues at: a cold entry (already counted), a pc no
+        region starts at, or one out of range (HALT among them)."""
+        S = self.S
+        table = self.table
+        budget = self.budget
+        n = len(table)
+        fn = table[pc] or self.enter(pc)
+        while True:
+            nxt = fn()
+            if S[3] > limit:
+                raise MachineError("machine step limit exceeded")
+            # spin on direct function references (statically known
+            # transfers to hot entries) without touching the table;
+            # integers are the rare case — bx through a dynamic r14, a
+            # cold entry, out-of-range targets, or HALT
+            while nxt.__class__ is not int:
+                nxt = nxt()
+                if S[3] > limit:
+                    raise MachineError("machine step limit exceeded")
+            if not 0 <= nxt < n:
+                return nxt
+            fn = table[nxt]
+            if fn is None:
+                left = budget[nxt]
+                if left:
+                    budget[nxt] = left - 1
+                    return nxt
+                fn = self.enter(nxt)
+
+    def fold_counts(self, exec_counts, hazard_pc):
+        """Add the translated executions to the stepper's per-pc arrays.
+
+        An instruction at offset ``off`` of a region executed once per
+        region entry minus once per exit at an earlier offset.  Exit
+        sites with a zero count don't split segments, so the common case
+        is one bulk ``+= running`` sweep over the region's pcs.
+        """
+        entries, exits = self.entries, self.exits
+        for ridx, pcs, hz_offsets, sites in self.image.fold_regions:
+            running = entries[ridx]
+            if not running:
+                continue
+            start = 0
+            for site, soff in sites:
+                x = exits[site]
+                if not x:
+                    continue
+                end = soff + 1
+                for p in pcs[start:end]:
+                    exec_counts[p] += running
+                running -= x
+                start = end
+                if running <= 0:
+                    break
+            if running > 0:
+                for p in pcs[start:]:
+                    exec_counts[p] += running
+            for hoff in hz_offsets:
+                # count at offset hoff = entries − Σ exits at earlier offsets
+                r = entries[ridx]
+                for site, soff in sites:
+                    if soff >= hoff:
+                        break
+                    r -= exits[site]
+                if r > 0:
+                    hazard_pc[pcs[hoff]] += r
+
+    def close(self):
+        """Drop the region functions: each holds the namespace that holds
+        it, a cycle that would keep the run's memory alive until the
+        garbage collector ran."""
+        self.ns.clear()
 
 
 class _RegionEmitter:
@@ -332,6 +397,7 @@ class _RegionEmitter:
         self.llr = None               # dest reg of an immediately-preceding load
         self.r14_const = None         # r14's value when statically known
         self.fallthrough_target = None
+        self.targets: set = set()     # region entries the exits return
 
     # -- low-level helpers ----------------------------------------------
 
@@ -452,6 +518,7 @@ class _RegionEmitter:
         (which the dispatcher bounds-checks, or recognizes as HALT).
         """
         if pc_target in self.leaders:
+            self.targets.add(pc_target)
             return f"_b{pc_target}"
         return repr(pc_target)
 
@@ -491,11 +558,9 @@ class _RegionEmitter:
                     # the cap makes pc a region entry, which the image
                     # registers once this region is emitted.  Regions
                     # translated earlier return the integer pc for a
-                    # transfer there only through a bx — returns target
-                    # bl+1, always a static leader, so only a corrupted
-                    # return address can reach pc before this region
-                    # exists; that run deoptimizes, bit-identically
+                    # transfer there, which the stepper takes over
                     self.fallthrough_target = pc
+                    self.targets.add(pc)
                     ret = f"_b{pc}"
                 else:
                     self.fallthrough_target = None
@@ -985,8 +1050,8 @@ class _RegionEmitter:
 
     # -- assembly ---------------------------------------------------------
 
-    def render(self, fname):
-        out = [f"    def {fname}():",
+    def render(self):
+        out = ["    def _region():",
                f"        BE[{self.region_idx}] += 1"]
         hz = self.code[self.start][1] if self.start < self.n else ()
         # dynamic load-use hazard carried in from the previous region
@@ -1056,109 +1121,12 @@ def get_image(linked, narrow_rf, spec_mask) -> CompiledImage:
 def run_compiled(machine):
     """Execute a linked program on the compiled engine.
 
-    Produces a :class:`repro.arch.machine.SimResult` bit-identical to
-    both :meth:`Machine._run_legacy` and
-    :func:`repro.arch.predecode.run_fast` —
-    ``tests/test_engine_equivalence.py`` asserts this differentially.
-    :meth:`Machine.resolve_engine` sends fault-injected, traced and
-    checkpointed runs elsewhere; the one fallback decided here is the
-    deoptimization below.
+    The compiled engine is the tiered engine of
+    :func:`repro.arch.predecode.run_fast` with a translation threshold of
+    zero: every region is translated the first time the run enters it,
+    and the stepper runs only what no region covers.  The result is
+    bit-identical to :meth:`Machine._run_legacy` and to ``fast`` at any
+    threshold — ``tests/test_engine_equivalence.py`` asserts this
+    differentially.
     """
-    linked = machine.linked
-    image = get_image(linked, machine.narrow_rf,
-                      slice_mask(machine.slice_width))
-    n = image.n_insts
-    # the installed region closures permanently bind the image's arrays,
-    # so every run reuses them after an in-place reset
-    image.reset()
-    initialize_globals(image.memory, machine.module, linked.global_addresses)
-    S = image.S
-    table = image.table
-
-    # Each region returns either the *next region's function* (statically
-    # known transfers — branches, calls, misspec redirects, fallthroughs)
-    # or an integer pc (indirect jumps via bx, out-of-range targets, HALT).
-    # Only the integer case touches the dispatch table.  A region not yet
-    # translated is a stub in both places: calling it translates first.
-    pc = linked.entry_index
-    limit = machine.step_limit
-    if not 0 <= pc < n:
-        raise MachineError(f"pc out of range: {pc}")
-    fn = table[pc]
-    while True:
-        if fn is None:
-            # control reached a pc no region starts at (e.g. an indirect
-            # jump through a corrupted return address, possibly onto an
-            # entry a MAX_REGION cap creates only once its region is
-            # translated): deoptimize — replay the whole run on the
-            # per-step engine
-            return run_fast(machine)
-        nxt = fn()
-        if S[3] > limit:
-            raise MachineError("machine step limit exceeded")
-        # spin on direct function references (statically known transfers)
-        # without touching the table; integers are the rare case — bx
-        # through a dynamic r14, out-of-range targets, or HALT
-        while nxt.__class__ is not int:
-            nxt = nxt()
-            if S[3] > limit:
-                raise MachineError("machine step limit exceeded")
-        if nxt == HALT:
-            break
-        if not 0 <= nxt < n:
-            raise MachineError(f"pc out of range: {nxt}")
-        fn = table[nxt]
-
-    # The per-pc arrays and the log outlive this call in the ArchRun (and,
-    # with obs on, in the returned PcSample): copy them out of the
-    # image, which the next run resets in place.
-    entries, exits = image.entries, image.exits
-    hazard_pc, misspec_pc = list(image.hz), list(image.ms)
-    taken_pc, movcond_pc = list(image.tk), list(image.mc)
-    exec_counts = [0] * n
-
-    # reconstruct per-pc execution counts and static hazards from the
-    # per-region entry/exit counters: an instruction at offset ``off``
-    # executed once per region entry minus once per earlier-offset exit.
-    # Exit sites with a zero count don't split segments, so the common
-    # case is one bulk `+= running` sweep over the region's pcs.
-    for _ridx, pcs, hz_offsets, sites in image.fold_regions:
-        running = entries[_ridx]
-        if not running:
-            continue
-        start = 0
-        for site, soff in sites:
-            x = exits[site]
-            if not x:
-                continue
-            end = soff + 1
-            for p in pcs[start:end]:
-                exec_counts[p] += running
-            running -= x
-            start = end
-            if running <= 0:
-                break
-        if running > 0:
-            for p in pcs[start:]:
-                exec_counts[p] += running
-        for hoff in hz_offsets:
-            # count at offset hoff = entries − Σ exits at earlier offsets
-            r = entries[_ridx]
-            for site, soff in sites:
-                if soff >= hoff:
-                    break
-                r -= exits[site]
-            if r > 0:
-                hazard_pc[pcs[hoff]] += r
-
-    run = ArchRun(
-        machine, (exec_counts, hazard_pc, misspec_pc, taken_pc, movcond_pc,
-                  image.log[:]), list(image.output), list(image.regs), S[3],
-    )
-    machine.arch_run = run
-    # the result's memory image must not alias the image's — it is
-    # caller-visible and reset in place by the next run
-    memory = FlatMemory.__new__(FlatMemory)
-    memory.size = image.memory.size
-    memory.data = bytearray(image.memory.data)
-    return run.fold(machine.geometry, memory=memory)
+    return run_fast(machine, translate_after=0)

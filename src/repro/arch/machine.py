@@ -205,12 +205,14 @@ class Machine:
     in docs/engines.md and enforced differentially by
     ``tests/test_engine_equivalence.py``):
 
-    * the *fast path* (default): the program is predecoded once into dense
-      tuples with an integer-dispatch loop and batched energy counters
-      (:mod:`repro.arch.predecode`);
-    * the *compiled engine*: a block-specialized template JIT that
-      translates the predecoded program into straight-line Python per
-      basic-block region (:mod:`repro.arch.compiled`);
+    * the *fast path* (default): a two-tier engine.  The program is
+      predecoded once into dense tuples that an integer-dispatch loop
+      steps with batched energy counters (:mod:`repro.arch.predecode`);
+      a region the run keeps entering is translated into straight-line
+      Python and runs translated from then on
+      (:mod:`repro.arch.compiled`);
+    * the *compiled engine*: the same engine translating every region
+      on its first entry;
     * the *legacy path*: the original instruction-at-a-time interpreter,
       kept as the differential-testing reference and the only engine
       that calls a ``trace_hook`` before every step;
@@ -270,7 +272,7 @@ class Machine:
         #: re-scores it under cache geometry ``g`` without re-executing
         self.arch_run = None
 
-    def resolve_engine(self) -> str:
+    def resolve_engine(self, *, inorder: bool = False) -> str:
         """The engine :meth:`run` will use, by the ladder in
         docs/engines.md; :meth:`run` adds the checkpoint rung and
         rejects a ``trace_hook`` or ``obs`` the chosen engine lacks.
@@ -282,7 +284,11 @@ class Machine:
         2. a fault session must observe every step: ``compiled`` runs
            ``fast``, and so does ``ooo`` unless the session is one of
            its native recovery kinds (``ooo_native``);
-        3. ``ooo`` with ``obs=True`` and no fault session runs ``fast``.
+        3. ``ooo`` with ``obs=True`` and no fault session runs ``fast``;
+        4. ``inorder=True`` asks for an engine of the in-order timing
+           model that serves the request, for a caller whose result must
+           not depend on the spelling (the serve report): ``ooo`` reads
+           as ``fast``, and so does ``legacy`` with ``obs=True``.
         """
         engine = self.engine
         if engine is None:
@@ -300,6 +306,8 @@ class Machine:
             self.obs if fx is None else not getattr(fx, "ooo_native", False)
         ):
             return "fast"
+        if inorder and (engine == "ooo" or (engine == "legacy" and self.obs)):
+            return "fast"
         return engine
 
     def run(self, *, checkpoint_at=None, resume_from=None) -> SimResult:
@@ -313,7 +321,8 @@ class Machine:
         ``run(resume_from=snap)`` is bit-identical to one uninterrupted
         run (docs/resilience.md).  The ``compiled`` and ``ooo`` engines
         have no mid-run boundary and degrade to the predecoded stepper
-        whole-run, exactly as fault injection does.
+        whole-run, exactly as fault injection does; ``fast`` then steps
+        every instruction.
         """
         engine = self.resolve_engine()
         if checkpoint_at is not None or resume_from is not None:
@@ -333,6 +342,8 @@ class Machine:
             from repro.arch.compiled import run_compiled
 
             return run_compiled(self)
+        if self.obs and engine in ("legacy", "ooo"):
+            raise ValueError("obs=True requires the predecoded fast path")
         if engine == "ooo":
             from repro.arch.ooo import run_ooo
 
@@ -343,8 +354,6 @@ class Machine:
             return run_fast(
                 self, checkpoint_at=checkpoint_at, resume_from=resume_from
             )
-        if self.obs:
-            raise ValueError("obs=True requires the predecoded fast path")
         return self._run_legacy(
             checkpoint_at=checkpoint_at, resume_from=resume_from
         )

@@ -26,6 +26,11 @@ as per-access lookups would have.  The same log replays under any other
 geometry (:meth:`ArchRun.fold`), which is how a DSE sweep scores cache
 sizes without re-executing the program.
 
+The loop is the cold tier of a two-tier engine.  It counts region
+entries on control transfers, and a region the run keeps entering is
+translated by :mod:`repro.arch.compiled` and runs as straight-line
+Python on the same state from then on (:func:`run_fast`).
+
 The predecoded form is cached on the :class:`LinkedProgram` instance, so
 repeated simulations of one binary (different inputs, DTS reruns, the
 bench matrix) skip predecode.  Event counts are bit-identical to the
@@ -426,11 +431,36 @@ def predecode(linked, narrow_rf: bool):
     return cache[narrow_rf]
 
 
-def run_fast(machine, checkpoint_at=None, resume_from=None) -> "SimResult":
-    """Execute a linked program on the predecoded fast path.
+#: a region the run has entered this many times by a control transfer
+#: is translated (:mod:`repro.arch.compiled`) and runs translated from
+#: then on; ``None`` steps every instruction.  Chosen by measurement:
+#: roster-cold's cold simulations sum lowest near 64, and no serve-closed
+#: region is entered that often
+TRANSLATE_AFTER = 64
+
+
+def run_fast(machine, checkpoint_at=None, resume_from=None, *,
+             translate_after=None) -> "SimResult":
+    """Execute a linked program on the tiered in-order engine.
 
     Produces a :class:`repro.arch.machine.SimResult` with event counts
     bit-identical to :meth:`Machine._run_legacy`.
+
+    The loop below steps the predecoded program one instruction at a
+    time and counts region entries on control transfers only (taken
+    branches, calls, returns and misspeculation redirects).  A region
+    entered more than ``translate_after`` times (default
+    :data:`TRANSLATE_AFTER`; the compiled engine passes 0) is translated
+    and runs translated from then on — from its first entry if an
+    earlier run of the program translated it already — on the same
+    registers, memory, access log and per-pc arrays, through a
+    :class:`repro.arch.compiled.Tier` that lives as long as the run.
+    The ``S`` slots carry the rest of the state across each hand-off in
+    either direction, so the tiers agree on it at every region
+    boundary; translated code that exits to a cold entry, or to a pc no
+    region starts at, hands the stepper that pc.  The fold adds the
+    translated executions to the stepped ones.  A fault session or a
+    checkpoint steps every instruction.
 
     ``checkpoint_at=N`` returns a
     :class:`repro.arch.checkpoint.Snapshot` at the first
@@ -453,6 +483,8 @@ def run_fast(machine, checkpoint_at=None, resume_from=None) -> "SimResult":
     delta = linked.delta
     inst_bytes = linked.inst_bytes
     spec_mask = slice_mask(machine.slice_width)
+    if translate_after is None:
+        translate_after = TRANSLATE_AFTER
     # the I-line of pc is ``pc >> ishift``: instructions are 2 or 4 bytes
     ishift = L1_LINE_SHIFT + 1 - inst_bytes.bit_length()
     pc_bits = _pc_bits(n_insts)
@@ -487,7 +519,6 @@ def run_fast(machine, checkpoint_at=None, resume_from=None) -> "SimResult":
     pc = linked.entry_index
     steps = 0
     limit = machine.step_limit
-    fx = machine.faults
     # Dynamic events, recorded per pc and only when they occur.  The
     # common case (L1 hit, no hazard, no misspeculation, branch not
     # taken) touches none of these; everything an aggregate counter or
@@ -530,453 +561,546 @@ def run_fast(machine, checkpoint_at=None, resume_from=None) -> "SimResult":
         taken_pc[:] = state["taken_pc"]
         movcond_pc[:] = state["movcond_pc"]
 
-    while pc != HALT:
-        if checkpoint_at is not None and steps >= checkpoint_at:
-            from repro.arch.checkpoint import make_snapshot
+    fx = machine.faults
+    tier = None
+    hot = False
+    if (translate_after is not None and fx is None and checkpoint_at is None
+            and resume_from is None):
+        from repro.arch import compiled
 
-            replay(hierarchy, log, steps - log_from - skipped, inst_bytes,
-                   ic_l2_pc, ic_mem_pc, d_l2_pc, d_mem_pc)
-            return make_snapshot(
-                machine, "fast",
-                instructions=steps, pc=pc, regs=regs, cmp_state=cmp_state,
-                carry=carry, last_load_reg=last_load_reg, output=output,
-                memory=memory, hierarchy=hierarchy,
-                state={
-                    "exec_counts": list(exec_counts),
-                    "ic_l2_pc": list(ic_l2_pc),
-                    "ic_mem_pc": list(ic_mem_pc),
-                    "d_l2_pc": list(d_l2_pc),
-                    "d_mem_pc": list(d_mem_pc),
-                    "hazard_pc": list(hazard_pc),
-                    "misspec_pc": list(misspec_pc),
-                    "taken_pc": list(taken_pc),
-                    "movcond_pc": list(movcond_pc),
-                },
-            )
-        if not 0 <= pc < n_insts:
-            raise MachineError(f"pc out of range: {pc}")
-        t = code[pc]
-        steps += 1
-        if steps > limit:
-            raise MachineError("machine step limit exceeded")
-        if fx is not None:
-            if fx.on_step(steps, pc, regs, memory) is not None:
-                # corrupted fetch: the slot executes as a bubble (same
-                # architectural effect as the legacy engine's skip) and
-                # fetches nothing
+        tier = compiled.Tier(
+            compiled.get_image(linked, machine.narrow_rf, spec_mask),
+            translate_after, regs, memory.data, output, log,
+            hazard_pc, misspec_pc, taken_pc, movcond_pc,
+        )
+        budget = tier.budget
+        S = tier.S
+        # the run's first entry counts like a control transfer
+        if 0 <= pc < n_insts:
+            if budget[pc]:
+                budget[pc] -= 1
+            else:
+                hot = True
+    else:
+        # no pc ever runs translated
+        budget = [-1] * n_insts
+    try:
+        # alternate between the tiers: translated code from a hot entry
+        # until it hands a pc back, then steps from there until a control
+        # transfer into a hot entry breaks out of the step loop
+        while True:
+            if hot:
+                S[0] = cmp_state
+                S[1] = carry
+                S[2] = last_load_reg
+                S[3] = steps
+                S[4] = iline
+                pc = tier.run(pc, limit)
+                cmp_state = S[0]
+                carry = S[1]
+                last_load_reg = S[2]
+                steps = S[3]
+                iline = S[4]
+            hot = True
+            while pc != HALT:
+                if checkpoint_at is not None and steps >= checkpoint_at:
+                    from repro.arch.checkpoint import make_snapshot
+
+                    replay(hierarchy, log, steps - log_from - skipped, inst_bytes,
+                           ic_l2_pc, ic_mem_pc, d_l2_pc, d_mem_pc)
+                    return make_snapshot(
+                        machine, "fast",
+                        instructions=steps, pc=pc, regs=regs, cmp_state=cmp_state,
+                        carry=carry, last_load_reg=last_load_reg, output=output,
+                        memory=memory, hierarchy=hierarchy,
+                        state={
+                            "exec_counts": list(exec_counts),
+                            "ic_l2_pc": list(ic_l2_pc),
+                            "ic_mem_pc": list(ic_mem_pc),
+                            "d_l2_pc": list(d_l2_pc),
+                            "d_mem_pc": list(d_mem_pc),
+                            "hazard_pc": list(hazard_pc),
+                            "misspec_pc": list(misspec_pc),
+                            "taken_pc": list(taken_pc),
+                            "movcond_pc": list(movcond_pc),
+                        },
+                    )
+                if not 0 <= pc < n_insts:
+                    raise MachineError(f"pc out of range: {pc}")
+                t = code[pc]
+                steps += 1
+                if steps > limit:
+                    raise MachineError("machine step limit exceeded")
+                if fx is not None:
+                    if fx.on_step(steps, pc, regs, memory) is not None:
+                        # corrupted fetch: the slot executes as a bubble (same
+                        # architectural effect as the legacy engine's skip) and
+                        # fetches nothing
+                        exec_counts[pc] += 1
+                        skipped += 1
+                        last_load_reg = -1
+                        pc = pc + 1
+                        continue
+                # instruction fetch: only a line transition reaches the log
+                if pc >> ishift != iline:
+                    iline = pc >> ishift
+                    log_append(~pc)
                 exec_counts[pc] += 1
-                skipped += 1
-                last_load_reg = -1
-                pc = pc + 1
-                continue
-        # instruction fetch: only a line transition reaches the log
-        if pc >> ishift != iline:
-            iline = pc >> ishift
-            log_append(~pc)
-        exec_counts[pc] += 1
-        # load-use hazard
-        if last_load_reg >= 0:
-            if last_load_reg in t[1]:
-                hazard_pc[pc] += 1
-            last_load_reg = -1
-        op = t[0]
-        next_pc = pc + 1
+                # load-use hazard
+                if last_load_reg >= 0:
+                    if last_load_reg in t[1]:
+                        hazard_pc[pc] += 1
+                    last_load_reg = -1
+                op = t[0]
+                next_pc = pc + 1
 
-        if op == OP_ALU:
-            d = t[3]
-            k = d[0]
-            a = ((regs[d[1]] >> d[2]) & d[3]) if k == 1 else (
-                d[1] if k == 0 else regs[13]
-            )
-            d = t[4]
-            k = d[0]
-            b = ((regs[d[1]] >> d[2]) & d[3]) if k == 1 else (
-                d[1] if k == 0 else regs[13]
-            )
-            sub = t[2]
-            mask = t[6]
-            if sub == 0:
-                value = (a + b) & mask
-            elif sub == 1:
-                value = (a - b) & mask
-            elif sub == 2:
-                value = a & b
-            elif sub == 3:
-                value = a | b
-            elif sub == 4:
-                value = a ^ b
-            elif sub == 5:
-                value = (a << b) & mask if b < 32 else 0
-            elif sub == 6:
-                value = (a >> b) if b < 32 else 0
-            else:  # asr
-                ty = t[7]
-                shift = min(b, ty.bits - 1)
-                value = ty.wrap(ty.to_signed(a) >> shift)
-            w = t[5]
-            r = w[0]
-            regs[r] = (regs[r] & w[3]) | ((value & w[2]) << w[1])
-        elif op == OP_MOV:
-            d = t[2]
-            k = d[0]
-            value = ((regs[d[1]] >> d[2]) & d[3]) if k == 1 else (
-                d[1] if k == 0 else regs[13]
-            )
-            w = t[3]
-            r = w[0]
-            regs[r] = (regs[r] & w[3]) | ((value & w[2]) << w[1])
-        elif op == OP_LOAD:
-            d = t[2]
-            k = d[0]
-            base = ((regs[d[1]] >> d[2]) & d[3]) if k == 1 else (
-                d[1] if k == 0 else regs[13]
-            )
-            addr = (base + t[3]) & 0xFFFFFFFF
-            value = mem_load(addr, t[4])
-            w = t[5]
-            r = w[0]
-            regs[r] = (regs[r] & w[3]) | ((value & w[2]) << w[1])
-            log_append(addr << pc_bits | pc)
-            last_load_reg = t[6]
-        elif op == OP_STORE:
-            d = t[2]
-            k = d[0]
-            value = ((regs[d[1]] >> d[2]) & d[3]) if k == 1 else (
-                d[1] if k == 0 else regs[13]
-            )
-            d = t[3]
-            k = d[0]
-            base = ((regs[d[1]] >> d[2]) & d[3]) if k == 1 else (
-                d[1] if k == 0 else regs[13]
-            )
-            addr = (base + t[4]) & 0xFFFFFFFF
-            mem_store(addr, value, t[5])
-            # legacy path discards the store's stall cycles; levels only
-            log_append(addr << pc_bits | pc)
-        elif op == OP_BCOND:
-            a, b, width = cmp_state
-            ty = int_type(64 if width == 8 else width * 8)
-            if evaluate_icmp(t[2], a, b, ty):
-                next_pc = t[3]
-                taken_pc[pc] += 1
-        elif op == OP_B:
-            next_pc = t[2]
-        elif op == OP_CMP:
-            d = t[2]
-            k = d[0]
-            a = ((regs[d[1]] >> d[2]) & d[3]) if k == 1 else (
-                d[1] if k == 0 else regs[13]
-            )
-            d = t[3]
-            k = d[0]
-            b = ((regs[d[1]] >> d[2]) & d[3]) if k == 1 else (
-                d[1] if k == 0 else regs[13]
-            )
-            cmp_state = (a, b, t[4])
-        elif op == OP_BS_BIN:
-            d = t[3]
-            k = d[0]
-            a = ((regs[d[1]] >> d[2]) & d[3]) if k == 1 else (
-                d[1] if k == 0 else regs[13]
-            )
-            d = t[4]
-            k = d[0]
-            b = ((regs[d[1]] >> d[2]) & d[3]) if k == 1 else (
-                d[1] if k == 0 else regs[13]
-            )
-            sub = t[2]
-            if sub == 0:
-                wide = a + b
-            elif sub == 1:
-                wide = a - b
-            elif sub == 2:
-                wide = a & b
-            elif sub == 3:
-                wide = a | b
-            elif sub == 4:
-                wide = a ^ b
-            elif sub == 5:
-                wide = (a << b) if b < 32 else 0
+                if op == OP_ALU:
+                    d = t[3]
+                    k = d[0]
+                    a = ((regs[d[1]] >> d[2]) & d[3]) if k == 1 else (
+                        d[1] if k == 0 else regs[13]
+                    )
+                    d = t[4]
+                    k = d[0]
+                    b = ((regs[d[1]] >> d[2]) & d[3]) if k == 1 else (
+                        d[1] if k == 0 else regs[13]
+                    )
+                    sub = t[2]
+                    mask = t[6]
+                    if sub == 0:
+                        value = (a + b) & mask
+                    elif sub == 1:
+                        value = (a - b) & mask
+                    elif sub == 2:
+                        value = a & b
+                    elif sub == 3:
+                        value = a | b
+                    elif sub == 4:
+                        value = a ^ b
+                    elif sub == 5:
+                        value = (a << b) & mask if b < 32 else 0
+                    elif sub == 6:
+                        value = (a >> b) if b < 32 else 0
+                    else:  # asr
+                        ty = t[7]
+                        shift = min(b, ty.bits - 1)
+                        value = ty.wrap(ty.to_signed(a) >> shift)
+                    w = t[5]
+                    r = w[0]
+                    regs[r] = (regs[r] & w[3]) | ((value & w[2]) << w[1])
+                elif op == OP_MOV:
+                    d = t[2]
+                    k = d[0]
+                    value = ((regs[d[1]] >> d[2]) & d[3]) if k == 1 else (
+                        d[1] if k == 0 else regs[13]
+                    )
+                    w = t[3]
+                    r = w[0]
+                    regs[r] = (regs[r] & w[3]) | ((value & w[2]) << w[1])
+                elif op == OP_LOAD:
+                    d = t[2]
+                    k = d[0]
+                    base = ((regs[d[1]] >> d[2]) & d[3]) if k == 1 else (
+                        d[1] if k == 0 else regs[13]
+                    )
+                    addr = (base + t[3]) & 0xFFFFFFFF
+                    value = mem_load(addr, t[4])
+                    w = t[5]
+                    r = w[0]
+                    regs[r] = (regs[r] & w[3]) | ((value & w[2]) << w[1])
+                    log_append(addr << pc_bits | pc)
+                    last_load_reg = t[6]
+                elif op == OP_STORE:
+                    d = t[2]
+                    k = d[0]
+                    value = ((regs[d[1]] >> d[2]) & d[3]) if k == 1 else (
+                        d[1] if k == 0 else regs[13]
+                    )
+                    d = t[3]
+                    k = d[0]
+                    base = ((regs[d[1]] >> d[2]) & d[3]) if k == 1 else (
+                        d[1] if k == 0 else regs[13]
+                    )
+                    addr = (base + t[4]) & 0xFFFFFFFF
+                    mem_store(addr, value, t[5])
+                    # legacy path discards the store's stall cycles; levels only
+                    log_append(addr << pc_bits | pc)
+                elif op == OP_BCOND:
+                    a, b, width = cmp_state
+                    ty = int_type(64 if width == 8 else width * 8)
+                    if evaluate_icmp(t[2], a, b, ty):
+                        next_pc = t[3]
+                        taken_pc[pc] += 1
+                        left = budget[next_pc]
+                        if not left:
+                            pc = next_pc
+                            break
+                        budget[next_pc] = left - 1
+                elif op == OP_B:
+                    next_pc = t[2]
+                    left = budget[next_pc]
+                    if not left:
+                        pc = next_pc
+                        break
+                    budget[next_pc] = left - 1
+                elif op == OP_CMP:
+                    d = t[2]
+                    k = d[0]
+                    a = ((regs[d[1]] >> d[2]) & d[3]) if k == 1 else (
+                        d[1] if k == 0 else regs[13]
+                    )
+                    d = t[3]
+                    k = d[0]
+                    b = ((regs[d[1]] >> d[2]) & d[3]) if k == 1 else (
+                        d[1] if k == 0 else regs[13]
+                    )
+                    cmp_state = (a, b, t[4])
+                elif op == OP_BS_BIN:
+                    d = t[3]
+                    k = d[0]
+                    a = ((regs[d[1]] >> d[2]) & d[3]) if k == 1 else (
+                        d[1] if k == 0 else regs[13]
+                    )
+                    d = t[4]
+                    k = d[0]
+                    b = ((regs[d[1]] >> d[2]) & d[3]) if k == 1 else (
+                        d[1] if k == 0 else regs[13]
+                    )
+                    sub = t[2]
+                    if sub == 0:
+                        wide = a + b
+                    elif sub == 1:
+                        wide = a - b
+                    elif sub == 2:
+                        wide = a & b
+                    elif sub == 3:
+                        wide = a | b
+                    elif sub == 4:
+                        wide = a ^ b
+                    elif sub == 5:
+                        wide = (a << b) if b < 32 else 0
+                    else:
+                        wide = a >> b if b < 32 else 0
+                    miss = wide < 0 or wide > spec_mask
+                    if fx is not None:
+                        miss = fx.spec_outcome(miss)
+                    if miss:
+                        misspec_pc[pc] += 1
+                        next_pc = pc + delta if fx is None else fx.redirect(pc, delta)
+                        if 0 <= next_pc < n_insts:
+                            left = budget[next_pc]
+                            if not left:
+                                pc = next_pc
+                                break
+                            budget[next_pc] = left - 1
+                    else:
+                        w = t[5]
+                        r = w[0]
+                        regs[r] = (regs[r] & w[3]) | ((wide & w[2]) << w[1])
+                elif op == OP_BS_CMP:
+                    d = t[2]
+                    k = d[0]
+                    a = ((regs[d[1]] >> d[2]) & d[3]) if k == 1 else (
+                        d[1] if k == 0 else regs[13]
+                    )
+                    d = t[3]
+                    k = d[0]
+                    b = ((regs[d[1]] >> d[2]) & d[3]) if k == 1 else (
+                        d[1] if k == 0 else regs[13]
+                    )
+                    cmp_state = (a, b, t[4])
+                elif op == OP_BS_TRUNC:
+                    d = t[2]
+                    k = d[0]
+                    value = ((regs[d[1]] >> d[2]) & d[3]) if k == 1 else (
+                        d[1] if k == 0 else regs[13]
+                    )
+                    miss = value > spec_mask
+                    if fx is not None:
+                        miss = fx.spec_outcome(miss)
+                    if miss:
+                        misspec_pc[pc] += 1
+                        next_pc = pc + delta if fx is None else fx.redirect(pc, delta)
+                        if 0 <= next_pc < n_insts:
+                            left = budget[next_pc]
+                            if not left:
+                                pc = next_pc
+                                break
+                            budget[next_pc] = left - 1
+                    else:
+                        w = t[3]
+                        r = w[0]
+                        regs[r] = (regs[r] & w[3]) | ((value & w[2]) << w[1])
+                elif op == OP_BS_TRUNC_HI:
+                    d = t[2]
+                    k = d[0]
+                    value = ((regs[d[1]] >> d[2]) & d[3]) if k == 1 else (
+                        d[1] if k == 0 else regs[13]
+                    )
+                    miss = value != 0
+                    if fx is not None:
+                        miss = fx.spec_outcome(miss)
+                    if miss:
+                        misspec_pc[pc] += 1
+                        next_pc = pc + delta if fx is None else fx.redirect(pc, delta)
+                        if 0 <= next_pc < n_insts:
+                            left = budget[next_pc]
+                            if not left:
+                                pc = next_pc
+                                break
+                            budget[next_pc] = left - 1
+                elif op == OP_BS_LDR:
+                    d = t[2]
+                    k = d[0]
+                    addr = ((regs[d[1]] >> d[2]) & d[3]) if k == 1 else (
+                        d[1] if k == 0 else regs[13]
+                    )
+                    value = mem_load(addr, t[3])
+                    log_append(addr << pc_bits | pc)
+                    miss = value > spec_mask
+                    if fx is not None:
+                        miss = fx.spec_outcome(miss)
+                    if miss:
+                        misspec_pc[pc] += 1
+                        next_pc = pc + delta if fx is None else fx.redirect(pc, delta)
+                        if 0 <= next_pc < n_insts:
+                            left = budget[next_pc]
+                            if not left:
+                                pc = next_pc
+                                break
+                            budget[next_pc] = left - 1
+                    else:
+                        w = t[4]
+                        r = w[0]
+                        regs[r] = (regs[r] & w[3]) | ((value & w[2]) << w[1])
+                        last_load_reg = t[6]
+                elif op == OP_EXT:
+                    d = t[2]
+                    k = d[0]
+                    value = ((regs[d[1]] >> d[2]) & d[3]) if k == 1 else (
+                        d[1] if k == 0 else regs[13]
+                    )
+                    ty = t[3]
+                    if ty is not None:  # sxt
+                        value = ty.to_signed(value) & 0xFFFFFFFF
+                    w = t[4]
+                    r = w[0]
+                    regs[r] = (regs[r] & w[3]) | ((value & w[2]) << w[1])
+                elif op == OP_MOVCOND:
+                    a, b, width = cmp_state
+                    ty = int_type(64 if width == 8 else width * 8)
+                    if evaluate_icmp(t[2], a, b, ty):
+                        movcond_pc[pc] += 1
+                        d = t[3]
+                        k = d[0]
+                        value = ((regs[d[1]] >> d[2]) & d[3]) if k == 1 else (
+                            d[1] if k == 0 else regs[13]
+                        )
+                        w = t[5]
+                        r = w[0]
+                        regs[r] = (regs[r] & w[3]) | ((value & w[2]) << w[1])
+                elif op == OP_MUL:
+                    d = t[2]
+                    k = d[0]
+                    a = ((regs[d[1]] >> d[2]) & d[3]) if k == 1 else (
+                        d[1] if k == 0 else regs[13]
+                    )
+                    d = t[3]
+                    k = d[0]
+                    b = ((regs[d[1]] >> d[2]) & d[3]) if k == 1 else (
+                        d[1] if k == 0 else regs[13]
+                    )
+                    value = (a * b) & t[5]
+                    w = t[4]
+                    r = w[0]
+                    regs[r] = (regs[r] & w[3]) | ((value & w[2]) << w[1])
+                elif op == OP_UMULL:
+                    d = t[2]
+                    k = d[0]
+                    a = ((regs[d[1]] >> d[2]) & d[3]) if k == 1 else (
+                        d[1] if k == 0 else regs[13]
+                    )
+                    d = t[3]
+                    k = d[0]
+                    b = ((regs[d[1]] >> d[2]) & d[3]) if k == 1 else (
+                        d[1] if k == 0 else regs[13]
+                    )
+                    product = a * b
+                    w = t[4]
+                    r = w[0]
+                    value = product & 0xFFFFFFFF
+                    regs[r] = (regs[r] & w[3]) | ((value & w[2]) << w[1])
+                    w = t[5]
+                    r = w[0]
+                    value = (product >> 32) & 0xFFFFFFFF
+                    regs[r] = (regs[r] & w[3]) | ((value & w[2]) << w[1])
+                elif op == OP_DIV:
+                    d = t[3]
+                    k = d[0]
+                    a = ((regs[d[1]] >> d[2]) & d[3]) if k == 1 else (
+                        d[1] if k == 0 else regs[13]
+                    )
+                    d = t[4]
+                    k = d[0]
+                    b = ((regs[d[1]] >> d[2]) & d[3]) if k == 1 else (
+                        d[1] if k == 0 else regs[13]
+                    )
+                    if b == 0:
+                        raise MachineError("division by zero")
+                    sub = t[2]
+                    ty = t[6]
+                    if sub == 0:  # udiv
+                        value = a // b
+                    elif sub == 2:  # urem
+                        value = a % b
+                    else:
+                        sa, sb = ty.to_signed(a), ty.to_signed(b)
+                        q = abs(sa) // abs(sb)
+                        rr = abs(sa) % abs(sb)
+                        if sub == 1:  # sdiv
+                            value = ty.wrap(-q if (sa < 0) != (sb < 0) else q)
+                        else:  # srem
+                            value = ty.wrap(-rr if sa < 0 else rr)
+                    value = ty.wrap(value)
+                    w = t[5]
+                    r = w[0]
+                    regs[r] = (regs[r] & w[3]) | ((value & w[2]) << w[1])
+                elif op == OP_ADDS or op == OP_ADC:
+                    d = t[2]
+                    k = d[0]
+                    a = ((regs[d[1]] >> d[2]) & d[3]) if k == 1 else (
+                        d[1] if k == 0 else regs[13]
+                    )
+                    d = t[3]
+                    k = d[0]
+                    b = ((regs[d[1]] >> d[2]) & d[3]) if k == 1 else (
+                        d[1] if k == 0 else regs[13]
+                    )
+                    full = a + b + (carry if op == OP_ADC else 0)
+                    carry = full >> 32
+                    value = full & 0xFFFFFFFF
+                    w = t[4]
+                    r = w[0]
+                    regs[r] = (regs[r] & w[3]) | ((value & w[2]) << w[1])
+                elif op == OP_SUBS:
+                    d = t[2]
+                    k = d[0]
+                    a = ((regs[d[1]] >> d[2]) & d[3]) if k == 1 else (
+                        d[1] if k == 0 else regs[13]
+                    )
+                    d = t[3]
+                    k = d[0]
+                    b = ((regs[d[1]] >> d[2]) & d[3]) if k == 1 else (
+                        d[1] if k == 0 else regs[13]
+                    )
+                    carry = 1 if a >= b else 0
+                    value = (a - b) & 0xFFFFFFFF
+                    w = t[4]
+                    r = w[0]
+                    regs[r] = (regs[r] & w[3]) | ((value & w[2]) << w[1])
+                elif op == OP_SBC:
+                    d = t[2]
+                    k = d[0]
+                    a = ((regs[d[1]] >> d[2]) & d[3]) if k == 1 else (
+                        d[1] if k == 0 else regs[13]
+                    )
+                    d = t[3]
+                    k = d[0]
+                    b = ((regs[d[1]] >> d[2]) & d[3]) if k == 1 else (
+                        d[1] if k == 0 else regs[13]
+                    )
+                    full = a - b - (1 - carry)
+                    carry = 1 if full >= 0 else 0
+                    value = full & 0xFFFFFFFF
+                    w = t[4]
+                    r = w[0]
+                    regs[r] = (regs[r] & w[3]) | ((value & w[2]) << w[1])
+                elif op == OP_ADDSL or op == OP_ORRSL:
+                    d = t[2]
+                    k = d[0]
+                    a = ((regs[d[1]] >> d[2]) & d[3]) if k == 1 else (
+                        d[1] if k == 0 else regs[13]
+                    )
+                    d = t[3]
+                    k = d[0]
+                    b = ((regs[d[1]] >> d[2]) & d[3]) if k == 1 else (
+                        d[1] if k == 0 else regs[13]
+                    )
+                    shift = t[4]
+                    if op == OP_ADDSL:
+                        value = (a + (b << shift)) & 0xFFFFFFFF
+                    else:
+                        shifted = (b << shift) & 0xFFFFFFFF if shift >= 0 else (
+                            b >> (-shift)
+                        )
+                        value = a | shifted
+                    w = t[5]
+                    r = w[0]
+                    regs[r] = (regs[r] & w[3]) | ((value & w[2]) << w[1])
+                elif op == OP_BL:
+                    regs[14] = pc + 1
+                    next_pc = t[2]
+                    left = budget[next_pc]
+                    if not left:
+                        pc = next_pc
+                        break
+                    budget[next_pc] = left - 1
+                elif op == OP_BX:
+                    next_pc = regs[14]
+                    if 0 <= next_pc < n_insts:
+                        left = budget[next_pc]
+                        if not left:
+                            pc = next_pc
+                            break
+                        budget[next_pc] = left - 1
+                elif op == OP_SUBSPI:
+                    regs[13] = (regs[13] - t[2]) & 0xFFFFFFFF
+                elif op == OP_ADDSPI:
+                    regs[13] = (regs[13] + t[2]) & 0xFFFFFFFF
+                elif op == OP_CMP64HI:
+                    d = t[2]
+                    k = d[0]
+                    a = ((regs[d[1]] >> d[2]) & d[3]) if k == 1 else (
+                        d[1] if k == 0 else regs[13]
+                    )
+                    d = t[3]
+                    k = d[0]
+                    b = ((regs[d[1]] >> d[2]) & d[3]) if k == 1 else (
+                        d[1] if k == 0 else regs[13]
+                    )
+                    cmp_state = (a, b, "hi")
+                elif op == OP_CMP64LO:
+                    a_hi, b_hi, _tag = cmp_state
+                    d = t[2]
+                    k = d[0]
+                    a = ((regs[d[1]] >> d[2]) & d[3]) if k == 1 else (
+                        d[1] if k == 0 else regs[13]
+                    )
+                    d = t[3]
+                    k = d[0]
+                    b = ((regs[d[1]] >> d[2]) & d[3]) if k == 1 else (
+                        d[1] if k == 0 else regs[13]
+                    )
+                    cmp_state = ((a_hi << 32) | a, (b_hi << 32) | b, 8)
+                elif op == OP_OUT:
+                    d = t[2]
+                    k = d[0]
+                    value = ((regs[d[1]] >> d[2]) & d[3]) if k == 1 else (
+                        d[1] if k == 0 else regs[13]
+                    )
+                    output.append(value)
+                elif op == OP_NOP:
+                    pass
+                else:  # OP_ERROR
+                    raise MachineError(f"{t[2]} at {pc}")
+                pc = next_pc
             else:
-                wide = a >> b if b < 32 else 0
-            miss = wide < 0 or wide > spec_mask
-            if fx is not None:
-                miss = fx.spec_outcome(miss)
-            if miss:
-                misspec_pc[pc] += 1
-                next_pc = pc + delta if fx is None else fx.redirect(pc, delta)
-            else:
-                w = t[5]
-                r = w[0]
-                regs[r] = (regs[r] & w[3]) | ((wide & w[2]) << w[1])
-        elif op == OP_BS_CMP:
-            d = t[2]
-            k = d[0]
-            a = ((regs[d[1]] >> d[2]) & d[3]) if k == 1 else (
-                d[1] if k == 0 else regs[13]
-            )
-            d = t[3]
-            k = d[0]
-            b = ((regs[d[1]] >> d[2]) & d[3]) if k == 1 else (
-                d[1] if k == 0 else regs[13]
-            )
-            cmp_state = (a, b, t[4])
-        elif op == OP_BS_TRUNC:
-            d = t[2]
-            k = d[0]
-            value = ((regs[d[1]] >> d[2]) & d[3]) if k == 1 else (
-                d[1] if k == 0 else regs[13]
-            )
-            miss = value > spec_mask
-            if fx is not None:
-                miss = fx.spec_outcome(miss)
-            if miss:
-                misspec_pc[pc] += 1
-                next_pc = pc + delta if fx is None else fx.redirect(pc, delta)
-            else:
-                w = t[3]
-                r = w[0]
-                regs[r] = (regs[r] & w[3]) | ((value & w[2]) << w[1])
-        elif op == OP_BS_TRUNC_HI:
-            d = t[2]
-            k = d[0]
-            value = ((regs[d[1]] >> d[2]) & d[3]) if k == 1 else (
-                d[1] if k == 0 else regs[13]
-            )
-            miss = value != 0
-            if fx is not None:
-                miss = fx.spec_outcome(miss)
-            if miss:
-                misspec_pc[pc] += 1
-                next_pc = pc + delta if fx is None else fx.redirect(pc, delta)
-        elif op == OP_BS_LDR:
-            d = t[2]
-            k = d[0]
-            addr = ((regs[d[1]] >> d[2]) & d[3]) if k == 1 else (
-                d[1] if k == 0 else regs[13]
-            )
-            value = mem_load(addr, t[3])
-            log_append(addr << pc_bits | pc)
-            miss = value > spec_mask
-            if fx is not None:
-                miss = fx.spec_outcome(miss)
-            if miss:
-                misspec_pc[pc] += 1
-                next_pc = pc + delta if fx is None else fx.redirect(pc, delta)
-            else:
-                w = t[4]
-                r = w[0]
-                regs[r] = (regs[r] & w[3]) | ((value & w[2]) << w[1])
-                last_load_reg = t[6]
-        elif op == OP_EXT:
-            d = t[2]
-            k = d[0]
-            value = ((regs[d[1]] >> d[2]) & d[3]) if k == 1 else (
-                d[1] if k == 0 else regs[13]
-            )
-            ty = t[3]
-            if ty is not None:  # sxt
-                value = ty.to_signed(value) & 0xFFFFFFFF
-            w = t[4]
-            r = w[0]
-            regs[r] = (regs[r] & w[3]) | ((value & w[2]) << w[1])
-        elif op == OP_MOVCOND:
-            a, b, width = cmp_state
-            ty = int_type(64 if width == 8 else width * 8)
-            if evaluate_icmp(t[2], a, b, ty):
-                movcond_pc[pc] += 1
-                d = t[3]
-                k = d[0]
-                value = ((regs[d[1]] >> d[2]) & d[3]) if k == 1 else (
-                    d[1] if k == 0 else regs[13]
-                )
-                w = t[5]
-                r = w[0]
-                regs[r] = (regs[r] & w[3]) | ((value & w[2]) << w[1])
-        elif op == OP_MUL:
-            d = t[2]
-            k = d[0]
-            a = ((regs[d[1]] >> d[2]) & d[3]) if k == 1 else (
-                d[1] if k == 0 else regs[13]
-            )
-            d = t[3]
-            k = d[0]
-            b = ((regs[d[1]] >> d[2]) & d[3]) if k == 1 else (
-                d[1] if k == 0 else regs[13]
-            )
-            value = (a * b) & t[5]
-            w = t[4]
-            r = w[0]
-            regs[r] = (regs[r] & w[3]) | ((value & w[2]) << w[1])
-        elif op == OP_UMULL:
-            d = t[2]
-            k = d[0]
-            a = ((regs[d[1]] >> d[2]) & d[3]) if k == 1 else (
-                d[1] if k == 0 else regs[13]
-            )
-            d = t[3]
-            k = d[0]
-            b = ((regs[d[1]] >> d[2]) & d[3]) if k == 1 else (
-                d[1] if k == 0 else regs[13]
-            )
-            product = a * b
-            w = t[4]
-            r = w[0]
-            value = product & 0xFFFFFFFF
-            regs[r] = (regs[r] & w[3]) | ((value & w[2]) << w[1])
-            w = t[5]
-            r = w[0]
-            value = (product >> 32) & 0xFFFFFFFF
-            regs[r] = (regs[r] & w[3]) | ((value & w[2]) << w[1])
-        elif op == OP_DIV:
-            d = t[3]
-            k = d[0]
-            a = ((regs[d[1]] >> d[2]) & d[3]) if k == 1 else (
-                d[1] if k == 0 else regs[13]
-            )
-            d = t[4]
-            k = d[0]
-            b = ((regs[d[1]] >> d[2]) & d[3]) if k == 1 else (
-                d[1] if k == 0 else regs[13]
-            )
-            if b == 0:
-                raise MachineError("division by zero")
-            sub = t[2]
-            ty = t[6]
-            if sub == 0:  # udiv
-                value = a // b
-            elif sub == 2:  # urem
-                value = a % b
-            else:
-                sa, sb = ty.to_signed(a), ty.to_signed(b)
-                q = abs(sa) // abs(sb)
-                rr = abs(sa) % abs(sb)
-                if sub == 1:  # sdiv
-                    value = ty.wrap(-q if (sa < 0) != (sb < 0) else q)
-                else:  # srem
-                    value = ty.wrap(-rr if sa < 0 else rr)
-            value = ty.wrap(value)
-            w = t[5]
-            r = w[0]
-            regs[r] = (regs[r] & w[3]) | ((value & w[2]) << w[1])
-        elif op == OP_ADDS or op == OP_ADC:
-            d = t[2]
-            k = d[0]
-            a = ((regs[d[1]] >> d[2]) & d[3]) if k == 1 else (
-                d[1] if k == 0 else regs[13]
-            )
-            d = t[3]
-            k = d[0]
-            b = ((regs[d[1]] >> d[2]) & d[3]) if k == 1 else (
-                d[1] if k == 0 else regs[13]
-            )
-            full = a + b + (carry if op == OP_ADC else 0)
-            carry = full >> 32
-            value = full & 0xFFFFFFFF
-            w = t[4]
-            r = w[0]
-            regs[r] = (regs[r] & w[3]) | ((value & w[2]) << w[1])
-        elif op == OP_SUBS:
-            d = t[2]
-            k = d[0]
-            a = ((regs[d[1]] >> d[2]) & d[3]) if k == 1 else (
-                d[1] if k == 0 else regs[13]
-            )
-            d = t[3]
-            k = d[0]
-            b = ((regs[d[1]] >> d[2]) & d[3]) if k == 1 else (
-                d[1] if k == 0 else regs[13]
-            )
-            carry = 1 if a >= b else 0
-            value = (a - b) & 0xFFFFFFFF
-            w = t[4]
-            r = w[0]
-            regs[r] = (regs[r] & w[3]) | ((value & w[2]) << w[1])
-        elif op == OP_SBC:
-            d = t[2]
-            k = d[0]
-            a = ((regs[d[1]] >> d[2]) & d[3]) if k == 1 else (
-                d[1] if k == 0 else regs[13]
-            )
-            d = t[3]
-            k = d[0]
-            b = ((regs[d[1]] >> d[2]) & d[3]) if k == 1 else (
-                d[1] if k == 0 else regs[13]
-            )
-            full = a - b - (1 - carry)
-            carry = 1 if full >= 0 else 0
-            value = full & 0xFFFFFFFF
-            w = t[4]
-            r = w[0]
-            regs[r] = (regs[r] & w[3]) | ((value & w[2]) << w[1])
-        elif op == OP_ADDSL or op == OP_ORRSL:
-            d = t[2]
-            k = d[0]
-            a = ((regs[d[1]] >> d[2]) & d[3]) if k == 1 else (
-                d[1] if k == 0 else regs[13]
-            )
-            d = t[3]
-            k = d[0]
-            b = ((regs[d[1]] >> d[2]) & d[3]) if k == 1 else (
-                d[1] if k == 0 else regs[13]
-            )
-            shift = t[4]
-            if op == OP_ADDSL:
-                value = (a + (b << shift)) & 0xFFFFFFFF
-            else:
-                shifted = (b << shift) & 0xFFFFFFFF if shift >= 0 else (
-                    b >> (-shift)
-                )
-                value = a | shifted
-            w = t[5]
-            r = w[0]
-            regs[r] = (regs[r] & w[3]) | ((value & w[2]) << w[1])
-        elif op == OP_BL:
-            regs[14] = pc + 1
-            next_pc = t[2]
-        elif op == OP_BX:
-            next_pc = regs[14]
-        elif op == OP_SUBSPI:
-            regs[13] = (regs[13] - t[2]) & 0xFFFFFFFF
-        elif op == OP_ADDSPI:
-            regs[13] = (regs[13] + t[2]) & 0xFFFFFFFF
-        elif op == OP_CMP64HI:
-            d = t[2]
-            k = d[0]
-            a = ((regs[d[1]] >> d[2]) & d[3]) if k == 1 else (
-                d[1] if k == 0 else regs[13]
-            )
-            d = t[3]
-            k = d[0]
-            b = ((regs[d[1]] >> d[2]) & d[3]) if k == 1 else (
-                d[1] if k == 0 else regs[13]
-            )
-            cmp_state = (a, b, "hi")
-        elif op == OP_CMP64LO:
-            a_hi, b_hi, _tag = cmp_state
-            d = t[2]
-            k = d[0]
-            a = ((regs[d[1]] >> d[2]) & d[3]) if k == 1 else (
-                d[1] if k == 0 else regs[13]
-            )
-            d = t[3]
-            k = d[0]
-            b = ((regs[d[1]] >> d[2]) & d[3]) if k == 1 else (
-                d[1] if k == 0 else regs[13]
-            )
-            cmp_state = ((a_hi << 32) | a, (b_hi << 32) | b, 8)
-        elif op == OP_OUT:
-            d = t[2]
-            k = d[0]
-            value = ((regs[d[1]] >> d[2]) & d[3]) if k == 1 else (
-                d[1] if k == 0 else regs[13]
-            )
-            output.append(value)
-        elif op == OP_NOP:
-            pass
-        else:  # OP_ERROR
-            raise MachineError(f"{t[2]} at {pc}")
-        pc = next_pc
+                break
+    finally:
+        if tier is not None:
+            tier.close()
+    if tier is not None:
+        tier.fold_counts(exec_counts, hazard_pc)
 
     run = ArchRun(
         machine, (exec_counts, hazard_pc, misspec_pc, taken_pc, movcond_pc,

@@ -204,9 +204,13 @@ def run_injection(
     trapped = False
     sim = None
     try:
-        sim = binary.run(
+        machine = binary.machine(
             inputs, obs=True, faults=session, step_limit=watchdog, engine=engine
         )
+        # the ooo engine runs its native recovery kinds and keeps no
+        # per-pc sample, so it is asked for none: absorbed_by stays empty
+        machine.obs = machine.resolve_engine() != "ooo"
+        sim = machine.run()
     except FaultTrap as exc:
         trapped = True
         record["error"] = f"FaultTrap: {exc}"

@@ -22,7 +22,7 @@ from __future__ import annotations
 import hashlib
 
 from repro.arch.energy import compute_energy
-from repro.arch.machine import INORDER_ENGINES, MachineError, committed_view
+from repro.arch.machine import MachineError, committed_view
 from repro.core.pipeline import compile_binary
 from repro.dse.analysis import dominates
 from repro.dse.space import PRESETS as DSE_PRESETS
@@ -168,6 +168,7 @@ def _attribution_section(binary, sim, top: int):
         return {key_str(k): _tally_dict(t, width) for k, t in groups.items()}
 
     by_var = attr.by_variable()
+    by_region = attr.by_region()
     ranked = sorted(
         by_var.items(),
         key=lambda item: (
@@ -186,8 +187,8 @@ def _attribution_section(binary, sim, top: int):
         # function (like repro.obs.report does) so the body stays a pure
         # function of the request no matter what compiled earlier
         "by_region": _table(
-            attr.by_region(),
-            key_str=lambda k, _labels=_region_labels(attr.by_region()): (
+            by_region,
+            key_str=lambda k, _labels=_region_labels(by_region): (
                 _labels.get(k, f"{k[0]}#-")
             ),
         ),
@@ -280,16 +281,7 @@ def execute_request(canonical: dict, key: str) -> dict:
     strict = config_section.get("strict", False)
     opts = canonical["report"]
     config = build_config(config_section)
-    # the engine spelling never reaches the body: report cycles/energy are
-    # defined under the in-order timing model, so 'ooo' runs the report sim
-    # on the default engine and adds a committed-state cross-check below
     requested_engine = canonical.get("engine")
-    sim_engine = requested_engine if requested_engine in INORDER_ENGINES else None
-    if sim_engine == "legacy" and opts["attribution"]:
-        # same rule as resolve_engine's env defaulting: the legacy
-        # interpreter cannot produce a PcSample, and the engines are
-        # bit-identical anyway
-        sim_engine = "fast"
 
     # 1. frontend pre-pass: surface parse errors and bad input bindings
     # as their own error classes before burning a full compile
@@ -318,13 +310,19 @@ def execute_request(canonical: dict, key: str) -> dict:
     except Exception as exc:
         return _compile_error("pipeline", exc)
 
-    # 3. simulate (obs-enabled when the report wants attribution)
+    # 3. simulate (obs-enabled when the report wants attribution).  The
+    # engine spelling never reaches the body: report cycles/energy are
+    # defined under the in-order timing model, so the ladder picks an
+    # in-order engine that serves the request, and 'ooo' adds a
+    # committed-state cross-check below
+    machine = binary.machine(
+        dict(canonical["inputs"]["run"]),
+        obs=opts["attribution"],
+        engine=requested_engine,
+    )
+    machine.engine = machine.resolve_engine(inorder=True)
     try:
-        sim = binary.run(
-            dict(canonical["inputs"]["run"]),
-            obs=opts["attribution"],
-            engine=sim_engine,
-        )
+        sim = machine.run()
     except MachineError as exc:
         return error_envelope(
             "execution-error", 422, "the program trapped during simulation",

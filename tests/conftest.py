@@ -88,3 +88,18 @@ def tiny_sum_workload():
     inputs = {"table": [(7 * i + 3) % 256 for i in range(32)], "n": 32}
     expected = [sum((7 * i + 3) % 256 for i in range(32)) & 0xFFFFFFFF]
     return source, inputs, expected
+
+
+#: translation thresholds the tiered-engine matrix runs ``fast`` at:
+#: translate on first entry, after two entries (so hand-offs between the
+#: stepper and the translated code land mid-loop, both ways), and never
+TIERS = (0, 2, None)
+
+
+@pytest.fixture(params=TIERS, ids=lambda t: "Tinf" if t is None else f"T{t}")
+def tier(request, monkeypatch):
+    """Run ``fast`` at one of :data:`TIERS` for the whole test."""
+    from repro.arch import predecode
+
+    monkeypatch.setattr(predecode, "TRANSLATE_AFTER", request.param)
+    return request.param

@@ -1,25 +1,30 @@
-"""The compiled engine translates a region the first time it is entered.
+"""The translated tier: lazy, per-region, and holding no run state.
 
 :func:`repro.arch.compiled._build_image` only predecodes the program and
-finds its static region entries; each region is emitted and compiled
-when the dispatcher first calls its stub.  The image holds the run
-state, whatever the cache geometry: the regions only log the L1 access
-stream, and each run replays it under its own geometry.  These tests
-pin the three properties that design rests on: a run translates exactly
-the regions it enters and a warm run translates nothing; runs under any
-geometry share the one image, whose counter arrays grow in place as
-later runs translate more regions; and a transfer that finds no region
-entry deoptimizes to the per-step engine, bit-identically.
+finds its static region entries; the stepper translates a region once a
+run has entered it often enough (on the ``compiled`` spelling, on first
+entry).  The image on the :class:`LinkedProgram` keeps code only: every
+run binds it to state of its own in a :class:`repro.arch.compiled.Tier`.
+These tests pin the properties that design rests on: a run translates
+exactly the regions it enters hot and a warm run translates nothing;
+runs under any geometry share the one image, whose region indices every
+later run's counters cover; a transfer that finds no region entry falls
+back to the stepper for that stretch only, bit-identically; a small
+threshold hands control between the tiers both ways; and nothing a run
+allocated outlives it.
 """
 
+import gc
 import re
-from types import CodeType
+import sys
+from array import array
+from types import CodeType, ModuleType
 
 import pytest
 
-from repro.arch import compiled
+from repro.arch import compiled, predecode
 from repro.arch.cache import CacheGeometry
-from repro.arch.machine import Machine
+from repro.arch.machine import HALT, Machine
 from repro.arch.widths import slice_mask
 from repro.core.pipeline import CompilerConfig, set_global_inputs
 from repro.eval.harness import get_binary
@@ -47,10 +52,32 @@ def binary(monkeypatch):
     return binary
 
 
+@pytest.fixture
+def tiers(monkeypatch):
+    """Every :class:`Tier` a run builds, kept past its run."""
+    built = []
+
+    class Recording(compiled.Tier):
+        __slots__ = ()
+
+        def __init__(self, *args):
+            super().__init__(*args)
+            built.append(self)
+
+    monkeypatch.setattr(compiled, "Tier", Recording)
+    return built
+
+
 def _machine(binary, seed, engine="compiled", geometry=None, obs=False):
     set_global_inputs(binary.module, get_workload(WORKLOAD).inputs("test", seed))
     return Machine(binary.linked, binary.module, engine=engine,
                    geometry=geometry, obs=obs)
+
+
+def _stepped(binary, seed, monkeypatch, geometry=None, obs=False):
+    with monkeypatch.context() as patch:
+        patch.setattr(predecode, "TRANSLATE_AFTER", None)
+        return _machine(binary, seed, "fast", geometry, obs).run()
 
 
 def _image(machine):
@@ -78,37 +105,38 @@ def _counting_compile(monkeypatch):
     return calls
 
 
-def test_translates_only_entered_regions(binary, monkeypatch):
+def test_translates_only_entered_regions(binary, monkeypatch, tiers):
     machine = _machine(binary, 0)
     first = machine.run()
     image = _image(machine)
-    rt = image
+    (tier,) = tiers
 
     entered = {pcs[0] for idx, pcs, _hz, _sites in image.fold_regions
-               if rt.entries[idx]}
+               if tier.entries[idx]}
     assert set(image.regions) == entered
     static = compiled._build_image(machine.linked, machine.narrow_rf,
                                    slice_mask(machine.slice_width)).leaders
     assert 0 < len(image.regions) < len(static)
 
-    # every exit target a translated region loads resolves in the namespace
-    for code in image.regions.values():
-        for name in _exit_names(code):
-            assert name in rt.ns, name
+    # a run's namespace gets an entry for every exit target a region
+    # records, so the recorded targets must cover what the code loads
+    for leader, (code, targets) in image.regions.items():
+        recorded = {name for name, _pc in targets} | {f"_b{leader}"}
+        assert _exit_names(code) <= recorded, leader
 
     calls = _counting_compile(monkeypatch)
     second = _machine(binary, 0).run()
     assert calls == []
     assert_sims_identical(second, first, f"{WORKLOAD}/warm")
-    assert_sims_identical(second, _machine(binary, 0, "fast").run(),
-                          f"{WORKLOAD}/warm-vs-fast")
+    assert_sims_identical(second, _stepped(binary, 0, monkeypatch),
+                          f"{WORKLOAD}/warm-vs-stepped")
 
 
-def test_geometries_share_one_runtime(binary, monkeypatch):
+def test_geometries_share_one_runtime(binary, monkeypatch, tiers):
     # seed 2 enters a strict subset of seed 0's regions, so the small-L1
     # run translates regions the first run never entered.  The fold then
     # visits them before (seed 2 again) and after (seed 1) a run enters
-    # them, with counter arrays grown in place
+    # them, with each run's counters sized to the image's indices
     plan = ((None, 2, False), (SMALL_L1, 0, False), (None, 2, False),
             (None, 1, True))
     calls = _counting_compile(monkeypatch)
@@ -117,12 +145,15 @@ def test_geometries_share_one_runtime(binary, monkeypatch):
     for geometry, seed, obs in plan:
         machine = _machine(binary, seed, geometry=geometry, obs=obs)
         sim = machine.run()
-        ref = _machine(binary, seed, "fast", geometry=geometry, obs=obs).run()
+        ref = _stepped(binary, seed, monkeypatch, geometry, obs)
         label = f"{WORKLOAD}/seed{seed}/{geometry}"
         assert_sims_identical(sim, ref, label)
         image = _image(machine)
         translated.append(len(image.regions))
-        images.append((image, image.entries, image.exits))
+        images.append(image)
+        tier = tiers[-1]
+        assert len(tier.entries) == image.n_regions, label
+        assert len(tier.exits) == image.n_sites, label
         if obs:
             from repro.obs.attribution import attribute, check_conservation
 
@@ -130,26 +161,24 @@ def test_geometries_share_one_runtime(binary, monkeypatch):
 
     assert translated[0] < translated[1]
     assert len(calls) == translated[-1] == translated[1]
-    # one image, whose counter arrays the region closures bind by
-    # identity: they grew in place to the image's counts
-    rt = image
-    for seen, entries, exits in images:
-        assert seen is rt and entries is rt.entries and exits is rt.exits
-    assert len(rt.entries) == image.n_regions
-    assert len(rt.exits) == image.n_sites
+    assert all(seen is image for seen in images)
+    # every run bound the image to counters of its own
+    assert len({id(t.entries) for t in tiers}) == len(plan)
     # the last run entered the regions the small-L1 run translated,
-    # counting them in the slots grown for them
-    assert all(rt.entries[translated[0]:translated[1]])
+    # counting them in the slots sized for them
+    assert all(tiers[-1].entries[translated[0]:translated[1]])
 
 
-def test_missing_region_entry_deoptimizes(binary, monkeypatch):
+def test_missing_region_entry_falls_back_per_region(binary, monkeypatch,
+                                                    tiers):
     machine = _machine(binary, 0)
     machine.run()
     reached = list(_image(machine).regions)  # translation = first-entry order
     dropped = reached[1]
 
     # a fresh image without that entry: transfers to it return the integer
-    # pc, find no table entry, and the run replays on the per-step engine
+    # pc, which no region starts at, so the stepper runs from there until
+    # the next transfer into a hot region
     monkeypatch.delattr(binary.linked, "_compiled_cache")
     machine = _machine(binary, 0)
     full = _image(machine)
@@ -157,16 +186,92 @@ def test_missing_region_entry_deoptimizes(binary, monkeypatch):
         (machine.narrow_rf, slice_mask(machine.slice_width))
     ] = compiled.CompiledImage(full.code, full.leaders - {dropped},
                                full.inst_bytes, full.delta, full.spec_mask)
-    deopts = []
+    runs = []
     run_fast = compiled.run_fast
 
-    def counting_run_fast(m):
-        deopts.append(m)
-        return run_fast(m)
+    def counting_run_fast(m, **kwargs):
+        runs.append(m)
+        return run_fast(m, **kwargs)
+
+    handed_back = []
+    tier_run = compiled.Tier.run
+
+    def recording_run(self, pc, limit):
+        nxt = tier_run(self, pc, limit)
+        handed_back.append(nxt)
+        return nxt
 
     monkeypatch.setattr(compiled, "run_fast", counting_run_fast)
+    monkeypatch.setattr(compiled.Tier, "run", recording_run)
     sim = machine.run()
-    assert deopts == [machine]
+    # one run, no whole-run replay: the stepper took over at the dropped
+    # entry and handed control back to translated code afterwards
+    assert runs == [machine]
+    assert dropped in handed_back
+    assert len(handed_back) > handed_back.index(dropped) + 1
     assert dropped not in _image(machine).regions
-    assert_sims_identical(sim, _machine(binary, 0, "fast").run(),
-                          f"{WORKLOAD}/deopt")
+    assert_sims_identical(sim, _stepped(binary, 0, monkeypatch),
+                          f"{WORKLOAD}/fallback")
+
+
+def test_small_threshold_hands_off_both_ways(binary, monkeypatch, tiers):
+    monkeypatch.setattr(predecode, "TRANSLATE_AFTER", 2)
+    handed_back = []
+    tier_run = compiled.Tier.run
+
+    def recording_run(self, pc, limit):
+        nxt = tier_run(self, pc, limit)
+        handed_back.append(nxt)
+        return nxt
+
+    monkeypatch.setattr(compiled.Tier, "run", recording_run)
+    sim = _machine(binary, 0, engine="fast", obs=True).run()
+    # translated code ran, returned cold pcs to the stepper mid-run, and
+    # the stepper entered translated code again after each
+    cold = [pc for pc in handed_back[:-1] if pc != HALT]
+    assert len(cold) > 2
+    ref = _stepped(binary, 0, monkeypatch, obs=True)
+    assert_sims_identical(sim, ref, f"{WORKLOAD}/T2")
+    assert sim.obs == ref.obs
+
+
+def _large_buffers(root, limit=1 << 20):
+    """(type, size) of every buffer of ``limit`` bytes or more reachable
+    from ``root``, not following modules, classes or functions' globals."""
+    seen = set()
+    stack = [root]
+    found = []
+    while stack:
+        obj = stack.pop()
+        if id(obj) in seen or isinstance(obj, (ModuleType, type)):
+            continue
+        seen.add(id(obj))
+        if isinstance(obj, (bytes, bytearray, array, list, memoryview)):
+            size = sys.getsizeof(obj)
+            if size >= limit:
+                found.append((type(obj).__name__, size))
+        stack.extend(r for r in gc.get_referents(obj)
+                     if not (isinstance(r, dict) and "__name__" in r
+                             and "__builtins__" in r))
+    return found
+
+
+@pytest.mark.parametrize("spelling", ("fast", "compiled"))
+def test_program_keeps_no_run_state(binary, monkeypatch, spelling):
+    """Only code persists on the program: after a run, nothing reachable
+    from the LinkedProgram holds a buffer of 1 MiB or more (a run's flat
+    memory is 4 MiB), and the run's state is freed as soon as its result
+    is dropped, with no reference cycle left for the garbage collector."""
+    monkeypatch.setattr(predecode, "TRANSLATE_AFTER", 2)
+    machine = _machine(binary, 0, engine=spelling)
+    gc.collect()
+    gc.disable()
+    try:
+        sim = machine.run()
+        assert len(sim.memory.data) >= 1 << 20
+        del sim, machine
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+    assert _image(_machine(binary, 0)).regions  # the run translated
+    assert _large_buffers(binary.linked) == []

@@ -21,7 +21,10 @@ Coverage axes:
   must be byte-identical across engines;
 * per-pc observability: compiled-engine samples re-sum through
   ``check_conservation`` integer-exactly, and equal the fast path's
-  array-for-array on corpus programs.
+  array-for-array on corpus programs;
+* the tiered engine's threshold: ``fast`` translating on first entry,
+  after two entries and never agree with every instruction stepped on
+  the corpus and the roster, per pc.
 """
 
 import dataclasses
@@ -36,7 +39,11 @@ from repro.fuzz.corpus import load_program
 from repro.passes.expander import ExpanderConfig
 from repro.workloads import get_workload
 
-from test_machine_predecode import assert_engine_matches, assert_sims_identical
+from test_machine_predecode import (
+    assert_engine_matches,
+    assert_sims_identical,
+    assert_tier_matches,
+)
 
 CORPUS_DIR = Path(__file__).parent / "corpus"
 
@@ -105,6 +112,20 @@ def test_corpus_full_all_engines(name, config):
     _assert_all_engines_identical(binary, inputs, f"{name}/{config.name}")
 
 
+@pytest.mark.parametrize("name", SMOKE_CORPUS)
+def test_corpus_smoke_tiers(tier, monkeypatch, name):
+    binary, inputs = _corpus_binary(name, CompilerConfig.bitspec("max"))
+    assert_tier_matches(binary, inputs, monkeypatch, name)
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("name", FULL_CORPUS)
+@pytest.mark.parametrize("config", CONFIGS, ids=lambda c: c.name)
+def test_corpus_full_tiers(tier, monkeypatch, name, config):
+    binary, inputs = _corpus_binary(name, config)
+    assert_tier_matches(binary, inputs, monkeypatch, f"{name}/{config.name}")
+
+
 # -- workload roster ----------------------------------------------------------
 
 
@@ -148,6 +169,18 @@ def test_workload_roster_all_engines():
                 _run(binary, inputs, engine), ref, engine,
                 f"{workload_name}/{engine}",
             )
+
+
+@pytest.mark.slow
+def test_workload_roster_tiers(tier, monkeypatch):
+    """All 14 benchmark workloads on ``fast`` at the tier's threshold."""
+    from repro.eval.harness import BENCHMARKS
+
+    config = CompilerConfig.bitspec("max")
+    for workload_name in BENCHMARKS:
+        binary = get_binary(workload_name, config)
+        inputs = get_workload(workload_name).inputs("test", 0)
+        assert_tier_matches(binary, inputs, monkeypatch, workload_name)
 
 
 # -- observability ------------------------------------------------------------

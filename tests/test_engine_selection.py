@@ -126,7 +126,7 @@ LADDER = [
     ((None, "compiled", False, False, STEP, False), ("fast", "fast")),
     (("ooo", "", False, False, STEP, False), ("fast", "fast")),
     (("ooo", "", False, False, NATIVE, False), ("ooo", "ooo")),
-    (("ooo", "", True, False, NATIVE, False), ("ooo", "ooo")),
+    (("ooo", "", True, False, NATIVE, False), ("ooo", _OBS)),
     (("compiled", "", False, False, NATIVE, False), ("fast", "fast")),
     (("legacy", "", False, False, STEP, False), ("legacy", "legacy")),
     # checkpoints stop on a stepping engine, never beside a fault session
@@ -154,28 +154,44 @@ def _session(kind):
     return None
 
 
-def _engine_ran(machine, result):
-    """Which engine produced ``result``, from the state it left behind."""
+@pytest.fixture
+def compiled_runs(monkeypatch):
+    """The machines the compiled engine ran, recorded at its entry point
+    (both spellings build and cache translated regions)."""
+    from repro.arch import compiled
+
+    ran = []
+    run_compiled = compiled.run_compiled
+
+    def recording(machine):
+        ran.append(machine)
+        return run_compiled(machine)
+
+    monkeypatch.setattr(compiled, "run_compiled", recording)
+    return ran
+
+
+def _engine_ran(machine, result, compiled_runs):
+    """Which engine produced ``result``, from the state it left behind;
+    both in-order spellings leave an ArchRun, so ``compiled`` is told
+    from ``fast`` by the recorded entry point."""
     if isinstance(result, Snapshot):
         return result.engine
     if result.ooo is not None:
         return "ooo"
     if machine.arch_run is None:
         return "legacy"
-    # only the compiled engine builds (and caches) a compiled image
-    compiled = getattr(machine.linked, "_compiled_cache", None)
-    return "compiled" if compiled else "fast"
+    return "compiled" if any(m is machine for m in compiled_runs) else "fast"
 
 
 @pytest.mark.parametrize(
     "row, expected", LADDER,
     ids=["-".join(str(a) for a in row) for row, _ in LADDER],
 )
-def test_engine_ladder(loop_binary, monkeypatch, row, expected):
+def test_engine_ladder(loop_binary, monkeypatch, compiled_runs, row, expected):
     engine, env, obs, hook, faults, checkpoint = row
     resolved, ran = expected
     monkeypatch.setenv("REPRO_MACHINE_ENGINE", env)
-    monkeypatch.delattr(loop_binary.linked, "_compiled_cache", raising=False)
     machine = Machine(
         loop_binary.linked, loop_binary.module, engine=engine, obs=obs,
         trace_hook=_hook if hook else None, faults=_session(faults),
@@ -187,14 +203,15 @@ def test_engine_ladder(loop_binary, monkeypatch, row, expected):
             machine.run(**run_kwargs)
         return
     result = machine.run(**run_kwargs)
-    assert _engine_ran(machine, result) == ran
+    assert _engine_ran(machine, result, compiled_runs) == ran
     if checkpoint:
         assert isinstance(result, Snapshot)
     elif obs and ran != "ooo":
         assert result.obs is not None
 
 
-def test_obs_env_engine_agrees_across_entry_points(loop_binary, monkeypatch):
+def test_obs_env_engine_agrees_across_entry_points(loop_binary, monkeypatch,
+                                                  compiled_runs):
     """``CompiledBinary.machine`` leaves the choice to the Machine: with
     ``REPRO_MACHINE_ENGINE=compiled`` an obs run compiles either way."""
     monkeypatch.setenv("REPRO_MACHINE_ENGINE", "compiled")
@@ -202,9 +219,36 @@ def test_obs_env_engine_agrees_across_entry_points(loop_binary, monkeypatch):
         loop_binary.machine(obs=True),
         Machine(loop_binary.linked, loop_binary.module, obs=True),
     ):
-        monkeypatch.delattr(loop_binary.linked, "_compiled_cache",
-                            raising=False)
         assert machine.resolve_engine() == "compiled"
         sim = machine.run()
-        assert _engine_ran(machine, sim) == "compiled"
+        assert _engine_ran(machine, sim, compiled_runs) == "compiled"
         assert sim.obs is not None
+
+
+#: (requested engine, obs) -> resolve_engine(inorder=True): the engine a
+#: caller bound to the in-order timing model runs (the serve report)
+INORDER = [
+    ((None, False), "fast"),
+    ((None, True), "fast"),
+    (("legacy", False), "legacy"),
+    (("legacy", True), "fast"),
+    (("fast", False), "fast"),
+    (("compiled", False), "compiled"),
+    (("compiled", True), "compiled"),
+    (("ooo", False), "fast"),
+    (("ooo", True), "fast"),
+]
+
+
+@pytest.mark.parametrize(
+    "row, expected", INORDER,
+    ids=["-".join(str(a) for a in row) for row, _ in INORDER],
+)
+def test_inorder_resolution(loop_binary, monkeypatch, row, expected):
+    engine, obs = row
+    monkeypatch.delenv("REPRO_MACHINE_ENGINE", raising=False)
+    machine = Machine(loop_binary.linked, loop_binary.module, engine=engine,
+                      obs=obs)
+    assert machine.resolve_engine(inorder=True) == expected
+    machine.engine = expected
+    assert machine.run().output == [sum(range(40))]

@@ -14,7 +14,10 @@ instruction/misspeculation counts (:func:`repro.arch.machine.committed_view`).
 
 Each test here takes the ``engine`` fixture (see conftest), so the matrix
 is (engine × corpus program × config) and (engine × workload × config);
-``pytest --engines compiled`` narrows it when bisecting.  The reference
+``pytest --engines compiled`` narrows it when bisecting.  The ``tier``
+fixture adds the tiered engine's own axis: ``fast`` at translation
+thresholds 0, 2 and never, each against every instruction stepped, per
+pc.  The reference
 runs are computed once per cell and memoized for the session — the deep
 cross-engine matrix over the full corpus lives in
 ``tests/test_engine_equivalence.py``.
@@ -95,6 +98,35 @@ def assert_engine_matches(sim: SimResult, ref: SimResult, engine: str, label: st
         assert_sims_identical(sim, ref, label)
 
 
+def assert_tier_matches(binary, inputs, monkeypatch, label: str) -> None:
+    """``fast`` at the test's translation threshold (the ``tier``
+    fixture) against every instruction stepped: the SimResult, and the
+    per-pc sample array for array — the fold adds the translated
+    executions to the stepped ones, so each pc must count the same.  The
+    program's translated regions are dropped first: a region an earlier
+    run translated runs translated from its first entry."""
+    from repro.arch import predecode
+    from repro.obs.events import PcSample
+
+    monkeypatch.delattr(binary.linked, "_compiled_cache", raising=False)
+
+    def run():
+        if inputs:
+            set_global_inputs(binary.module, inputs)
+        return Machine(binary.linked, binary.module, engine="fast",
+                       obs=True).run()
+
+    sim = run()
+    with monkeypatch.context() as patch:
+        patch.setattr(predecode, "TRANSLATE_AFTER", None)
+        ref = run()
+    assert_sims_identical(sim, ref, label)
+    for f in dataclasses.fields(PcSample):
+        assert getattr(sim.obs, f.name) == getattr(ref.obs, f.name), (
+            f"{label}: obs.{f.name} differs"
+        )
+
+
 #: per-cell fast-path reference runs, computed once for the whole matrix
 _REFERENCE: dict = {}
 
@@ -147,6 +179,22 @@ def test_workload_engines_identical(engine, workload_name, config):
     assert sim.instructions > 0
 
 
+@pytest.mark.parametrize("name", CORPUS_PROGRAMS)
+@pytest.mark.parametrize("config", CONFIGS, ids=lambda c: c.name)
+def test_corpus_program_tiers_identical(tier, monkeypatch, name, config):
+    binary, inputs = _corpus_binary(name, config)
+    assert_tier_matches(binary, inputs, monkeypatch, f"{name}/{config.name}")
+
+
+@pytest.mark.parametrize("workload_name", WORKLOADS)
+@pytest.mark.parametrize("config", CONFIGS, ids=lambda c: c.name)
+def test_workload_tiers_identical(tier, monkeypatch, workload_name, config):
+    binary = get_binary(workload_name, config)
+    inputs = get_workload(workload_name).inputs("test", 0)
+    assert_tier_matches(binary, inputs, monkeypatch,
+                        f"{workload_name}/{config.name}")
+
+
 #: a counted loop whose bound is an input: profiled at 1000 iterations
 #: (so bitspec compiles quickly), run at a million
 COUNTED_LOOP = """
@@ -158,6 +206,19 @@ void main() {
     out(acc);
 }
 """
+
+
+def test_step_limit_tiers(tier):
+    """The step limit trips whichever tier is running when it is hit."""
+    binary = compile_binary(COUNTED_LOOP, CompilerConfig.bitspec("max"),
+                            profile_inputs={"n": 1000})
+    machine = Machine(binary.linked, binary.module, engine="fast",
+                      step_limit=500)
+    set_global_inputs(binary.module, {"n": 1000000})
+    with pytest.raises(MachineError, match="step limit"):
+        machine.run()
+    set_global_inputs(binary.module, {"n": 10})
+    assert machine.run().output == [45]
 
 
 def test_step_limit_infinite_loop(engine):

@@ -212,6 +212,19 @@ class TestExecuteRequest:
             assert envelope["status"] == 200, engine
             assert canonical_body(envelope["body"]) == expected, engine
 
+    def test_body_byte_identical_across_engines_without_attribution(self):
+        # without attribution no engine spelling needs a per-pc sample;
+        # 'legacy' then runs the interpreter and 'ooo' still runs in order
+        report = {"attribution": False, "pareto": False}
+        reference = validate_request(good_doc(report=report))
+        key = request_key(reference)
+        expected = canonical_body(execute_request(reference, key)["body"])
+        for engine in ("legacy", "fast", "compiled", "ooo"):
+            canonical = validate_request(good_doc(engine=engine, report=report))
+            envelope = execute_request(canonical, key)
+            assert envelope["status"] == 200, engine
+            assert canonical_body(envelope["body"]) == expected, engine
+
 
 # -- the server ----------------------------------------------------------------
 
