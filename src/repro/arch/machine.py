@@ -23,6 +23,7 @@ from typing import Optional
 
 from repro.arch.cache import CacheGeometry, MemoryHierarchy
 from repro.arch.energy import EnergyBreakdown, EnergyCounters, compute_energy
+from repro.arch.semantics import DIV_OPS as _DIV_OPS
 from repro.arch.widths import BYTE_MASKS as _MASKS, slice_mask
 from repro.backend.layout import LinkedProgram
 from repro.backend.mir import Imm, MachineInst, Slice
@@ -34,8 +35,6 @@ from repro.ir.types import int_type
 # Return-address sentinel: survives the 32-bit masking of stack save/restore.
 HALT = 0xFFFFFFFF
 
-#: a tuple: the fast path encodes the opcode as its index here
-_DIV_OPS = ("udiv", "sdiv", "urem", "srem")
 
 #: instruction classes for the DTS timing-slack model (RQ8)
 DTS_CLASSES = ("alu32", "alu8", "mul", "div", "move", "mem", "branch")

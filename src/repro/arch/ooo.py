@@ -7,8 +7,9 @@ register file, a reorder buffer, an issue queue, and branch prediction
 with checkpoint-based rollback (docs/ooo.md).
 
 Execution model — *fetch-driven, dependency-timed*.  The engine walks the
-architecturally correct path in program order, transcribing the legacy
-interpreter's semantics op for op, which is what makes the committed
+architecturally correct path in program order and computes every value
+through the opcode table of :mod:`repro.arch.semantics` (the rows the
+verifier's lane executor runs too), which is what makes the committed
 contract (:data:`repro.arch.machine.COMMITTED_FIELDS` — traps, the out
 stream, memory/globals, instruction and misspeculation counts) bit-identical
 to the legacy/fast/compiled engines on every program.  Around that committed
@@ -68,18 +69,27 @@ from collections import deque
 from dataclasses import asdict, dataclass
 
 from repro.arch.cache import MemoryHierarchy
-from repro.arch.machine import (
-    HALT,
-    _DIV_OPS,
-    FaultTrap,
-    MachineError,
-    SimResult,
+from repro.arch.machine import HALT, FaultTrap, MachineError, SimResult
+from repro.arch.semantics import (
+    ALU,
+    CARRY,
+    DIV,
+    DIV_OPS,
+    EXT,
+    LOAD_SIZES,
+    MULL,
+    READS_CARRY,
+    SCALAR_ROWS as _ROWS,
+    SHIFTED,
+    SPEC,
+    STORE_SIZES,
+    holds,
+    join64,
+    out_of_slice,
 )
 from repro.arch.widths import BYTE_MASKS as _MASKS
 from repro.backend.mir import Imm, Slice
-from repro.interp.interpreter import evaluate_icmp
 from repro.interp.memory import FlatMemory, STACK_TOP, initialize_globals
-from repro.ir.types import int_type
 
 #: renamed architectural state: r0–r15, the cmp state (16), the carry (17)
 _ARCH_REGS = 18
@@ -96,6 +106,28 @@ _WP_CAP = 48
 
 #: load-to-use latency by the data-cache level that served the access
 _LOAD_LAT = {"l1": 2, "l2": 12, "mem": 72}
+
+#: issue of a non-speculative value row: functional unit (0 ALU, 1
+#: memory, 2 multiply/divide), latency, occupancy, energy class, and
+#: whether a width-1 op on a narrow register file counts as ``alu8``
+_SHAPE_ISSUE = {
+    ALU: (0, 1, 1, "alu32", True),
+    DIV: (2, 12, 12, "div", False),
+    SHIFTED: (0, 1, 1, "alu32", False),
+    CARRY: (0, 1, 1, "alu32", False),
+    EXT: (0, 1, 1, "move", True),
+    MULL: (2, 4, 1, "mul", False),
+}
+_ISSUE = {
+    op: _SHAPE_ISSUE[shape]
+    for op, (shape, _fn) in _ROWS.items()
+    if shape in _SHAPE_ISSUE
+}
+_ISSUE["mul"] = (2, 3, 1, "mul", False)
+
+#: the compare rows' scalar forms: this engine sees no lane arrays
+_holds = holds.scalar
+_join64 = join64.scalar
 
 
 @dataclass(frozen=True)
@@ -213,6 +245,7 @@ def run_ooo(machine) -> SimResult:
     alu_pool = [0, 0]    # next-free cycle per functional unit
     mem_pool = [0]
     mdiv_pool = [0]
+    pools = (alu_pool, mem_pool, mdiv_pool)
 
     # branch predictor: 2-bit bimodal counters + return address stack
     bp = bytearray([1]) * (1 << params.bp_bits)
@@ -490,7 +523,7 @@ def run_ooo(machine) -> SimResult:
                 b = wp_read(inst.uses[1])
                 if inst.defs:
                     wp_write(inst.defs[0], (a * b) & 0xFFFFFFFF, alloc_wp)
-            elif op in _DIV_OPS:
+            elif op in DIV_OPS:
                 counters.div_ops += 1
                 a = wp_read(inst.uses[0])
                 b = wp_read(inst.uses[1])
@@ -498,7 +531,6 @@ def run_ooo(machine) -> SimResult:
                     wp_write(inst.defs[0], a // b if b else 0, alloc_wp)
             elif op in ("subspi", "addspi"):
                 counters.alu32_ops += 1
-                srcs: list = []
                 sp = wp_read("sp")
                 imm = inst.uses[0].value
                 value = (sp - imm if op == "subspi" else sp + imm) & 0xFFFFFFFF
@@ -664,7 +696,65 @@ def run_ooo(machine) -> SimResult:
         opcode = inst.opcode
         srcs: list = []
 
-        if opcode == "mov" or opcode == "movi":
+        row = _ROWS.get(opcode)
+        if row is not None:
+            shape, fn = row
+            uses = inst.uses
+            a = read_op(uses[0], srcs)
+            if shape >= SPEC:
+                stats.checkpoints += 1
+                counters.ckpt_ops += 1
+                counters.alu8_ops += 1
+                class_counts["alu8"] += 1
+                if shape == SPEC:
+                    a = fn(a, read_op(uses[1], srcs))
+                    miss = out_of_slice(a, spec_mask)
+                else:
+                    miss = fn(a, spec_mask)
+                if inst.defs and not miss:
+                    merge_dep(inst.defs[0], srcs)
+                comp = finish(disp, srcs, alu_pool, 1)
+                if miss:
+                    misspecs += 1
+                    recover(pc + 1, fc, comp, "misspec")
+                    next_pc = pc + delta
+                elif inst.defs:
+                    write_op(inst.defs[0], a, comp)
+            else:
+                if shape == EXT:
+                    src = uses[0]
+                    value = fn(a, (src.size if type(src) is Slice else 4) * 8)
+                else:
+                    b = read_op(uses[1], srcs)
+                    if shape == ALU:
+                        value = fn(a, b, inst.width)
+                    elif shape == CARRY:
+                        carry = read_carry(srcs) if opcode in READS_CARRY else 0
+                        value, carry = fn(a, b, carry)
+                    elif shape == DIV:
+                        if b == 0:
+                            raise MachineError("division by zero")
+                        value = fn(a, b, inst.width)
+                    elif shape == SHIFTED:
+                        value = fn(a, b, uses[2].value)
+                    else:  # MULL
+                        value, high = fn(a, b)
+                        merge_dep(inst.defs[1], srcs)
+                dest = inst.defs[0]
+                merge_dep(dest, srcs)
+                unit, lat, occ, cls, narrows = _ISSUE[opcode]
+                comp = finish(disp, srcs, pools[unit], lat, occ)
+                if shape == CARRY:
+                    write_reg(_CARRY, carry, comp)
+                write_op(dest, value, comp)
+                if shape == MULL:
+                    write_op(inst.defs[1], high, comp)
+                if narrows and narrow and inst.width == 1:
+                    cls = "alu8"
+                class_counts[cls] += 1
+                field = cls + "_ops"
+                setattr(counters, field, getattr(counters, field) + 1)
+        elif opcode == "mov" or opcode == "movi":
             value = read_op(inst.uses[0], srcs)
             dest = inst.defs[0]
             merge_dep(dest, srcs)
@@ -672,12 +762,11 @@ def run_ooo(machine) -> SimResult:
             write_op(dest, value, comp)
             counters.move_ops += 1
             class_counts["move"] += 1
-        elif opcode in ("ldr", "ldrb", "ldrh"):
+        elif opcode in LOAD_SIZES:
             base = read_op(inst.uses[0], srcs)
             disp_v = inst.uses[1].value if len(inst.uses) > 1 else 0
             addr = (base + disp_v) & 0xFFFFFFFF
-            size = {"ldr": 4, "ldrb": 1, "ldrh": 2}[opcode]
-            value = mem_load(addr, size)
+            value = mem_load(addr, LOAD_SIZES[opcode])
             level = data_access(addr)
             if level == "l1":
                 d_l1 += 1
@@ -691,13 +780,12 @@ def run_ooo(machine) -> SimResult:
             write_op(dest, value, comp)
             result.loads += 1
             class_counts["mem"] += 1
-        elif opcode in ("str", "strb", "strh"):
+        elif opcode in STORE_SIZES:
             value = read_op(inst.uses[0], srcs)
             base = read_op(inst.uses[1], srcs)
             disp_v = inst.uses[2].value if len(inst.uses) > 2 else 0
             addr = (base + disp_v) & 0xFFFFFFFF
-            size = {"str": 4, "strb": 1, "strh": 2}[opcode]
-            mem_store(addr, value, size)
+            mem_store(addr, value, STORE_SIZES[opcode])
             level = data_access(addr)
             if level == "l1":
                 d_l1 += 1
@@ -708,40 +796,6 @@ def run_ooo(machine) -> SimResult:
             comp = finish(disp, srcs, mem_pool, 1)
             result.stores += 1
             class_counts["mem"] += 1
-        elif opcode in ("add", "sub", "and", "orr", "eor", "lsl", "lsr", "asr"):
-            a = read_op(inst.uses[0], srcs)
-            b = read_op(inst.uses[1], srcs)
-            width = inst.width
-            mask = _MASKS.get(width, 0xFFFFFFFF)
-            if opcode == "add":
-                value = (a + b) & mask
-            elif opcode == "sub":
-                value = (a - b) & mask
-            elif opcode == "and":
-                value = a & b
-            elif opcode == "orr":
-                value = a | b
-            elif opcode == "eor":
-                value = a ^ b
-            elif opcode == "lsl":
-                value = (a << b) & mask if b < 32 else 0
-            elif opcode == "lsr":
-                value = (a >> b) if b < 32 else 0
-            else:  # asr
-                bits = width * 8
-                ty = int_type(bits)
-                shift = min(b, bits - 1)
-                value = ty.wrap(ty.to_signed(a) >> shift)
-            dest = inst.defs[0]
-            merge_dep(dest, srcs)
-            comp = finish(disp, srcs, alu_pool, 1)
-            write_op(dest, value, comp)
-            if narrow and width == 1:
-                counters.alu8_ops += 1
-                class_counts["alu8"] += 1
-            else:
-                counters.alu32_ops += 1
-                class_counts["alu32"] += 1
         elif opcode == "bs_ldr":
             stats.checkpoints += 1
             counters.ckpt_ops += 1
@@ -758,7 +812,7 @@ def run_ooo(machine) -> SimResult:
             result.loads += 1
             counters.alu8_ops += 1
             class_counts["alu8"] += 1
-            miss = value > spec_mask
+            miss = out_of_slice(value, spec_mask)
             dest = inst.defs[0]
             merge_dep(dest, srcs)
             comp = finish(disp, srcs, mem_pool, _LOAD_LAT[level])
@@ -768,103 +822,30 @@ def run_ooo(machine) -> SimResult:
                 next_pc = pc + delta
             else:
                 write_op(dest, value, comp)
-        elif opcode.startswith("bs_"):
-            counters.alu8_ops += 1
-            class_counts["alu8"] += 1
-            if opcode == "bs_cmp":
-                a = read_op(inst.uses[0], srcs)
-                b = read_op(inst.uses[1], srcs)
-                comp = finish(disp, srcs, alu_pool, 1)
-                counters.rename_writes += 1
-                counters.iq_wakeups += 1
-                old = rmap[_CMP]
-                p = free.popleft()
-                prf[p] = (a, b, inst.width)
-                ready[p] = comp
-                rmap[_CMP] = p
-                free.append(old)
-            else:
-                stats.checkpoints += 1
-                counters.ckpt_ops += 1
-                if opcode == "bs_trunc":
-                    value = read_op(inst.uses[0], srcs)
-                    miss = value > spec_mask
-                elif opcode == "bs_trunc_hi":
-                    value = None
-                    miss = read_op(inst.uses[0], srcs) != 0
-                else:
-                    a = read_op(inst.uses[0], srcs)
-                    b = read_op(inst.uses[1], srcs)
-                    if opcode == "bs_add":
-                        wide = a + b
-                    elif opcode == "bs_sub":
-                        wide = a - b
-                    elif opcode == "bs_and":
-                        wide = a & b
-                    elif opcode == "bs_orr":
-                        wide = a | b
-                    elif opcode == "bs_eor":
-                        wide = a ^ b
-                    elif opcode == "bs_lsl":
-                        wide = (a << b) if b < 32 else 0
-                    elif opcode == "bs_lsr":
-                        wide = a >> b if b < 32 else 0
-                    else:
-                        raise MachineError(
-                            f"unknown speculative opcode {opcode!r}"
-                        )
-                    value = wide
-                    miss = wide < 0 or wide > spec_mask
-                if inst.defs and not miss:
-                    merge_dep(inst.defs[0], srcs)
-                comp = finish(disp, srcs, alu_pool, 1)
-                if miss:
-                    misspecs += 1
-                    recover(pc + 1, fc, comp, "misspec")
-                    next_pc = pc + delta
-                elif value is not None:
-                    write_op(inst.defs[0], value, comp)
-        elif opcode == "cmp":
+        elif opcode == "cmp" or opcode == "bs_cmp":
             a = read_op(inst.uses[0], srcs)
             b = read_op(inst.uses[1], srcs)
             comp = finish(disp, srcs, alu_pool, 1)
-            counters.rename_writes += 1
-            counters.iq_wakeups += 1
-            old = rmap[_CMP]
-            p = free.popleft()
-            prf[p] = (a, b, inst.width)
-            ready[p] = comp
-            rmap[_CMP] = p
-            free.append(old)
-            counters.alu32_ops += 1
-            class_counts["alu32"] += 1
+            write_reg(_CMP, (a, b, inst.width), comp)
+            if opcode == "cmp":
+                counters.alu32_ops += 1
+                class_counts["alu32"] += 1
+            else:
+                counters.alu8_ops += 1
+                class_counts["alu8"] += 1
         elif opcode == "cmp64hi":
             a = read_op(inst.uses[0], srcs)
             b = read_op(inst.uses[1], srcs)
             comp = finish(disp, srcs, alu_pool, 1)
-            counters.rename_writes += 1
-            counters.iq_wakeups += 1
-            old = rmap[_CMP]
-            p = free.popleft()
-            prf[p] = (a, b, "hi")
-            ready[p] = comp
-            rmap[_CMP] = p
-            free.append(old)
+            write_reg(_CMP, (a, b, "hi"), comp)
             counters.alu32_ops += 1
             class_counts["alu32"] += 1
         elif opcode == "cmp64lo":
             a_hi, b_hi, tag = read_cmp(srcs)
-            a = (a_hi << 32) | read_op(inst.uses[0], srcs)
-            b = (b_hi << 32) | read_op(inst.uses[1], srcs)
+            a = _join64(a_hi, read_op(inst.uses[0], srcs))
+            b = _join64(b_hi, read_op(inst.uses[1], srcs))
             comp = finish(disp, srcs, alu_pool, 1)
-            counters.rename_writes += 1
-            counters.iq_wakeups += 1
-            old = rmap[_CMP]
-            p = free.popleft()
-            prf[p] = (a, b, 8)
-            ready[p] = comp
-            rmap[_CMP] = p
-            free.append(old)
+            write_reg(_CMP, (a, b, 8), comp)
             counters.alu32_ops += 1
             class_counts["alu32"] += 1
         elif opcode == "b":
@@ -879,10 +860,9 @@ def run_ooo(machine) -> SimResult:
             stats.checkpoints += 1
             counters.ckpt_ops += 1
             a, b, width = read_cmp(srcs)
-            ty = int_type(64 if width == 8 else width * 8)
             result.branches += 1
             class_counts["branch"] += 1
-            taken = evaluate_icmp(inst.cond, a, b, ty)
+            taken = _holds(a, b, width, inst.cond)
             bi = pc & bp_mask
             pred_taken = bp[bi] >= 2
             if taken:
@@ -903,8 +883,7 @@ def run_ooo(machine) -> SimResult:
                 fq_used = 0
         elif opcode == "movcond":
             a, b, width = read_cmp(srcs)
-            ty = int_type(64 if width == 8 else width * 8)
-            if evaluate_icmp(inst.cond, a, b, ty):
+            if _holds(a, b, width, inst.cond):
                 value = read_op(inst.uses[0], srcs)
                 dest = inst.defs[0]
                 merge_dep(dest, srcs)
@@ -914,130 +893,6 @@ def run_ooo(machine) -> SimResult:
                 comp = finish(disp, srcs, alu_pool, 1)
             counters.move_ops += 1
             class_counts["move"] += 1
-        elif opcode in ("uxt", "sxt", "trunc"):
-            src = inst.uses[0]
-            value = read_op(src, srcs)
-            if opcode == "sxt":
-                src_bits = (src.size if type(src) is Slice else 4) * 8
-                value = int_type(src_bits).to_signed(value) & 0xFFFFFFFF
-            dest = inst.defs[0]
-            merge_dep(dest, srcs)
-            comp = finish(disp, srcs, alu_pool, 1)
-            write_op(dest, value, comp)
-            if narrow and inst.width == 1:
-                counters.alu8_ops += 1
-                class_counts["alu8"] += 1
-            else:
-                counters.move_ops += 1
-                class_counts["move"] += 1
-        elif opcode == "mul":
-            value = (read_op(inst.uses[0], srcs) * read_op(inst.uses[1], srcs)) & _MASKS.get(
-                inst.width, 0xFFFFFFFF
-            )
-            dest = inst.defs[0]
-            merge_dep(dest, srcs)
-            comp = finish(disp, srcs, mdiv_pool, 3)
-            write_op(dest, value, comp)
-            counters.mul_ops += 1
-            class_counts["mul"] += 1
-        elif opcode == "umull":
-            product = read_op(inst.uses[0], srcs) * read_op(inst.uses[1], srcs)
-            merge_dep(inst.defs[0], srcs)
-            merge_dep(inst.defs[1], srcs)
-            comp = finish(disp, srcs, mdiv_pool, 4)
-            write_op(inst.defs[0], product & 0xFFFFFFFF, comp)
-            write_op(inst.defs[1], (product >> 32) & 0xFFFFFFFF, comp)
-            counters.mul_ops += 1
-            class_counts["mul"] += 1
-        elif opcode in _DIV_OPS:
-            a = read_op(inst.uses[0], srcs)
-            b = read_op(inst.uses[1], srcs)
-            bits = inst.width * 8
-            ty = int_type(bits)
-            if b == 0:
-                raise MachineError("division by zero")
-            if opcode == "udiv":
-                value = a // b
-            elif opcode == "urem":
-                value = a % b
-            else:
-                sa, sb = ty.to_signed(a), ty.to_signed(b)
-                q = abs(sa) // abs(sb)
-                r = abs(sa) % abs(sb)
-                if opcode == "sdiv":
-                    value = ty.wrap(-q if (sa < 0) != (sb < 0) else q)
-                else:
-                    value = ty.wrap(-r if sa < 0 else r)
-            dest = inst.defs[0]
-            merge_dep(dest, srcs)
-            comp = finish(disp, srcs, mdiv_pool, 12, occ=12)
-            write_op(dest, ty.wrap(value), comp)
-            counters.div_ops += 1
-            class_counts["div"] += 1
-        elif opcode == "adds":
-            full = read_op(inst.uses[0], srcs) + read_op(inst.uses[1], srcs)
-            dest = inst.defs[0]
-            merge_dep(dest, srcs)
-            comp = finish(disp, srcs, alu_pool, 1)
-            write_reg(_CARRY, full >> 32, comp)
-            write_op(dest, full & 0xFFFFFFFF, comp)
-            counters.alu32_ops += 1
-            class_counts["alu32"] += 1
-        elif opcode == "adc":
-            full = (
-                read_op(inst.uses[0], srcs)
-                + read_op(inst.uses[1], srcs)
-                + read_carry(srcs)
-            )
-            dest = inst.defs[0]
-            merge_dep(dest, srcs)
-            comp = finish(disp, srcs, alu_pool, 1)
-            write_reg(_CARRY, full >> 32, comp)
-            write_op(dest, full & 0xFFFFFFFF, comp)
-            counters.alu32_ops += 1
-            class_counts["alu32"] += 1
-        elif opcode == "subs":
-            a = read_op(inst.uses[0], srcs)
-            b = read_op(inst.uses[1], srcs)
-            dest = inst.defs[0]
-            merge_dep(dest, srcs)
-            comp = finish(disp, srcs, alu_pool, 1)
-            write_reg(_CARRY, 1 if a >= b else 0, comp)
-            write_op(dest, (a - b) & 0xFFFFFFFF, comp)
-            counters.alu32_ops += 1
-            class_counts["alu32"] += 1
-        elif opcode == "sbc":
-            a = read_op(inst.uses[0], srcs)
-            b = read_op(inst.uses[1], srcs)
-            full = a - b - (1 - read_carry(srcs))
-            dest = inst.defs[0]
-            merge_dep(dest, srcs)
-            comp = finish(disp, srcs, alu_pool, 1)
-            write_reg(_CARRY, 1 if full >= 0 else 0, comp)
-            write_op(dest, full & 0xFFFFFFFF, comp)
-            counters.alu32_ops += 1
-            class_counts["alu32"] += 1
-        elif opcode == "addsl":
-            base = read_op(inst.uses[0], srcs)
-            index = read_op(inst.uses[1], srcs)
-            shift = inst.uses[2].value
-            dest = inst.defs[0]
-            merge_dep(dest, srcs)
-            comp = finish(disp, srcs, alu_pool, 1)
-            write_op(dest, (base + (index << shift)) & 0xFFFFFFFF, comp)
-            counters.alu32_ops += 1
-            class_counts["alu32"] += 1
-        elif opcode == "orrsl":
-            a = read_op(inst.uses[0], srcs)
-            b = read_op(inst.uses[1], srcs)
-            shift = inst.uses[2].value
-            shifted = (b << shift) & 0xFFFFFFFF if shift >= 0 else b >> (-shift)
-            dest = inst.defs[0]
-            merge_dep(dest, srcs)
-            comp = finish(disp, srcs, alu_pool, 1)
-            write_op(dest, a | shifted, comp)
-            counters.alu32_ops += 1
-            class_counts["alu32"] += 1
         elif opcode == "bl":
             comp = finish(disp, srcs, alu_pool, 1)
             write_reg(14, pc + 1, disp)  # link value known at rename

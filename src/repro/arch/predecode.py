@@ -59,7 +59,8 @@ from dataclasses import dataclass, field
 
 from repro.arch.cache import L1_LINE_SHIFT, MemoryHierarchy
 from repro.arch.energy import EnergyCounters
-from repro.arch.machine import HALT, _DIV_OPS
+from repro.arch.machine import HALT
+from repro.arch.semantics import DIV_OPS as _DIV_OPS
 from repro.arch.widths import BYTE_MASKS as _MASKS, slice_mask
 from repro.backend.mir import Imm, Slice
 from repro.interp.interpreter import evaluate_icmp

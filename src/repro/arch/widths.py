@@ -1,11 +1,11 @@
-"""Canonical slice-width arithmetic for the BITSPEC register file and ALU.
+"""Slice-width tables for the BITSPEC register file and the squeezer.
 
-Single source of truth for every mask/width table that used to be
-duplicated across :mod:`repro.arch.machine`, :mod:`repro.arch.predecode`
-and the squeezer path.  The sweepable speculative slice width (§3.5 and
-the sensitivity axes of the paper) is expressed in *bits*; the register
-file remains byte-granular, so a 4-bit slice still occupies one byte cell
-and is accounted at byte width for register-file energy.
+The sweepable speculative slice width (§3.5 and the sensitivity axes of
+the paper) is expressed in *bits*; the register file remains
+byte-granular, so a 4-bit slice still occupies one byte cell and is
+accounted at byte width for register-file energy.  What each opcode
+computes at a width, sign extension included, is the opcode table of
+:mod:`repro.arch.semantics`.
 
 ``32`` means speculation is off — no value is narrower than a full
 register, so the squeezer has nothing to do and no ``bs_*`` op is ever
@@ -47,33 +47,3 @@ def slice_bytes(bits: int) -> int:
     registers.
     """
     return max(1, (bits + 7) // 8)
-
-
-def truncate(value: int, bits: int) -> int:
-    """The low ``bits`` of ``value`` — the unsigned bit pattern of a
-    ``bits``-wide slice (what a narrow register-file write stores)."""
-    return value & ((1 << bits) - 1)
-
-
-def zero_extend(value: int, bits: int) -> int:
-    """A ``bits``-wide pattern widened with zero bits (``uxt``).
-
-    Identical to :func:`truncate` on well-formed inputs; spelled separately
-    so call sites say which direction the conversion goes.
-    """
-    return value & ((1 << bits) - 1)
-
-
-def sign_extend(value: int, bits: int, to_bits: int = 32) -> int:
-    """A ``bits``-wide pattern sign-extended into a ``to_bits`` pattern.
-
-    This is the architectural ``sxt``: replicate bit ``bits-1`` upward,
-    then re-wrap to the destination width.  Kept here (next to the mask
-    tables) as the single source of truth shared by the concrete machine
-    engines and the symbolic executor of :mod:`repro.verify`, so the two
-    implementations cannot drift.
-    """
-    value &= (1 << bits) - 1
-    if value & (1 << (bits - 1)):
-        value -= 1 << bits
-    return value & ((1 << to_bits) - 1)

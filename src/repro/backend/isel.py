@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from typing import Optional, Union
 
+from repro.arch.widths import slice_bytes
 from repro.backend.mir import (
     GlobalRef,
     Imm,
@@ -113,7 +114,7 @@ class FunctionISel:
         self.slice_width = slice_width
         #: register-file footprint of a slice op (bytes); sub-byte widths
         #: still occupy one byte cell
-        self.slice_bytes = max(1, (slice_width + 7) // 8)
+        self.slice_bytes = slice_bytes(slice_width)
         self.mfunc = MachineFunction(func.name)
         self.mfunc.signature = _function_signature(func)
         self.vmap: dict[Value, object] = {}

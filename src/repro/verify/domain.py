@@ -10,9 +10,9 @@ an operator is one array expression over every lane at once.  This is the
 dense-domain analogue of the decision-diagram encodings used by
 machine-code BMC (the CFLOBDD RISC-V work in PAPERS.md): every operator
 is evaluated with the machine's own width/mask/sign-extension semantics —
-shared with the concrete engines through :mod:`repro.arch.widths` — so
-there is no abstraction gap to close, and a disequality concretizes a
-counterexample by direct lane lookup.
+the rows of :mod:`repro.arch.semantics`, which the ``ooo`` engine runs
+too — so there is no abstraction gap to close, and a disequality
+concretizes a counterexample by direct lane lookup.
 
 Values collapse back to a Python ``int`` whenever all lanes agree, which
 keeps the common case (loop counters, addresses, constants) scalar-fast:
@@ -23,8 +23,6 @@ scalar path never sees a numpy scalar.
 from __future__ import annotations
 
 import numpy as np
-
-from repro.arch.widths import sign_extend as _sign_extend
 
 
 class Vec:
@@ -93,17 +91,3 @@ def partition(pred: Vec) -> tuple:
     """Split lane positions by a lane-dependent predicate: (true, false)."""
     vals = pred.vals
     return np.flatnonzero(vals), np.flatnonzero(vals == 0)
-
-
-def sxt(value, src_bits: int):
-    """Architectural sign extension to 32 bits (mirrors the ``sxt`` op).
-
-    An ``int`` goes through :func:`repro.arch.widths.sign_extend`; a lane
-    array maps to a lane array and a :class:`Vec` to a collapsed value.
-    """
-    if type(value) is Vec:
-        return make(sxt(value.vals, src_bits))
-    if type(value) is not np.ndarray:
-        return _sign_extend(value, src_bits, 32)
-    sign = 1 << (src_bits - 1)
-    return (((value & ((1 << src_bits) - 1)) ^ sign) - sign) & 0xFFFFFFFF

@@ -2,18 +2,14 @@
 
 Runs a linked binary on the :mod:`repro.verify.domain` valuation domain:
 machine words are per-lane tables over the bounded input space, and every
-instruction is evaluated over all lanes at once with the exact semantics
-of the legacy reference engine (:meth:`repro.arch.machine.Machine._run_legacy`)
-— the same slice masks, sign extensions, Δ-redirect misspeculation rules
-and trap conditions, minus the cost model (cycles/energy/caches), which is
-out of scope for the architectural equivalence contract.
-
-An op is written once when its expression means the same on an ``int``
-and on an ``int64`` lane array (add, masks, slices, bytes, addresses,
-products — a product wraps mod 2^64 in the array, and its low and high 32
-bits stay exact).  An op whose scalar form branches on the data gets an
-explicit vector twin through :func:`_kernel`; ``tests/test_verify_kernels.py``
-checks each pair lane by lane over an edge grid.
+instruction is evaluated over all lanes at once.  Every value is computed
+through the opcode table of :mod:`repro.arch.semantics`, the one the
+``ooo`` engine runs and ``tests/test_semantics.py`` checks against every
+engine: the same slice masks, sign extensions, Δ-redirect
+misspeculation verdicts and trap conditions, minus the cost model
+(cycles/energy/caches), which is out of scope for the architectural
+equivalence contract.  A table row takes ``int`` and lane-array operands
+alike, so uniform values stay scalar-fast.
 
 Control flow forks when lanes disagree:
 
@@ -38,19 +34,32 @@ run either completes identically every time or raises
 from __future__ import annotations
 
 from dataclasses import dataclass
-import operator
 
 import numpy as np
 
-from repro.arch.machine import HALT, _DIV_OPS
+from repro.arch.machine import HALT
+from repro.arch.semantics import (
+    ALU,
+    CARRY,
+    DIV,
+    EXT,
+    LOAD_SIZES,
+    MULL,
+    ROWS,
+    SHIFTED,
+    SPEC,
+    STORE_SIZES,
+    holds,
+    join64,
+    out_of_slice,
+    select,
+)
 from repro.arch.widths import BYTE_MASKS as _MASKS, slice_mask
 from repro.backend.mir import Imm, Slice
 from repro.core.pipeline import set_global_inputs
-from repro.interp.interpreter import evaluate_icmp
 from repro.interp.memory import FlatMemory, STACK_TOP, initialize_globals
-from repro.ir.types import int_type
 from repro.verify.checker import DEFAULT_MAX_STATES, DEFAULT_STEP_BUDGET
-from repro.verify.domain import Vec, lane, make, partition, restrict, sxt
+from repro.verify.domain import Vec, lane, make, partition, restrict
 
 _ND = np.ndarray
 
@@ -156,129 +165,6 @@ def _differing(a, pos_a, b, pos_b) -> np.ndarray:
             vb = vb.vals[pos_b]
         differs |= va != vb
     return differs
-
-
-# -- lane kernels ---------------------------------------------------------------
-
-
-def _kernel(scalar, vector):
-    """An op whose scalar form branches on the data, paired with its
-    vector twin: ``vector`` runs when any operand is a lane array."""
-
-    def op(*args):
-        for arg in args:
-            if type(arg) is _ND:
-                return vector(*args)
-        return scalar(*args)
-
-    op.scalar = scalar
-    op.vector = vector
-    return op
-
-
-def _signed(x, bits: int):
-    """Two's-complement reading of a ``bits``-wide ``int`` or lane array
-    (a 64-bit lane array is a ``uint64`` join, read as ``int64``)."""
-    if type(x) is not _ND:
-        return int_type(bits).to_signed(x)
-    if bits == 64:
-        return x.view(np.int64)
-    sign = 1 << (bits - 1)
-    return ((x & ((1 << bits) - 1)) ^ sign) - sign
-
-
-#: shifts of 32 or more give 0; the vector forms clamp before shifting
-lsl = _kernel(
-    lambda x, y, mask: (x << y) & mask if y < 32 else 0,
-    lambda x, y, mask: np.where(y < 32, (x << np.minimum(y, 31)) & mask, 0),
-)
-lsr = _kernel(
-    lambda x, y: x >> y if y < 32 else 0,
-    lambda x, y: np.where(y < 32, x >> np.minimum(y, 31), 0),
-)
-bs_lsl = _kernel(
-    lambda x, y: x << y if y < 32 else 0,
-    lambda x, y: np.where(y < 32, x << np.minimum(y, 31), 0),
-)
-asr = _kernel(
-    lambda x, y, bits: int_type(bits).wrap(
-        int_type(bits).to_signed(x) >> min(y, bits - 1)
-    ),
-    lambda x, y, bits: (_signed(x, bits) >> np.minimum(y, bits - 1))
-    & ((1 << bits) - 1),
-)
-
-_COMPARE = {
-    "eq": operator.eq,
-    "ne": operator.ne,
-    "lt": operator.lt,
-    "le": operator.le,
-    "gt": operator.gt,
-    "ge": operator.ge,
-}
-
-
-def _icmp_vector(pred: str, x, y, bits: int):
-    if pred[0] == "s":
-        x, y = _signed(x, bits), _signed(y, bits)
-    return _COMPARE[pred[1:] if pred[0] in "su" else pred](x, y)
-
-
-#: the bcond/movcond predicate over a cmp state of width ``bits``
-icmp = _kernel(
-    lambda pred, x, y, bits: evaluate_icmp(pred, x, y, int_type(bits)),
-    _icmp_vector,
-)
-select = _kernel(lambda c, s, o: s if c else o, np.where)
-#: the cmp64hi/cmp64lo join; lane arrays go to uint64
-join64 = _kernel(
-    lambda hi, lo: (hi << 32) | lo,
-    lambda hi, lo: (np.asarray(hi).astype(np.uint64) << np.uint64(32))
-    | np.asarray(lo).astype(np.uint64),
-)
-
-
-def _divide(opcode: str, a: int, b: int, bits: int) -> int:
-    """C-style division/remainder (round toward zero), matching the machine."""
-    ty = int_type(bits)
-    if opcode == "udiv":
-        return a // b
-    if opcode == "urem":
-        return a % b
-    sa, sb = ty.to_signed(a), ty.to_signed(b)
-    q = abs(sa) // abs(sb)
-    r = abs(sa) % abs(sb)
-    if opcode == "sdiv":
-        return ty.wrap(-q if (sa < 0) != (sb < 0) else q)
-    return ty.wrap(-r if sa < 0 else r)
-
-
-def _divide_vector(opcode: str, a, b, bits: int):
-    if opcode == "udiv":
-        return a // b
-    if opcode == "urem":
-        return a % b
-    sa, sb = _signed(a, bits), _signed(b, bits)
-    q = abs(sa) // abs(sb)
-    r = abs(sa) % abs(sb)
-    if opcode == "sdiv":
-        value = np.where((sa < 0) != (sb < 0), -q, q)
-    else:
-        value = np.where(sa < 0, -r, r)
-    return value & ((1 << bits) - 1)
-
-
-divide = _kernel(_divide, _divide_vector)
-#: the carry flag ``subs`` leaves behind (1 = no borrow)
-subs_carry = _kernel(
-    lambda x, y: 1 if x >= y else 0,
-    lambda x, y: (x >= y).astype(np.int64),
-)
-#: the carry flag ``sbc`` leaves behind, from its full-width difference
-sbc_carry = _kernel(
-    lambda full: 1 if full >= 0 else 0,
-    lambda full: (full >= 0).astype(np.int64),
-)
 
 
 def _raw(value):
@@ -544,67 +430,91 @@ class SymbolicMachine:
             opcode = inst.opcode
             next_pc = pc + 1
 
-            if opcode == "mov" or opcode == "movi":
-                write(inst.defs[0], read(inst.uses[0]))
-            elif opcode in ("add", "sub", "and", "orr", "eor", "lsl", "lsr", "asr"):
-                a = read(inst.uses[0])
-                b = read(inst.uses[1])
-                mask = _MASKS.get(inst.width, 0xFFFFFFFF)
-                if opcode == "add":
-                    value = (a + b) & mask
-                elif opcode == "sub":
-                    value = (a - b) & mask
-                elif opcode == "and":
-                    value = a & b
-                elif opcode == "orr":
-                    value = a | b
-                elif opcode == "eor":
-                    value = a ^ b
-                elif opcode == "lsl":
-                    value = lsl(a, b, mask)
-                elif opcode == "lsr":
-                    value = lsr(a, b)
+            row = ROWS.get(opcode)
+            if row is not None:
+                shape, fn = row
+                uses = inst.uses
+                # every row rebinds a, b and value: a lane array left in
+                # one would outlive its register until the next row
+                a = read(uses[0])
+                b = read(uses[1]) if len(uses) > 1 else 0
+                if shape >= SPEC:
+                    if shape == SPEC:
+                        value = fn(a, b)
+                        miss = make(out_of_slice(value, spec_mask))
+                    else:
+                        value = a
+                        miss = make(fn(a, spec_mask))
+                    if type(miss) is Vec:
+                        # the clean child re-executes this op (its verdict
+                        # is then uniformly clean), so the write-back still
+                        # happens
+                        self.misspec_lanes += int(np.count_nonzero(miss.vals))
+                        return self._fork(state, miss, stack, pc + delta, pc)
+                    if miss:
+                        self.misspec_lanes += n
+                        next_pc = pc + delta
+                    elif inst.defs:
+                        write(inst.defs[0], value)
+                elif shape == MULL:
+                    value, high = fn(a, b)
+                    write(inst.defs[0], value)
+                    write(inst.defs[1], high)
                 else:
-                    value = asr(a, b, inst.width * 8)
-                write(inst.defs[0], value)
+                    if shape == ALU:
+                        value = fn(a, b, inst.width)
+                    elif shape == CARRY:
+                        value, carry = fn(a, b, _raw(state.carry))
+                        state.carry = make(carry)
+                    elif shape == DIV:
+                        zero = make(b == 0)
+                        if type(zero) is Vec:
+                            return self._fork(state, zero, stack, _TRAP_DIV, pc)
+                        if zero:
+                            return "division by zero"
+                        value = fn(a, b, inst.width)
+                    elif shape == EXT:
+                        src = uses[0]
+                        value = fn(a, (src.size if type(src) is Slice else 4) * 8)
+                    else:  # SHIFTED
+                        value = fn(a, b, uses[2].value)
+                    write(inst.defs[0], value)
+            elif opcode == "mov" or opcode == "movi":
+                write(inst.defs[0], read(inst.uses[0]))
             elif opcode == "b":
                 next_pc = inst.target
             elif opcode == "bcond":
                 a, b, width = state.cmp
-                bits = 64 if width == 8 else width * 8
-                cond = make(icmp(inst.cond, _raw(a), _raw(b), bits))
+                cond = make(holds(_raw(a), _raw(b), width, inst.cond))
                 if type(cond) is Vec:
                     return self._fork(state, cond, stack, inst.target, pc + 1)
                 if cond:
                     next_pc = inst.target
-            elif opcode == "cmp":
-                a = read(inst.uses[0])
-                b = read(inst.uses[1])
-                if type(a) is _ND or type(b) is _ND:
-                    a, b = make(a), make(b)
-                state.cmp = (a, b, inst.width)
-            elif opcode == "mul":
-                mask = _MASKS.get(inst.width, 0xFFFFFFFF)
-                write(inst.defs[0], (read(inst.uses[0]) * read(inst.uses[1])) & mask)
-            elif opcode in ("ldr", "ldrb", "ldrh"):
+            elif opcode == "cmp" or opcode == "bs_cmp":
+                state.cmp = (
+                    make(read(inst.uses[0])),
+                    make(read(inst.uses[1])),
+                    inst.width,
+                )
+            elif opcode in LOAD_SIZES:
                 base = read(inst.uses[0])
                 disp = inst.uses[1].value if len(inst.uses) > 1 else 0
                 addr = make((base + disp) & 0xFFFFFFFF)
                 if type(addr) is Vec:
                     return self._concretize_addr(state, addr, stack)
-                size = {"ldr": 4, "ldrb": 1, "ldrh": 2}[opcode]
+                size = LOAD_SIZES[opcode]
                 value = self._load(state, addr, size)
                 if value is None:
                     return f"load out of bounds: 0x{addr:x}+{size}"
                 write(inst.defs[0], value)
-            elif opcode in ("str", "strb", "strh"):
+            elif opcode in STORE_SIZES:
                 value = read(inst.uses[0])
                 base = read(inst.uses[1])
                 disp = inst.uses[2].value if len(inst.uses) > 2 else 0
                 addr = make((base + disp) & 0xFFFFFFFF)
                 if type(addr) is Vec:
                     return self._concretize_addr(state, addr, stack)
-                size = {"str": 4, "strb": 1, "strh": 2}[opcode]
+                size = STORE_SIZES[opcode]
                 if not self._store(state, addr, value, size):
                     return f"store out of bounds: 0x{addr:x}+{size}"
             elif opcode == "bs_ldr":
@@ -615,10 +525,9 @@ class SymbolicMachine:
                 value = self._load(state, addr, size)
                 if value is None:
                     return f"load out of bounds: 0x{addr:x}+{size}"
-                miss = make(value > spec_mask)
+                miss = make(out_of_slice(value, spec_mask))
                 if type(miss) is Vec:
-                    # the clean child re-executes this op (its predicate is
-                    # then uniformly false), so the write-back still happens
+                    # the clean child re-executes this op, as above
                     self.misspec_lanes += int(np.count_nonzero(miss.vals))
                     return self._fork(state, miss, stack, pc + delta, pc)
                 if miss:
@@ -626,18 +535,6 @@ class SymbolicMachine:
                     next_pc = pc + delta
                 else:
                     write(inst.defs[0], value)
-            elif opcode.startswith("bs_"):
-                outcome = self._exec_bitspec(inst, read, write)
-                if outcome == "misspec":
-                    self.misspec_lanes += n
-                    next_pc = pc + delta
-                elif type(outcome) is tuple:
-                    if outcome[0] == "fork-misspec":
-                        # clean child re-executes the op, see bs_ldr above
-                        miss = outcome[1]
-                        self.misspec_lanes += int(np.count_nonzero(miss.vals))
-                        return self._fork(state, miss, stack, pc + delta, pc)
-                    state.cmp = outcome
             elif opcode == "cmp64hi":
                 state.cmp = (
                     make(read(inst.uses[0])),
@@ -653,64 +550,10 @@ class SymbolicMachine:
                 )
             elif opcode == "movcond":
                 a, b, width = state.cmp
-                bits = 64 if width == 8 else width * 8
-                cond = icmp(inst.cond, _raw(a), _raw(b), bits)
+                cond = holds(_raw(a), _raw(b), width, inst.cond)
                 source = read(inst.uses[0])
                 old = read(inst.defs[0])
                 write(inst.defs[0], select(cond, source, old))
-            elif opcode in ("uxt", "sxt", "trunc"):
-                src = inst.uses[0]
-                value = read(src)
-                if opcode == "sxt":
-                    src_bits = (src.size if type(src) is Slice else 4) * 8
-                    value = sxt(value, src_bits)
-                write(inst.defs[0], value)
-            elif opcode == "umull":
-                product = read(inst.uses[0]) * read(inst.uses[1])
-                write(inst.defs[0], product & 0xFFFFFFFF)
-                write(inst.defs[1], (product >> 32) & 0xFFFFFFFF)
-            elif opcode in _DIV_OPS:
-                a = read(inst.uses[0])
-                b = read(inst.uses[1])
-                zero = make(b == 0)
-                if type(zero) is Vec:
-                    return self._fork(state, zero, stack, _TRAP_DIV, pc)
-                if zero:
-                    return "division by zero"
-                bits = inst.width * 8
-                write(inst.defs[0], divide(opcode, a, b, bits) & ((1 << bits) - 1))
-            elif opcode == "adds":
-                full = read(inst.uses[0]) + read(inst.uses[1])
-                state.carry = make(full >> 32)
-                write(inst.defs[0], full & 0xFFFFFFFF)
-            elif opcode == "adc":
-                full = read(inst.uses[0]) + read(inst.uses[1]) + _raw(state.carry)
-                state.carry = make(full >> 32)
-                write(inst.defs[0], full & 0xFFFFFFFF)
-            elif opcode == "subs":
-                a = read(inst.uses[0])
-                b = read(inst.uses[1])
-                state.carry = make(subs_carry(a, b))
-                write(inst.defs[0], (a - b) & 0xFFFFFFFF)
-            elif opcode == "sbc":
-                full = (
-                    read(inst.uses[0])
-                    - read(inst.uses[1])
-                    - (1 - _raw(state.carry))
-                )
-                state.carry = make(sbc_carry(full))
-                write(inst.defs[0], full & 0xFFFFFFFF)
-            elif opcode == "addsl":
-                shift = inst.uses[2].value
-                a = read(inst.uses[0])
-                b = read(inst.uses[1])
-                write(inst.defs[0], (a + (b << shift)) & 0xFFFFFFFF)
-            elif opcode == "orrsl":
-                shift = inst.uses[2].value
-                a = read(inst.uses[0])
-                b = read(inst.uses[1])
-                shifted = (b << shift) & 0xFFFFFFFF if shift >= 0 else b >> (-shift)
-                write(inst.defs[0], a | shifted)
             elif opcode == "bl":
                 regs[14] = pc + 1
                 next_pc = inst.target
@@ -730,56 +573,6 @@ class SymbolicMachine:
             else:
                 return f"unknown opcode {opcode!r} at {pc}"
             state.pc = next_pc
-        return None
-
-    def _exec_bitspec(self, inst, read, write):
-        """One non-memory ``bs_*`` op.  Returns "misspec" (all lanes), a
-        ``("fork-misspec", predicate)`` marker (lanes disagree), a new
-        cmp-state tuple (``bs_cmp``), or None."""
-        opcode = inst.opcode
-        spec_mask = self.spec_mask
-        if opcode == "bs_cmp":
-            return (make(read(inst.uses[0])), make(read(inst.uses[1])), inst.width)
-        if opcode == "bs_trunc":
-            value = read(inst.uses[0])
-            miss = make(value > spec_mask)
-            if type(miss) is Vec:
-                return ("fork-misspec", miss)
-            if miss:
-                return "misspec"
-            write(inst.defs[0], value)
-            return None
-        if opcode == "bs_trunc_hi":
-            miss = make(read(inst.uses[0]) != 0)
-            if type(miss) is Vec:
-                return ("fork-misspec", miss)
-            if miss:
-                return "misspec"
-            return None
-        a = read(inst.uses[0])
-        b = read(inst.uses[1])
-        if opcode == "bs_add":
-            wide = a + b
-        elif opcode == "bs_sub":
-            wide = a - b
-        elif opcode == "bs_and":
-            wide = a & b
-        elif opcode == "bs_orr":
-            wide = a | b
-        elif opcode == "bs_eor":
-            wide = a ^ b
-        elif opcode == "bs_lsl":
-            wide = bs_lsl(a, b)
-        elif opcode == "bs_lsr":
-            wide = lsr(a, b)
-        else:
-            raise ValueError(f"unknown speculative opcode {opcode!r}")
-        miss = make((wide < 0) | (wide > spec_mask))
-        if type(miss) is Vec:
-            return ("fork-misspec", miss)
-        if miss:
-            return "misspec"
-        write(inst.defs[0], wide)
         return None
 
 

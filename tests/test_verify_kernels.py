@@ -1,12 +1,14 @@
-"""Vector lane kernels of the symbolic executor against their scalar forms.
+"""The opcode table's lane forms against its scalar forms.
 
-An executor op whose scalar form branches on the data (shifts, signed
-compares, signed division, carries, sign extension, the 64-bit compare
-join) has an explicit numpy twin.  Each pair is checked lane by lane over
-an edge grid, once with every operand a lane array and once with each
-operand held as a plain ``int`` (the mixed shapes the executor produces
-when one operand is uniform).  The ops written once for both shapes
-(products, masks) are checked at their overflow edges too.
+A row of :mod:`repro.arch.semantics` whose scalar form branches on the
+data (shifts, signed compares, signed division, the 64-bit compare join)
+has an explicit numpy twin, which the symbolic executor runs on lane
+arrays.  Each pair is checked lane by lane over an edge grid, once with
+every operand a lane array and once with each operand held as a plain
+``int`` (the mixed shapes the executor produces when one operand is
+uniform).  The rows written once for both shapes (carries, sign
+extension, products, masks) are checked the same way, and at their
+overflow edges.
 """
 
 import itertools
@@ -14,8 +16,7 @@ import itertools
 import numpy as np
 import pytest
 
-from repro.verify import executor as ex
-from repro.verify.domain import sxt
+from repro.arch import semantics as sem
 
 VALUES = (0, 1, 0x7F, 0x80, 0xFF, 0x7FFF_FFFF, 0x8000_0000, 0xFFFF_FFFF)
 SHIFTS = (0, 31, 32, 255)
@@ -57,18 +58,17 @@ SHIFT_ROWS = list(itertools.product(VALUES, SHIFTS))
 
 @pytest.mark.parametrize("width", [1, 2, 4])
 def test_lsl(width):
-    mask = (1 << (8 * width)) - 1
-    _kernel_agrees(ex.lsl, SHIFT_ROWS, after=(mask,))
+    _kernel_agrees(sem.lsl, SHIFT_ROWS, after=(width,))
 
 
 def test_lsr_and_bs_lsl():
-    _kernel_agrees(ex.lsr, SHIFT_ROWS)
-    _kernel_agrees(ex.bs_lsl, SHIFT_ROWS)
+    _kernel_agrees(sem.lsr, SHIFT_ROWS)
+    _kernel_agrees(sem.bs_lsl, SHIFT_ROWS)
 
 
 @pytest.mark.parametrize("bits", [8, 16, 32])
 def test_asr(bits):
-    _kernel_agrees(ex.asr, SHIFT_ROWS, after=(bits,))
+    _kernel_agrees(sem.asr, SHIFT_ROWS, after=(bits // 8,))
 
 
 PREDICATES = ("eq", "ne", "ult", "ule", "ugt", "uge", "slt", "sle", "sgt", "sge")
@@ -78,7 +78,7 @@ PREDICATES = ("eq", "ne", "ult", "ule", "ugt", "uge", "slt", "sle", "sgt", "sge"
 @pytest.mark.parametrize("bits", [8, 16, 32])
 def test_icmp(pred, bits):
     rows = list(itertools.product(VALUES, VALUES))
-    _kernel_agrees(ex.icmp, rows, before=(pred,), after=(bits,))
+    _kernel_agrees(sem.holds, rows, after=(bits // 8, pred))
 
 
 @pytest.mark.parametrize("pred", PREDICATES)
@@ -86,18 +86,18 @@ def test_icmp_64_bit_join(pred):
     # operands with bit 63 set are negative under the signed predicates
     rows = list(itertools.product(WIDE[::7], WIDE[::5]))
     assert any(a >> 63 for a, _ in rows)
-    _kernel_agrees(ex.icmp, rows, before=(pred,), after=(64,), dtype=np.uint64)
+    _kernel_agrees(sem.holds, rows, after=(8, pred), dtype=np.uint64)
 
 
 def test_join64():
-    _kernel_agrees(ex.join64, list(itertools.product(VALUES, VALUES)))
+    _kernel_agrees(sem.join64, list(itertools.product(VALUES, VALUES)))
 
 
 def test_select():
     rows = list(itertools.product((False, True), VALUES[::2], VALUES[1::2]))
     _agrees(
-        ex.select.scalar,
-        lambda c, s, o: ex.select(np.asarray(c, dtype=bool), s, o),
+        sem.select,
+        lambda c, s, o: sem.select(np.asarray(c, dtype=bool), s, o),
         rows,
     )
 
@@ -109,38 +109,42 @@ def test_divide(opcode, bits):
     # operands of a narrow division are read through slices of its width
     mask = (1 << bits) - 1
     rows = [(a & mask, b & mask) for a in VALUES for b in VALUES if b & mask]
-    _kernel_agrees(ex.divide, rows, before=(opcode,), after=(bits,))
+    _kernel_agrees(sem.ROWS[opcode][1], rows, after=(bits // 8,))
 
 
 def test_subs_carry():
-    _kernel_agrees(ex.subs_carry, list(itertools.product(VALUES, VALUES)))
+    rows = list(itertools.product(VALUES, VALUES))
+    for part in (0, 1):  # the difference, then the carry (1 = no borrow)
+        _agrees(
+            lambda x, y: sem.subs.scalar(x, y)[part],
+            lambda x, y: sem.subs(x, y)[part],
+            rows,
+        )
 
 
 def test_sbc_with_and_without_borrow():
-    def sbc(x, y, c, carry):
-        full = x - y - (1 - c)
-        return carry(full), full & 0xFFFFFFFF
-
     rows = list(itertools.product(VALUES, VALUES, (0, 1)))
-    expected = [sbc(*row, ex.sbc_carry.scalar) for row in rows]
+    expected = [sem.sbc.scalar(*row) for row in rows]
     x, y, c = (np.array(col, dtype=np.int64) for col in zip(*rows))
-    carry, low = sbc(x, y, c, ex.sbc_carry)
-    assert list(zip(carry.tolist(), low.tolist())) == expected
+    low, carry = sem.sbc(x, y, c)
+    assert list(zip(low.tolist(), carry.tolist())) == expected
 
 
 @pytest.mark.parametrize("bits", [8, 16])
 def test_sxt(bits):
-    _agrees(lambda v: sxt(v, bits), lambda v: sxt(v, bits), [(v,) for v in VALUES])
+    _agrees(
+        lambda v: sem.sxt.scalar(v, bits),
+        lambda v: sem.sxt(v, bits),
+        [(v,) for v in VALUES],
+    )
 
 
 def test_products_keep_their_low_and_high_words():
     rows = list(itertools.product(VALUES, VALUES))
     assert (0xFFFF_FFFF, 0xFFFF_FFFF) in rows
     x, y = (np.array(col, dtype=np.int64) for col in zip(*rows))
-    product = x * y  # wraps mod 2**64 in int64
-    assert (product & 0xFFFFFFFF).tolist() == [a * b & 0xFFFFFFFF for a, b in rows]
-    assert ((product >> 32) & 0xFFFFFFFF).tolist() == [
-        (a * b) >> 32 & 0xFFFFFFFF for a, b in rows
-    ]
-    for mask in (0xFF, 0xFFFF, 0xFFFFFFFF):
-        assert ((x * y) & mask).tolist() == [a * b & mask for a, b in rows]
+    low, high = sem.umull(x, y)  # the product wraps mod 2**64 in int64
+    assert low.tolist() == [a * b & 0xFFFFFFFF for a, b in rows]
+    assert high.tolist() == [(a * b) >> 32 & 0xFFFFFFFF for a, b in rows]
+    for width, mask in ((1, 0xFF), (2, 0xFFFF), (4, 0xFFFFFFFF)):
+        assert sem.mul(x, y, width).tolist() == [a * b & mask for a, b in rows]

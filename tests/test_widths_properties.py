@@ -1,34 +1,30 @@
-"""Property tests for :mod:`repro.arch.widths`.
+"""Property tests for :mod:`repro.arch.widths` and the sign extension
+and slice verdict of :mod:`repro.arch.semantics`.
 
-The width helpers are the single source of truth shared by the concrete
-machine engines, the squeezer and the symbolic executor; a one-bit error
-here silently corrupts every layer at once.  These tests pin the helpers
-down three ways:
+A one-bit error in a width helper silently corrupts every layer at once.
+These tests pin the helpers down three ways:
 
 * exhaustively over every representable pattern at the small slice
   widths (w4, w8), plus out-of-range and negative Python ints;
 * on boundary grids (around 0, the sign bit, and the wrap point) at w16
   and w32, where exhaustion is too slow;
-* cross-checked against the *independent* implementations of the same
-  arithmetic: :class:`repro.ir.types.IntType` (``wrap``/``to_signed``)
-  and the symbolic executor's lane-wise ``sxt``
-  (:func:`repro.verify.domain.sxt`), so the three layers cannot drift.
+* cross-checked against the *independent* implementation of the same
+  arithmetic in :class:`repro.ir.types.IntType` (``wrap``/``to_signed``),
+  and on lane arrays against the same row on plain ints.
 """
 
+import numpy as np
 import pytest
 
+from repro.arch.semantics import out_of_slice, sxt
 from repro.arch.widths import (
     BYTE_MASKS,
     SLICE_WIDTHS,
-    sign_extend,
     slice_bytes,
     slice_mask,
-    truncate,
     validate_slice_width,
-    zero_extend,
 )
 from repro.ir.types import int_type
-from repro.verify.domain import Vec, make, sxt
 
 EXHAUSTIVE_WIDTHS = (4, 8)
 
@@ -47,37 +43,7 @@ def boundary_values(bits):
     return sorted(probes)
 
 
-# -- truncate / zero_extend ------------------------------------------------
-
-
-@pytest.mark.parametrize("bits", EXHAUSTIVE_WIDTHS)
-def test_truncate_exhaustive_matches_ir_wrap(bits):
-    ty = int_type(bits)
-    for value in range(-(1 << (bits + 2)), 1 << (bits + 2)):
-        expected = value & ((1 << bits) - 1)
-        assert truncate(value, bits) == expected
-        assert truncate(value, bits) == ty.wrap(value)
-        # zero_extend is truncate spelled in the widening direction
-        assert zero_extend(value, bits) == truncate(value, bits)
-
-
-@pytest.mark.parametrize("bits", (16, 32))
-def test_truncate_boundary_grid(bits):
-    ty = int_type(bits)
-    for value in boundary_values(bits):
-        assert truncate(value, bits) == ty.wrap(value)
-        assert 0 <= truncate(value, bits) < (1 << bits)
-        assert zero_extend(value, bits) == truncate(value, bits)
-
-
-def test_truncate_is_idempotent():
-    for bits in SLICE_WIDTHS:
-        for value in boundary_values(bits):
-            once = truncate(value, bits)
-            assert truncate(once, bits) == once
-
-
-# -- sign_extend -----------------------------------------------------------
+# -- sign extension (the ``sxt`` row) --------------------------------------
 
 
 @pytest.mark.parametrize("bits", EXHAUSTIVE_WIDTHS)
@@ -86,10 +52,10 @@ def test_sign_extend_exhaustive_matches_ir_to_signed(bits):
     dst = int_type(32)
     for value in range(1 << bits):
         expected = dst.wrap(src.to_signed(value))
-        got = sign_extend(value, bits, 32)
+        got = sxt(value, bits)
         assert got == expected
         # value bits survive the round trip
-        assert truncate(got, bits) == value
+        assert got & slice_mask(bits) == value
         # the upper bits replicate the sign bit
         fill = got >> bits
         sign = (value >> (bits - 1)) & 1
@@ -101,33 +67,27 @@ def test_sign_extend_boundary_grid(bits):
     src = int_type(bits)
     dst = int_type(32)
     for value in boundary_values(bits):
-        assert sign_extend(value, bits, 32) == dst.wrap(
-            src.to_signed(src.wrap(value))
-        )
+        assert sxt(value, bits) == dst.wrap(src.to_signed(src.wrap(value)))
 
 
 def test_sign_extend_to_narrower_rewraps():
-    # to_bits below the source width degenerates to plain truncation of
-    # the extended pattern — the architectural re-wrap the docstring pins
-    assert sign_extend(0xFF, 8, 4) == 0xF
-    assert sign_extend(0x80, 8, 8) == 0x80
+    # read back through a narrower slice, the extended word degenerates
+    # to plain truncation of the extended pattern
+    assert sxt(0xFF, 8) & 0xF == 0xF
+    assert sxt(0x80, 8) & 0xFF == 0x80
 
 
 @pytest.mark.parametrize("bits", EXHAUSTIVE_WIDTHS)
 def test_sign_extend_agrees_with_symbolic_sxt(bits):
-    """The symbolic executor's lane-wise ``sxt`` is the same function."""
+    """The lane form of the ``sxt`` row (what the symbolic executor runs)
+    computes the same words as its ``int`` form."""
     values = tuple(range(1 << bits))
-    lanes = sxt(make(values), bits)
-    expected = tuple(sign_extend(v, bits, 32) for v in values)
-    got = (
-        tuple(lanes.vals.tolist())
-        if isinstance(lanes, Vec)
-        else (lanes,) * len(values)
-    )
-    assert got == expected
+    lanes = sxt(np.array(values, dtype=np.int64), bits)
+    expected = tuple(sxt(v, bits) for v in values)
+    assert tuple(lanes.tolist()) == expected
     # scalar (uniform) fast path computes the identical word
     for value in (0, 1, (1 << (bits - 1)), (1 << bits) - 1):
-        assert sxt(value, bits) == sign_extend(value, bits, 32)
+        assert sxt(value, bits) == expected[value]
 
 
 # -- mask / storage tables -------------------------------------------------
@@ -137,8 +97,14 @@ def test_slice_mask_matches_truncate_fixed_points():
     for bits in SLICE_WIDTHS:
         mask = slice_mask(bits)
         assert mask == (1 << bits) - 1
-        assert truncate(mask, bits) == mask
-        assert truncate(mask + 1, bits) == 0
+        # the mask is a fixed point of truncation to the slice
+        assert mask & mask == mask
+        assert (mask + 1) & mask == 0
+        # the widest value a slice holds is clean; one more, or a borrow,
+        # misspeculates
+        assert not out_of_slice(mask, mask)
+        assert out_of_slice(mask + 1, mask)
+        assert out_of_slice(-1, mask)
 
 
 def test_slice_bytes_rounds_up_to_storage_cells():
