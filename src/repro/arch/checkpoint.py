@@ -49,9 +49,6 @@ from repro.core.documents import atomic_write
 
 SNAPSHOT_VERSION = 1
 
-#: engines that can take and resume snapshots natively
-SNAPSHOT_ENGINES = ("legacy", "fast")
-
 
 class SnapshotError(Exception):
     """A snapshot cannot be taken, loaded, or resumed as requested."""

@@ -97,6 +97,7 @@ from repro.arch.predecode import (
     OP_SUBS,
     OP_SUBSPI,
     OP_UMULL,
+    SPEC_OPS,
     _pc_bits,
     fold_result,  # noqa: F401 - perf/tracing.py spans it under this name
     predecode,
@@ -115,8 +116,6 @@ MAX_REGION = 256
 #: (loop unrolling up to MAX_REGION); larger loop bodies already amortize
 #: their entry cost, so they end the region instead
 UNROLL_SPAN = 64
-
-_SPEC_OPS = (OP_BS_BIN, OP_BS_TRUNC, OP_BS_TRUNC_HI, OP_BS_LDR)
 
 _U16 = Struct("<H").unpack_from
 _U32 = Struct("<I").unpack_from
@@ -1098,7 +1097,7 @@ def _build_image(linked, narrow_rf, spec_mask):
         elif op == OP_BX:
             if pc + 1 < n:
                 leaders.add(pc + 1)
-        elif delta and op in _SPEC_OPS:
+        elif delta and op in SPEC_OPS:
             if pc + delta < n:
                 leaders.add(pc + delta)
     return CompiledImage(code, leaders, linked.inst_bytes, delta, spec_mask)

@@ -102,12 +102,6 @@ class SimResult:
 #: recognized values for ``Machine(engine=...)`` / ``REPRO_MACHINE_ENGINE``
 ENGINES = ("legacy", "fast", "compiled", "ooo")
 
-#: engines whose results are bit-identical in *every* SimResult field —
-#: the in-order timing model.  The ``ooo`` engine shares the committed
-#: architectural contract (:data:`COMMITTED_FIELDS`) but has its own
-#: cycle/energy model.
-INORDER_ENGINES = ("legacy", "fast", "compiled")
-
 #: SimResult fields in the engine-independent architectural contract
 #: (docs/engines.md): identical across all four engines, bit-for-bit.
 #: ``cycles``, the energy ``counters`` and the ``obs``/``ooo`` samples

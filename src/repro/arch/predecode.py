@@ -104,6 +104,9 @@ from repro.ir.types import int_type
     OP_ERROR,
 ) = range(32)
 
+#: opcode ids that resolve a speculation (the engines' four spec sites)
+SPEC_OPS = frozenset({OP_BS_BIN, OP_BS_TRUNC, OP_BS_TRUNC_HI, OP_BS_LDR})
+
 _ALU_SUB = {"add": 0, "sub": 1, "and": 2, "orr": 3, "eor": 4, "lsl": 5,
             "lsr": 6, "asr": 7}
 _BS_SUB = {"bs_add": 0, "bs_sub": 1, "bs_and": 2, "bs_orr": 3, "bs_eor": 4,
@@ -124,10 +127,6 @@ N_STATIC = 26
 
 _RF_R_ID = {1: C_RF_R1, 2: C_RF_R2, 4: C_RF_R4}
 _RF_W_ID = {1: C_RF_W1, 2: C_RF_W2, 4: C_RF_W4}
-_OPCTR_ID = {"alu32": C_ALU32, "alu8": C_ALU8, "mul": C_MUL, "div": C_DIV,
-             "move": C_MOVE}
-_CLASS_ID = {"alu32": K_ALU32, "alu8": K_ALU8, "mul": K_MUL, "div": K_DIV,
-             "move": K_MOVE, "mem": K_MEM, "branch": K_BRANCH}
 
 
 class _PredecodeError(Exception):

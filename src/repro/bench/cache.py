@@ -23,7 +23,7 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Optional
 
@@ -199,57 +199,25 @@ class DiskCache:
 
 # -- RunRecord (de)serialization ----------------------------------------------
 
-_SIM_INT_FIELDS = (
-    "instructions",
-    "cycles",
-    "misspeculations",
-    "branches",
-    "taken_branches",
-    "spill_stores",
-    "spill_loads",
-    "copies",
-    "loads",
-    "stores",
-    "return_value",
-)
+#: SimResult fields the payload leaves out: the memory image and the
+#: per-pc observability sample
+_SIM_SKIP = ("memory", "obs")
 
-_COUNTER_INT_FIELDS = (
-    "icache_l1",
-    "icache_l2",
-    "icache_mem",
-    "dcache_l1",
-    "dcache_l2",
-    "dcache_mem",
-    "alu32_ops",
-    "alu8_ops",
-    "mul_ops",
-    "div_ops",
-    "move_ops",
-    "cycles",
-    "rename_reads",
-    "rename_writes",
-    "rob_writes",
-    "rob_reads",
-    "iq_writes",
-    "iq_wakeups",
-    "ckpt_ops",
-)
+#: EnergyCounters fields keyed by register width (JSON keys are strings)
+_BY_WIDTH = ("rf_reads_by_width", "rf_writes_by_width")
 
 
 def _sim_to_dict(sim) -> dict:
-    counters = {f: getattr(sim.counters, f) for f in _COUNTER_INT_FIELDS}
-    counters["rf_reads_by_width"] = {
-        str(w): n for w, n in sim.counters.rf_reads_by_width.items()
-    }
-    counters["rf_writes_by_width"] = {
-        str(w): n for w, n in sim.counters.rf_writes_by_width.items()
-    }
-    data = {f: getattr(sim, f) for f in _SIM_INT_FIELDS}
-    data["output"] = list(sim.output)
-    data["class_counts"] = dict(sim.class_counts)
-    data["counters"] = counters
-    data["slice_width"] = sim.slice_width
-    data["ooo"] = sim.ooo.as_dict() if sim.ooo is not None else None
+    counters = {f.name: getattr(sim.counters, f.name) for f in fields(sim.counters)}
+    for name in _BY_WIDTH:
+        counters[name] = {str(w): n for w, n in counters[name].items()}
+    data = {f.name: getattr(sim, f.name) for f in fields(sim) if f.name not in _SIM_SKIP}
+    data.update(
+        output=list(sim.output),
+        class_counts=dict(sim.class_counts),
+        counters=counters,
+        ooo=sim.ooo.as_dict() if sim.ooo is not None else None,
+    )
     return data
 
 
@@ -257,21 +225,17 @@ def _sim_from_dict(data: dict):
     from repro.arch.energy import EnergyCounters
     from repro.arch.machine import SimResult
 
-    counters = EnergyCounters(
-        **{f: data["counters"][f] for f in _COUNTER_INT_FIELDS}
-    )
-    counters.rf_reads_by_width = {
-        int(w): n for w, n in data["counters"]["rf_reads_by_width"].items()
-    }
-    counters.rf_writes_by_width = {
-        int(w): n for w, n in data["counters"]["rf_writes_by_width"].items()
-    }
+    counters = EnergyCounters(**data["counters"])
+    for name in _BY_WIDTH:
+        setattr(counters, name, {int(w): n for w, n in data["counters"][name].items()})
     sim = SimResult(
-        output=list(data["output"]),
-        counters=counters,
-        class_counts=dict(data["class_counts"]),
-        slice_width=data.get("slice_width", 8),
-        **{f: data[f] for f in _SIM_INT_FIELDS},
+        **{
+            **data,
+            "output": list(data["output"]),
+            "counters": counters,
+            "class_counts": dict(data["class_counts"]),
+            "ooo": None,
+        }
     )
     if data.get("ooo") is not None:
         from repro.arch.ooo import OooStats

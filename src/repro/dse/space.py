@@ -94,20 +94,11 @@ class SpecPoint:
         return "dse-" + "-".join(parts)
 
     def as_dict(self) -> dict:
-        return {
-            "slice_width": self.slice_width,
-            "squeeze_ops": list(self.squeeze_ops),
-            "heuristic": self.heuristic,
-            "min_hotness": self.min_hotness,
-            "confidence_margin": self.confidence_margin,
-            "dts": self.dts,
-            "dts_alpha": self.dts_alpha,
-            "dts_bitwidth_aware": self.dts_bitwidth_aware,
-            "l1_kb": self.l1_kb,
-            "l1_ways": self.l1_ways,
-            "l2_kb": self.l2_kb,
-            "l2_ways": self.l2_ways,
-        }
+        data = {}
+        for f in fields(self):
+            value = getattr(self, f.name)
+            data[f.name] = list(value) if isinstance(value, tuple) else value
+        return data
 
     @classmethod
     def from_dict(cls, data: dict) -> "SpecPoint":

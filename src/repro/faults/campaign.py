@@ -38,13 +38,7 @@ from functools import partial
 from typing import Optional, Sequence
 
 from repro.arch.machine import FaultTrap, MachineError
-from repro.arch.predecode import (
-    OP_BS_BIN,
-    OP_BS_LDR,
-    OP_BS_TRUNC,
-    OP_BS_TRUNC_HI,
-    predecode,
-)
+from repro.arch.predecode import SPEC_OPS, predecode
 from repro.bench.cache import install_disk_cache
 from repro.core import campaign
 from repro.core.documents import canonical_json as to_canonical_json
@@ -68,9 +62,6 @@ SDC = "silent-data-corruption"
 
 CATEGORIES = (DETECTED_RECOVERED, DETECTED_UNRECOVERABLE, MASKED, SDC)
 
-#: opcode ids that resolve a speculation (the engines' four spec sites)
-_SPEC_OPS = frozenset({OP_BS_BIN, OP_BS_TRUNC, OP_BS_TRUNC_HI, OP_BS_LDR})
-
 #: watchdog floor — a corrupted loop bound must not spin for the default
 #: 400M-step machine budget
 _MIN_WATCHDOG = 10_000
@@ -88,7 +79,7 @@ def spec_successes(linked, sample) -> int:
     code, _ = predecode(linked, sample.narrow_rf)
     total = 0
     for entry, n, miss in zip(code, sample.exec_counts, sample.misspecs):
-        if entry[0] in _SPEC_OPS:
+        if entry[0] in SPEC_OPS:
             total += n - miss
     return total
 

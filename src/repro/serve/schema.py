@@ -5,10 +5,15 @@ validated ``model.yaml`` / ``hardware.yaml`` contract): MiniC source text
 plus a configuration section — either a named preset or explicit DSE
 knobs — plus optional profile/run input bindings and report options.
 
-:func:`validate_request` checks the document against
-:data:`REQUEST_SCHEMA` and returns its *canonical* form: defaults filled
-in, knobs fully resolved, deterministic field order.  Validation failures
-raise :class:`RequestValidationError` carrying one structured
+:data:`REQUEST_SCHEMA` is the one statement of that contract — every
+type, range, limit and default — and ``GET /v1/schema`` serves it as is.
+:func:`validate_request` walks the document against it (:func:`_walk`)
+and adds only the two rules no schema keyword expresses: a ``preset``
+excludes explicit knobs, and the knobs must make a buildable
+configuration (:func:`build_config`: cache geometry, knob interplay).  It
+returns the document's *canonical* form: defaults filled in, knobs fully
+resolved, deterministic field order.  Validation failures raise
+:class:`RequestValidationError` carrying one structured
 ``{"path", "message"}`` entry per problem — the server surfaces them
 verbatim in the 400 error body.
 
@@ -25,64 +30,103 @@ from __future__ import annotations
 
 import hashlib
 import json
+import operator
 import re
-from dataclasses import replace
+from dataclasses import fields, replace
 
 from repro.arch.machine import ENGINES
 from repro.arch.widths import SLICE_WIDTHS
 from repro.core.pipeline import PRESETS, CompilerConfig, resolve_config
 from repro.dse.space import OP_SETS, SpecPoint
+from repro.profiler.profile import HEURISTICS
 from repro.profiler.selection import SQUEEZABLE_BINOPS
 
 #: bump when the report document layout changes — invalidates cached reports
 REPORT_SCHEMA = 1
 
-HEURISTICS = ("max", "avg", "min")
-
-_TENANT_RE = re.compile(r"^[A-Za-z0-9_.-]{1,64}$")
-_IDENT_RE = re.compile(r"^[A-Za-z_][A-Za-z0-9_]*$")
-
 MAX_SOURCE_BYTES = 256 * 1024
 MAX_INPUT_GLOBALS = 64
 MAX_INPUT_VALUES = 4096
 
-#: sweepable knob defaults (mirrors :class:`repro.dse.space.SpecPoint`
-#: plus the two compile-mode fields serve adds on top)
-_KNOB_DEFAULTS = {
-    "slice_width": 8,
-    "heuristic": "max",
+#: explicit-knob defaults: every :class:`repro.dse.space.SpecPoint` field
+#: at its default (``squeeze_ops`` by its op-set name), plus the
+#: compile-mode field serve adds on top
+_KNOB_DEFAULTS = {f.name: f.default for f in fields(SpecPoint)} | {
     "squeeze_ops": "all",
-    "min_hotness": 0.0,
-    "confidence_margin": 0,
-    "dts": False,
-    "dts_alpha": 1.3,
-    "dts_bitwidth_aware": False,
-    "l1_kb": 8,
-    "l1_ways": 4,
-    "l2_kb": 256,
-    "l2_ways": 8,
     "max_spec_regions": 0,
 }
 
+#: the explicit knobs' constraints; each gets its default from _KNOB_DEFAULTS
+_KNOBS = {
+    "slice_width": {"enum": sorted(SLICE_WIDTHS)},
+    "heuristic": {"enum": list(HEURISTICS)},
+    "squeeze_ops": {
+        "oneOf": [
+            {"enum": sorted(OP_SETS)},
+            {
+                "type": "array",
+                "minItems": 1,
+                "items": {"enum": sorted(SQUEEZABLE_BINOPS)},
+                # not a validation keyword: the list canonicalizes sorted-unique
+                "sortedUnique": True,
+            },
+        ]
+    },
+    "min_hotness": {"type": "number", "minimum": 0.0, "maximum": 1.0},
+    "confidence_margin": {"type": "integer", "minimum": 0, "maximum": 31},
+    "dts": {"type": "boolean"},
+    "dts_alpha": {"type": "number", "minimum": 1.0, "maximum": 3.0},
+    "dts_bitwidth_aware": {"type": "boolean"},
+    "l1_kb": {"type": "integer", "minimum": 1},
+    "l1_ways": {"type": "integer", "minimum": 1},
+    "l2_kb": {"type": "integer", "minimum": 1},
+    "l2_ways": {"type": "integer", "minimum": 1},
+    "max_spec_regions": {"type": "integer", "minimum": 0},
+}
+
+_INPUT_INT = {
+    "type": "integer",
+    "exclusiveMinimum": -(1 << 64),
+    "exclusiveMaximum": 1 << 64,
+}
+
+#: one binding section: global name -> int | [int]
+_INPUT_BINDINGS = {
+    "type": "object",
+    "default": {},
+    "maxProperties": MAX_INPUT_GLOBALS,
+    "propertyNames": {"type": "string", "pattern": r"^[A-Za-z_][A-Za-z0-9_]*$"},
+    "additionalProperties": {
+        "oneOf": [
+            _INPUT_INT,
+            {"type": "array", "maxItems": MAX_INPUT_VALUES, "items": _INPUT_INT},
+        ]
+    },
+}
+
 #: machine-readable schema document, served at ``GET /v1/schema`` and
-#: mirrored prose-side in docs/serve.md
+#: mirrored prose-side in docs/serve.md.  Keywords are JSON Schema's, plus
+#: ``maxBytes`` (UTF-8 length) and ``sortedUnique`` (canonical list form)
 REQUEST_SCHEMA = {
     "schema": REPORT_SCHEMA,
     "type": "object",
     "required": ["source"],
+    "additionalProperties": False,
     "properties": {
         "tenant": {
             "type": "string",
-            "pattern": _TENANT_RE.pattern,
+            "pattern": r"^[A-Za-z0-9_.-]{1,64}$",
             "default": "anonymous",
         },
         "source": {
             "type": "string",
-            "description": "MiniC program text (must define main)",
+            "description": "MiniC program text (must define main); not blank",
+            "pattern": r"\S",
             "maxBytes": MAX_SOURCE_BYTES,
         },
         "engine": {
-            "enum": list(ENGINES),
+            "enum": [None, *ENGINES],
+            "default": None,
             "description": "simulation engine preference; never partitions "
             "the cache and never changes the report body (the report's "
             "cycles/energy are defined under the in-order timing model; "
@@ -93,39 +137,28 @@ REQUEST_SCHEMA = {
             "type": "object",
             "description": "either {'preset': name} or explicit knobs; "
             "'strict' is allowed in both spellings",
+            "default": {"preset": "bitspec-max"},
+            "additionalProperties": False,
             "properties": {
                 "preset": {"enum": list(PRESETS)},
                 "strict": {"type": "boolean", "default": False},
-                "slice_width": {"enum": sorted(SLICE_WIDTHS)},
-                "heuristic": {"enum": list(HEURISTICS)},
-                "squeeze_ops": {
-                    "oneOf": [
-                        {"enum": sorted(OP_SETS)},
-                        {"type": "array", "items": {"enum": sorted(SQUEEZABLE_BINOPS)}},
-                    ]
+                **{
+                    name: {**node, "default": _KNOB_DEFAULTS[name]}
+                    for name, node in _KNOBS.items()
                 },
-                "min_hotness": {"type": "number", "minimum": 0.0, "maximum": 1.0},
-                "confidence_margin": {"type": "integer", "minimum": 0, "maximum": 31},
-                "dts": {"type": "boolean"},
-                "dts_alpha": {"type": "number", "minimum": 1.0, "maximum": 3.0},
-                "dts_bitwidth_aware": {"type": "boolean"},
-                "l1_kb": {"type": "integer", "minimum": 1},
-                "l1_ways": {"type": "integer", "minimum": 1},
-                "l2_kb": {"type": "integer", "minimum": 1},
-                "l2_ways": {"type": "integer", "minimum": 1},
-                "max_spec_regions": {"type": "integer", "minimum": 0},
             },
         },
         "inputs": {
             "type": "object",
             "description": "global-name → int | [int] bindings",
-            "properties": {
-                "profile": {"type": "object"},
-                "run": {"type": "object"},
-            },
+            "default": {},
+            "additionalProperties": False,
+            "properties": {"profile": _INPUT_BINDINGS, "run": _INPUT_BINDINGS},
         },
         "report": {
             "type": "object",
+            "default": {},
+            "additionalProperties": False,
             "properties": {
                 "attribution": {"type": "boolean", "default": True},
                 "pareto": {"type": "boolean", "default": True},
@@ -146,141 +179,104 @@ class RequestValidationError(Exception):
         )
 
 
-def _err(errors: list, path: str, message: str) -> None:
+_TYPES = {
+    "object": lambda v: isinstance(v, dict),
+    "array": lambda v: isinstance(v, list),
+    "string": lambda v: isinstance(v, str),
+    "integer": lambda v: isinstance(v, int) and not isinstance(v, bool),
+    "number": lambda v: isinstance(v, (int, float)) and not isinstance(v, bool),
+    "boolean": lambda v: isinstance(v, bool),
+}
+
+# each test says what must hold, so a NaN breaks every bound
+_BOUNDS = (
+    ("minimum", operator.ge),
+    ("maximum", operator.le),
+    ("exclusiveMinimum", operator.gt),
+    ("exclusiveMaximum", operator.lt),
+)
+_SIZES = (("maxItems", operator.le), ("minItems", operator.ge), ("maxProperties", operator.le))
+
+
+def _child(path: str, key) -> str:
+    return f"{key}" if path == "$" else f"{path}.{key}"
+
+
+def _fail(errors: list, path: str, node: dict, message: str):
     errors.append({"path": path, "message": message})
+    return node.get("default")
 
 
-def _validate_inputs(section, path: str, errors: list) -> dict:
-    if not isinstance(section, dict):
-        _err(errors, path, f"expected an object, got {type(section).__name__}")
-        return {}
-    if len(section) > MAX_INPUT_GLOBALS:
-        _err(errors, path, f"more than {MAX_INPUT_GLOBALS} input globals")
-        return {}
+def _walk(value, node: dict, path: str, errors: list):
+    """Check ``value`` against schema ``node``; return its canonical form.
+
+    Appends one ``{"path", "message"}`` per problem to ``errors``; a value
+    that breaks its node stands in as the node's default.  Absent
+    properties with a default are filled in (and walked), numbers become
+    floats, and a ``oneOf`` takes the first branch that holds.
+    """
+    if "oneOf" in node:
+        tried = []
+        for branch in node["oneOf"]:
+            found: list = []
+            out = _walk(value, branch, path, found)
+            if not found:
+                return out
+            tried.append(f"{found[0]['path'][len(path):]} {found[0]['message']}".lstrip())
+        return _fail(errors, path, node, " or ".join(tried))
+    kind = node.get("type")
+    if kind is not None and not _TYPES[kind](value):
+        return _fail(errors, path, node, f"expected {kind}, got {type(value).__name__}")
+    if "enum" in node and value not in node["enum"]:
+        return _fail(errors, path, node, f"{value!r} is not one of {node['enum']}")
+    if kind == "string":
+        if "pattern" in node and not re.search(node["pattern"], value):
+            return _fail(errors, path, node, f"does not match {node['pattern']!r}")
+        if "maxBytes" in node and len(value.encode()) > node["maxBytes"]:
+            return _fail(errors, path, node, f"exceeds {node['maxBytes']} bytes")
+    elif kind in ("integer", "number"):
+        value = float(value) if kind == "number" else value
+        for bound, holds in _BOUNDS:
+            if bound in node and not holds(value, node[bound]):
+                return _fail(errors, path, node, f"{value!r} breaks {bound} {node[bound]}")
+    elif kind in ("array", "object"):
+        for size, holds in _SIZES:
+            if size in node and not holds(len(value), node[size]):
+                return _fail(errors, path, node, f"{len(value)} entries break {size} {node[size]}")
+        if kind == "array":
+            failed = len(errors)
+            items = [_walk(v, node["items"], f"{path}[{i}]", errors) for i, v in enumerate(value)]
+            canonical = node.get("sortedUnique") and len(errors) == failed
+            return sorted(set(items)) if canonical else items
+        return _walk_object(value, node, path, errors)
+    return value
+
+
+def _walk_object(value: dict, node: dict, path: str, errors: list) -> dict:
+    props = node.get("properties", {})
+    extra = node.get("additionalProperties", True)
+    unknown = [key for key in sorted(value, key=str) if key not in props]
+    if unknown and extra is False:
+        errors.append({"path": path, "message": f"unknown properties: {unknown}"})
     out = {}
-    for name in sorted(section, key=str):
-        value = section[name]
-        if not isinstance(name, str) or not _IDENT_RE.match(name):
-            _err(errors, f"{path}.{name}", "not a valid global identifier")
-            continue
-        values = value if isinstance(value, list) else [value]
-        if len(values) > MAX_INPUT_VALUES:
-            _err(errors, f"{path}.{name}", f"more than {MAX_INPUT_VALUES} values")
-            continue
-        bad = [
-            v for v in values
-            if not isinstance(v, int) or isinstance(v, bool)
-            or not (-(1 << 64) < v < (1 << 64))
-        ]
-        if bad:
-            _err(
-                errors,
-                f"{path}.{name}",
-                f"values must be integers with |v| < 2**64, got {bad[0]!r}",
-            )
-            continue
-        out[name] = value if isinstance(value, list) else value
+    for key, sub in props.items():
+        if key in value:
+            out[key] = _walk(value[key], sub, _child(path, key), errors)
+        elif key in node.get("required", ()):
+            errors.append({"path": _child(path, key), "message": "required"})
+        elif "default" in sub:
+            out[key] = _walk(sub["default"], sub, _child(path, key), errors)
+    for key in unknown if isinstance(extra, dict) else ():
+        found: list = []
+        _walk(key, node.get("propertyNames", {}), _child(path, key), found)
+        errors += found
+        if not found:
+            out[key] = _walk(value[key], extra, _child(path, key), errors)
     return out
 
 
-def _validate_config(section, errors: list) -> dict:
-    path = "config"
-    if not isinstance(section, dict):
-        _err(errors, path, f"expected an object, got {type(section).__name__}")
-        return {"preset": "bitspec-max", "strict": False}
-    strict = section.get("strict", False)
-    if not isinstance(strict, bool):
-        _err(errors, f"{path}.strict", "expected a boolean")
-        strict = False
-    extra = set(section) - {"preset", "strict"} - set(_KNOB_DEFAULTS)
-    if extra:
-        _err(errors, path, f"unknown knobs: {sorted(extra)}")
-    if "preset" in section:
-        knobs = set(section) & set(_KNOB_DEFAULTS)
-        if knobs:
-            _err(
-                errors,
-                path,
-                f"'preset' and explicit knobs are mutually exclusive "
-                f"(got knobs {sorted(knobs)})",
-            )
-        preset = section["preset"]
-        if not isinstance(preset, str) or preset not in PRESETS:
-            _err(
-                errors,
-                f"{path}.preset",
-                f"unknown preset {preset!r}; valid: {', '.join(PRESETS)}",
-            )
-            preset = "bitspec-max"
-        return {"preset": preset, "strict": strict}
-
-    knobs = dict(_KNOB_DEFAULTS)
-    for knob in sorted(set(section) & set(_KNOB_DEFAULTS)):
-        value = section[knob]
-        kpath = f"{path}.{knob}"
-        default = _KNOB_DEFAULTS[knob]
-        if knob == "slice_width":
-            if value not in SLICE_WIDTHS:
-                _err(errors, kpath, f"{value!r} is not one of {sorted(SLICE_WIDTHS)}")
-                continue
-        elif knob == "heuristic":
-            if value not in HEURISTICS:
-                _err(errors, kpath, f"{value!r} is not one of {list(HEURISTICS)}")
-                continue
-        elif knob == "squeeze_ops":
-            if isinstance(value, str):
-                if value not in OP_SETS:
-                    _err(errors, kpath, f"{value!r} is not one of {sorted(OP_SETS)}")
-                    continue
-            elif isinstance(value, list):
-                bad = [op for op in value if op not in SQUEEZABLE_BINOPS]
-                if bad or not value:
-                    _err(
-                        errors,
-                        kpath,
-                        f"ops must be a non-empty subset of "
-                        f"{sorted(SQUEEZABLE_BINOPS)}, got {value!r}",
-                    )
-                    continue
-                value = sorted(set(value))
-            else:
-                _err(errors, kpath, "expected an op-set name or a list of ops")
-                continue
-        elif isinstance(default, bool):
-            if not isinstance(value, bool):
-                _err(errors, kpath, "expected a boolean")
-                continue
-        elif isinstance(default, float):
-            if isinstance(value, bool) or not isinstance(value, (int, float)):
-                _err(errors, kpath, "expected a number")
-                continue
-            value = float(value)
-            lo, hi = (1.0, 3.0) if knob == "dts_alpha" else (0.0, 1.0)
-            if not (lo <= value <= hi):
-                _err(errors, kpath, f"{value!r} outside [{lo}, {hi}]")
-                continue
-        else:  # int knobs
-            if isinstance(value, bool) or not isinstance(value, int):
-                _err(errors, kpath, "expected an integer")
-                continue
-            zero_ok = knob in ("max_spec_regions", "confidence_margin")
-            if value < 0 or (not zero_ok and value < 1):
-                _err(errors, kpath, f"{value!r} out of range")
-                continue
-            if knob == "confidence_margin" and value > 31:
-                _err(errors, kpath, f"{value!r} out of range (0..31)")
-                continue
-        knobs[knob] = value
-    knobs["strict"] = strict
-    # cache geometry and knob interactions are validated by the config
-    # dataclass itself — surface its complaint under the config path
-    try:
-        build_config(knobs)
-    except RequestValidationError:
-        raise
-    except Exception as exc:
-        _err(errors, path, str(exc))
-    return knobs
+def _drop_knobs(config: dict) -> dict:
+    return {k: v for k, v in config.items() if k not in _KNOB_DEFAULTS}
 
 
 def validate_request(doc) -> dict:
@@ -290,77 +286,34 @@ def validate_request(doc) -> dict:
     just the first) so a client can fix a bad document in one round trip.
     """
     errors: list = []
-    if not isinstance(doc, dict):
-        raise RequestValidationError(
-            [{"path": "$", "message": "request body must be a JSON object"}]
-        )
-    unknown = set(doc) - {"tenant", "source", "engine", "config", "inputs", "report"}
-    if unknown:
-        _err(errors, "$", f"unknown fields: {sorted(unknown)}")
-
-    engine = doc.get("engine")
-    if engine is not None and engine not in ENGINES:
-        _err(
-            errors,
-            "engine",
-            f"unknown engine {engine!r}; valid: {', '.join(ENGINES)}",
-        )
-        engine = None
-
-    tenant = doc.get("tenant", "anonymous")
-    if not isinstance(tenant, str) or not _TENANT_RE.match(tenant):
-        _err(errors, "tenant", "must match " + _TENANT_RE.pattern)
-        tenant = "anonymous"
-
-    source = doc.get("source")
-    if not isinstance(source, str) or not source.strip():
-        _err(errors, "source", "required: non-empty MiniC source text")
-        source = ""
-    elif len(source.encode()) > MAX_SOURCE_BYTES:
-        _err(errors, "source", f"exceeds {MAX_SOURCE_BYTES} bytes")
-
-    config = _validate_config(doc.get("config", {"preset": "bitspec-max"}), errors)
-
-    inputs_doc = doc.get("inputs", {})
-    if not isinstance(inputs_doc, dict):
-        _err(errors, "inputs", "expected an object with 'profile'/'run'")
-        inputs_doc = {}
-    stray = set(inputs_doc) - {"profile", "run"}
-    if stray:
-        _err(errors, "inputs", f"unknown sections: {sorted(stray)}")
-    profile = _validate_inputs(inputs_doc.get("profile", {}), "inputs.profile", errors)
-    run = _validate_inputs(inputs_doc.get("run", {}), "inputs.run", errors)
-
-    report_doc = doc.get("report", {})
-    if not isinstance(report_doc, dict):
-        _err(errors, "report", "expected an object")
-        report_doc = {}
-    stray = set(report_doc) - {"attribution", "pareto", "top"}
-    if stray:
-        _err(errors, "report", f"unknown options: {sorted(stray)}")
-    attribution = report_doc.get("attribution", True)
-    pareto = report_doc.get("pareto", True)
-    top = report_doc.get("top", 10)
-    if not isinstance(attribution, bool):
-        _err(errors, "report.attribution", "expected a boolean")
-        attribution = True
-    if not isinstance(pareto, bool):
-        _err(errors, "report.pareto", "expected a boolean")
-        pareto = True
-    if isinstance(top, bool) or not isinstance(top, int) or not (1 <= top <= 100):
-        _err(errors, "report.top", "expected an integer in 1..100")
-        top = 10
-
+    config = doc.get("config") if isinstance(doc, dict) else None
+    if isinstance(config, dict) and "preset" in config:
+        # a preset binds every knob: explicit knobs beside it are refused
+        # as a whole, never judged one by one
+        knobs = sorted(set(config) & set(_KNOB_DEFAULTS))
+        if knobs:
+            errors.append({
+                "path": "config",
+                "message": f"'preset' and explicit knobs are mutually "
+                f"exclusive (got knobs {knobs})",
+            })
+        doc = {**doc, "config": _drop_knobs(config)}
+    canonical = _walk(doc, REQUEST_SCHEMA, "$", errors)
+    if canonical is None:
+        raise RequestValidationError(errors)
+    config = canonical["config"]
+    if "preset" in config:
+        canonical["config"] = _drop_knobs(config)
+    else:
+        # cache geometry and knob interactions are validated by the config
+        # dataclass itself — surface its complaint under the config path
+        try:
+            build_config(config)
+        except Exception as exc:
+            errors.append({"path": "config", "message": str(exc)})
     if errors:
         raise RequestValidationError(errors)
-    return {
-        "tenant": tenant,
-        "source": source,
-        "engine": engine,
-        "config": config,
-        "inputs": {"profile": profile, "run": run},
-        "report": {"attribution": attribution, "pareto": pareto, "top": top},
-    }
+    return canonical
 
 
 def build_config(config_section: dict) -> CompilerConfig:

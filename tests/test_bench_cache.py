@@ -13,6 +13,7 @@ Three families:
 """
 
 import dataclasses
+import hashlib
 import json
 
 import pytest
@@ -317,6 +318,26 @@ def test_put_then_get_round_trips_payload(tmp_path):
     cache.put(key, payload)
     assert cache.get(key) == payload
     assert len(cache) == 1
+
+
+@pytest.mark.parametrize(
+    "run_engine, digest",
+    [
+        (None, "369211b38492e05a3f12839fb7f77d0a499f9bb36de58502f381349dbd6a21ab"),
+        ("ooo", "d2278556079bc058896cfba0bec40b4cd11b63835c46cdf70744ed05268cdc82"),
+    ],
+)
+def test_record_payload_bytes_are_pinned(run_engine, digest):
+    """Entry bytes are the cache's format: a payload derived differently
+    but equal in content must serialize to the same bytes, or warm caches
+    written at ENTRY_FORMAT 6 would silently stop hitting.  (A change to
+    what the run itself computes moves these digests on purpose.)"""
+    record = harness.run(WORKLOAD, CompilerConfig.bitspec("max"), engine=run_engine)
+    payload = bench_cache.record_to_payload(record)
+    assert (payload["sim"]["ooo"] is not None) == (run_engine == "ooo")
+    blob = json.dumps(payload, sort_keys=True).encode()
+    assert hashlib.sha256(blob).hexdigest() == digest
+    assert bench_cache.ENTRY_FORMAT == 6
 
 
 # ---------------------------------------------------------------------------

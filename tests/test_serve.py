@@ -7,13 +7,16 @@ sync test wrapping ``asyncio.run`` — no pytest-asyncio dependency.
 """
 
 import asyncio
+import dataclasses
 import json
 
 import pytest
 
+from repro.dse.space import SpecPoint
 from repro.serve.client import http_request, submit_report
 from repro.serve.report import execute_request
 from repro.serve.schema import (
+    REQUEST_SCHEMA,
     RequestValidationError,
     build_config,
     request_key,
@@ -150,6 +153,91 @@ class TestSchema:
         a = validate_request(good_doc(config={"preset": "bitspec-max"}))
         b = validate_request(good_doc(config={"preset": "baseline"}))
         assert request_key(a) != request_key(b)
+
+    def test_explicit_null_engine_accepted(self):
+        canonical = validate_request(good_doc(engine=None))
+        assert canonical["engine"] is None
+        assert request_key(canonical) == request_key(validate_request(good_doc()))
+
+    def test_schema_knobs_are_specpoint_fields(self):
+        """A knob added to SpecPoint without a schema entry fails here."""
+        knobs = set(REQUEST_SCHEMA["properties"]["config"]["properties"])
+        spec = {f.name for f in dataclasses.fields(SpecPoint)}
+        assert knobs == spec | {"preset", "strict", "max_spec_regions"}
+
+    def test_schema_states_knob_defaults(self):
+        """The all-defaults knob spelling is SpecPoint's default point."""
+        props = REQUEST_SCHEMA["properties"]["config"]["properties"]
+        point = SpecPoint().as_dict()
+        point["squeeze_ops"] = "all"
+        assert {k: props[k]["default"] for k in point} == point
+        assert validate_request(good_doc(config={}))["config"] == {
+            **point, "strict": False, "max_spec_regions": 0,
+        }
+
+    @pytest.mark.parametrize(
+        "inputs, path, keyword, limit",
+        [
+            ({f"g{i}": 0 for i in range(65)}, "inputs.profile", "maxProperties", 64),
+            ({"g": [0] * 4097}, "inputs.profile.g", "maxItems", 4096),
+            ({"g": 1 << 64}, "inputs.profile.g", "exclusiveMaximum", 1 << 64),
+            ({"g": [0, -(1 << 64)]}, "inputs.profile.g", "exclusiveMinimum", -(1 << 64)),
+            ({"2g": 0}, "inputs.profile.2g", "pattern", r"^[A-Za-z_][A-Za-z0-9_]*$"),
+        ],
+        ids=["globals", "values", "max", "min", "name"],
+    )
+    def test_input_limits_rejected_and_stated(self, inputs, path, keyword, limit):
+        doc = good_doc()
+        doc["inputs"] = {"profile": inputs}
+        with pytest.raises(RequestValidationError) as excinfo:
+            validate_request(doc)
+        assert [e["path"] for e in excinfo.value.errors] == [path]
+        assert str(limit) in excinfo.value.errors[0]["message"]
+        # GET /v1/schema serves the limit the rejection names
+        served = json.loads(json.dumps(REQUEST_SCHEMA))
+        bindings = served["properties"]["inputs"]["properties"]["profile"]
+        value = bindings["additionalProperties"]["oneOf"]
+        stated = [bindings, bindings["propertyNames"], *value, value[1]["items"]]
+        assert any(node.get(keyword) == limit for node in stated)
+
+    def test_limits_at_the_edge_accepted(self):
+        doc = good_doc()
+        doc["inputs"] = {
+            "profile": {f"g{i}": (1 << 64) - 1 for i in range(64)},
+            "run": {"in0": [-(1 << 64) + 1] * 4096},
+        }
+        canonical = validate_request(doc)
+        assert len(canonical["inputs"]["profile"]) == 64
+
+    @pytest.mark.parametrize(
+        "source", ["", "  \n\t", "x" * (256 * 1024 + 1)], ids=["empty", "blank", "long"]
+    )
+    def test_source_limits(self, source):
+        with pytest.raises(RequestValidationError) as excinfo:
+            validate_request(good_doc(source=source))
+        assert [e["path"] for e in excinfo.value.errors] == ["source"]
+
+    @pytest.mark.parametrize("ops", [[], [["add"]], [{"op": "add"}], ["add", "mul"]])
+    def test_bad_op_lists_are_rejected_not_raised(self, ops):
+        with pytest.raises(RequestValidationError) as excinfo:
+            validate_request(good_doc(config={"squeeze_ops": ops}))
+        assert [e["path"] for e in excinfo.value.errors] == ["config.squeeze_ops"]
+
+    def test_op_list_canonicalizes_sorted_unique(self):
+        canonical = validate_request(good_doc(config={"squeeze_ops": ["xor", "add", "xor"]}))
+        assert canonical["config"]["squeeze_ops"] == ["add", "xor"]
+
+    def test_preset_refuses_knobs_without_judging_them(self):
+        doc = good_doc(config={"preset": "baseline", "l1_kb": "not-a-size"})
+        with pytest.raises(RequestValidationError) as excinfo:
+            validate_request(doc)
+        assert [e["path"] for e in excinfo.value.errors] == ["config"]
+        assert "mutually exclusive" in excinfo.value.errors[0]["message"]
+
+    def test_geometry_checked_by_config(self):
+        with pytest.raises(RequestValidationError) as excinfo:
+            validate_request(good_doc(config={"l1_kb": 3}))
+        assert [e["path"] for e in excinfo.value.errors] == ["config"]
 
 
 # -- pure execution ------------------------------------------------------------
@@ -367,6 +455,8 @@ class TestHttp:
 
             schema = await http_request("127.0.0.1", port, "GET", "/v1/schema")
             assert schema.status == 200 and "source" in schema.json()["properties"]
+            # served as is: every limit validate_request enforces
+            assert schema.json() == json.loads(json.dumps(REQUEST_SCHEMA))
 
             stats = await http_request("127.0.0.1", port, "GET", "/v1/stats")
             doc = stats.json()
