@@ -30,17 +30,23 @@ class CacheStats:
         return self.misses / self.accesses if self.accesses else 0.0
 
 
+def set_count(size_bytes: int, ways: int) -> int:
+    """Sets of a ``size_bytes``/``ways`` cache; ``ValueError`` if none can be."""
+    if size_bytes % (ways * LINE_BYTES):
+        raise ValueError("cache size must divide into ways * line size")
+    sets = size_bytes // (ways * LINE_BYTES)
+    if sets & (sets - 1):
+        raise ValueError("set count must be a power of two")
+    return sets
+
+
 class Cache:
     """A set-associative LRU cache over 32-byte lines."""
 
     def __init__(self, size_bytes: int, ways: int, name: str = "cache") -> None:
-        if size_bytes % (ways * LINE_BYTES):
-            raise ValueError("cache size must divide into ways * line size")
         self.name = name
         self.ways = ways
-        self.sets = size_bytes // (ways * LINE_BYTES)
-        if self.sets & (self.sets - 1):
-            raise ValueError("set count must be a power of two")
+        self.sets = set_count(size_bytes, ways)
         self._set_mask = self.sets - 1
         #: per set: list of tags, most recently used last
         self._lines: list[list[int]] = [[] for _ in range(self.sets)]
@@ -83,10 +89,10 @@ class CacheGeometry:
     l2_ways: int = 8
 
     def validate(self) -> "CacheGeometry":
-        # Construct both levels once so bad geometry fails loudly at
-        # configuration time, not mid-simulation.
-        Cache(self.l1_kb * 1024, self.l1_ways, "probe-l1")
-        Cache(self.l2_kb * 1024, self.l2_ways, "probe-l2")
+        # Check both levels by arithmetic, building no set list, so bad
+        # geometry fails loudly at configuration time, not mid-simulation.
+        set_count(self.l1_kb * 1024, self.l1_ways)
+        set_count(self.l2_kb * 1024, self.l2_ways)
         return self
 
 

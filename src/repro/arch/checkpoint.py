@@ -23,10 +23,10 @@ in-flight representations are not interconvertible mid-run, so a
 snapshot resumes on the engine that took it (a mismatch raises
 :class:`SnapshotError` instead of silently diverging).  The batching
 engines degrade: requesting ``checkpoint_at``/``resume_from`` on the
-``compiled`` or ``ooo`` engine runs the predecoded stepper whole-run,
-a rung of :meth:`repro.arch.machine.Machine.run`'s engine ladder
-(docs/engines.md) — the
-in-order trio is bit-identical, and the OoO engine keeps its committed
+``ooo`` engine, or on ``fast``'s translated tier, runs the predecoded
+stepper whole-run, a rung of :meth:`repro.arch.machine.Machine.run`'s
+engine ladder (docs/engines.md) — the in-order engines are
+bit-identical, and the OoO engine keeps its committed
 view through :func:`repro.arch.machine.committed_view`.
 
 On-disk form: canonical JSON with the 4 MiB memory image (and the fast

@@ -29,18 +29,17 @@ Python source, one specialized function per basic-block region:
   :class:`repro.arch.predecode.ArchRun` whichever tier executed each
   instruction, folded by :meth:`repro.arch.predecode.ArchRun.fold`.
 
-The stepper decides what runs translated: a region entered more than
-:data:`repro.arch.predecode.TRANSLATE_AFTER` times in a run is
-translated (if no earlier run has) and instantiated for the run, and
-from then on control transfers into it run the region function.
+The stepper decides what runs translated: a region the program's runs
+have entered more than :data:`repro.arch.predecode.TRANSLATE_AFTER`
+times is translated (if no earlier run has) and instantiated for the
+run, and from then on control transfers into it run the region function.
 Statically known transfers between hot regions return the next region
 function directly; anything else (a ``bx`` through a dynamic ``r14``,
 an exit to a cold region or to a pc no region starts at, HALT) returns
 an integer pc to :meth:`Tier.run`, which either continues at a hot
 region or hands the pc back to the stepper.  So correctness never
 depends on the translated cover being complete, and a missing region
-costs steps, not a replay.  The ``compiled`` engine is the same engine
-with a threshold of zero (:func:`run_compiled`).
+costs steps, not a replay.
 
 Each region is one straight-line body, emitted in one pass.  Small
 loops are unrolled by tracing through their back edges up to
@@ -48,12 +47,13 @@ loops are unrolled by tracing through their back edges up to
 region there and leaves through the dispatcher, which checks the step
 limit after every region.
 
-Only code is kept between runs.  :func:`get_image` caches a
-:class:`CompiledImage` on the :class:`LinkedProgram` instance (keyed by
-register-file narrowing and slice width): the region entries and one
-code object per translated region, so repeated runs of one binary
-recompile nothing.  Every run binds those code objects to its own
-registers, memory and counters in a :class:`Tier` that dies with it.
+Only code and entry counts are kept between runs.  :func:`get_image`
+caches a :class:`CompiledImage` on the :class:`LinkedProgram` instance
+(keyed by register-file narrowing and slice width): the region entries
+and their counts, and one code object per translated region, so repeated
+runs of one binary recompile nothing.  Every run binds those code objects
+to its own registers, memory and counters in a :class:`Tier` that dies
+with it.
 """
 
 from __future__ import annotations
@@ -101,7 +101,6 @@ from repro.arch.predecode import (
     _pc_bits,
     fold_result,  # noqa: F401 - perf/tracing.py spans it under this name
     predecode,
-    run_fast,
 )
 from repro.arch.widths import BYTE_MASKS as _MASKS
 from repro.interp.interpreter import evaluate_icmp
@@ -144,16 +143,16 @@ class CompiledImage:
 
     :func:`_build_image` predecodes the program and finds its static
     region entries (:attr:`leaders`); :meth:`translate` emits and
-    compiles the region entered at one of them.  The image is code only:
-    it is cached on the :class:`LinkedProgram`, so it must not keep a
-    run alive, and every run binds the code objects to state of its own
-    (:class:`Tier`).  Region and exit-site indices are global to the
-    image, so a run's entry and exit counters cover every region
-    translated so far, whichever run translated it.
+    compiles the region entered at one of them.  The image is code and
+    entry counts only: it is cached on the :class:`LinkedProgram`, so it
+    must not keep a run alive, and every run binds the code objects to
+    state of its own (:class:`Tier`).  Region and exit-site indices are
+    global to the image, so a run's entry and exit counters cover every
+    region translated so far, whichever run translated it.
     """
 
     __slots__ = ("code", "n_insts", "inst_bytes", "delta", "spec_mask",
-                 "leaders", "regions", "fold_regions", "n_sites")
+                 "leaders", "regions", "fold_regions", "n_sites", "budgets")
 
     def __init__(self, code, leaders, inst_bytes, delta, spec_mask):
         self.code = code
@@ -171,6 +170,10 @@ class CompiledImage:
         #: region, in translation order — region and site indices too
         self.fold_regions = []
         self.n_sites = 0
+        #: threshold -> per pc, the entries the runs at that threshold still
+        #: step before translating the region there (``0``: run it
+        #: translated; negative: no region starts there)
+        self.budgets = {}
 
     @property
     def n_regions(self):
@@ -192,6 +195,9 @@ class CompiledImage:
         ft = em.fallthrough_target
         if ft is not None:
             self.leaders.add(ft)
+            for after, budget in self.budgets.items():
+                if budget[ft] < 0:
+                    budget[ft] = after
         src = ["def _factory(B):"]
         src.extend(f"    {name} = B['{name}']" for name in _BIND_NAMES)
         # the function is named apart from its ``_b<leader>`` global: a
@@ -218,10 +224,10 @@ class Tier:
     registers, memory, output, access log and per-pc event arrays; the
     tier binds the same objects into every region it instantiates, adds
     the ``S`` slots the regions share with the stepper and the per-region
-    entry and per-site exit counters, and keeps ``budget``: per pc, the
-    entries a leader is still stepped before the tier translates it
-    (``0``: run it translated, as from the start for a region an earlier
-    run translated), and ``-1`` for a pc no region starts at.
+    entry and per-site exit counters, and counts entries in ``budget``,
+    the image's list for the run's threshold
+    (:attr:`CompiledImage.budgets`), so the count goes on where the
+    program's last run at that threshold left it.
 
     Each region function is created from the image's code object the
     first time the run enters it hot.  Its exits load ``_b<pc>`` from
@@ -231,19 +237,17 @@ class Tier:
     namespace's reference cycle, so the run's state dies with the run.
     """
 
-    __slots__ = ("image", "after", "budget", "S", "binds", "ns", "table",
+    __slots__ = ("image", "budget", "S", "binds", "ns", "table",
                  "entries", "exits")
 
     def __init__(self, image, after, regs, data, output, log,
                  hz, ms, tk, mc):
         self.image = image
-        self.after = after
-        budget = [-1] * image.n_insts
-        for leader in image.leaders:
-            budget[leader] = after
-        for leader in image.regions:
-            # translated by an earlier run: nothing is left to amortize
-            budget[leader] = 0
+        budget = image.budgets.get(after)
+        if budget is None:  # the program's first run at this threshold
+            budget = image.budgets[after] = [-1] * image.n_insts
+            for leader in image.leaders:
+                budget[leader] = after
         self.budget = budget
         # shared mutable slots: cmp state, carry, pending load-use reg,
         # steps, icache shadow last-line
@@ -274,14 +278,9 @@ class Tier:
             self.exits.extend([0] * (image.n_sites - len(self.exits)))
         code, targets = region
         ns = self.ns
-        budget = self.budget
         fn = FunctionType(code, ns)(self.binds)
         for name, pc in targets:
-            if name not in ns:
-                ns[name] = pc
-                if budget[pc] < 0:
-                    # an entry a MAX_REGION cap made after this run began
-                    budget[pc] = self.after
+            ns.setdefault(name, pc)
         ns[f"_b{leader}"] = self.table[leader] = fn
         return fn
 
@@ -1116,16 +1115,3 @@ def get_image(linked, narrow_rf, spec_mask) -> CompiledImage:
         cache[key] = image
     return image
 
-
-def run_compiled(machine):
-    """Execute a linked program on the compiled engine.
-
-    The compiled engine is the tiered engine of
-    :func:`repro.arch.predecode.run_fast` with a translation threshold of
-    zero: every region is translated the first time the run enters it,
-    and the stepper runs only what no region covers.  The result is
-    bit-identical to :meth:`Machine._run_legacy` and to ``fast`` at any
-    threshold — ``tests/test_engine_equivalence.py`` asserts this
-    differentially.
-    """
-    return run_fast(machine, translate_after=0)

@@ -42,7 +42,7 @@ COSTS = {
     # entries, issue-queue CAM and wakeup broadcast, rename checkpoints.
     # Folded into the ``pipeline`` component (they are control overhead,
     # not datapath); zero-count on the in-order engines, so every
-    # legacy/fast/compiled number is unchanged.
+    # legacy/fast number is unchanged.
     "rename_read": 0.4,
     "rename_write": 0.6,
     "rob_write": 1.3,

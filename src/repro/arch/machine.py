@@ -100,10 +100,10 @@ class SimResult:
 
 
 #: recognized values for ``Machine(engine=...)`` / ``REPRO_MACHINE_ENGINE``
-ENGINES = ("legacy", "fast", "compiled", "ooo")
+ENGINES = ("legacy", "fast", "ooo")
 
 #: SimResult fields in the engine-independent architectural contract
-#: (docs/engines.md): identical across all four engines, bit-for-bit.
+#: (docs/engines.md): identical across all three engines, bit-for-bit.
 #: ``cycles``, the energy ``counters`` and the ``obs``/``ooo`` samples
 #: are timing-model state and deliberately excluded.
 COMMITTED_FIELDS = (
@@ -154,7 +154,7 @@ def timing_model(engine: Optional[str]) -> str:
     """``"inorder"``, or ``"ooo:..."`` with the resolved structure sizes
     when the (resolved) engine carries its own cycle/energy model.  The
     bench disk cache partitions its keys on this — in-order records stay
-    interchangeable across the three bit-identical engines, while OoO
+    interchangeable across the two bit-identical engines, while OoO
     records never alias them *or* each other across different
     ``REPRO_OOO_*`` geometries (an 8-entry-ROB run must not serve a
     48-entry lookup).  DSE documents stamp the same string as their
@@ -169,7 +169,7 @@ def timing_model(engine: Optional[str]) -> str:
 
 
 def parse_engine_list(spec: str) -> tuple:
-    """Parse a comma-separated engine selection (``"fast,compiled"``).
+    """Parse a comma-separated engine selection (``"legacy,fast"``).
 
     The shared validator behind every engine-list surface (the pytest
     ``--engines`` option, CLI flags): unknown names and empty selections
@@ -194,18 +194,16 @@ def parse_engine_list(spec: str) -> tuple:
 class Machine:
     """Executes a :class:`LinkedProgram`.
 
-    Four execution engines share one architectural contract (documented
+    Three execution engines share one architectural contract (documented
     in docs/engines.md and enforced differentially by
     ``tests/test_engine_equivalence.py``):
 
     * the *fast path* (default): a two-tier engine.  The program is
       predecoded once into dense tuples that an integer-dispatch loop
       steps with batched energy counters (:mod:`repro.arch.predecode`);
-      a region the run keeps entering is translated into straight-line
-      Python and runs translated from then on
+      a region the program's runs keep entering is translated into
+      straight-line Python and runs translated from then on
       (:mod:`repro.arch.compiled`);
-    * the *compiled engine*: the same engine translating every region
-      on its first entry;
     * the *legacy path*: the original instruction-at-a-time interpreter,
       kept as the differential-testing reference and the only engine
       that calls a ``trace_hook`` before every step;
@@ -214,12 +212,12 @@ class Machine:
       architectural contract (:data:`COMMITTED_FIELDS`) but with its own
       cycle count and energy events.
 
-    The three in-order engines are bit-identical in every field.  Which
+    The two in-order engines are bit-identical in every field.  Which
     one runs is decided here and nowhere else: :meth:`resolve_engine`
     and :meth:`run` apply the ladder docs/engines.md tabulates.
 
     ``obs=True`` attaches a per-pc event sample to ``SimResult.obs`` for
-    :mod:`repro.obs`: the batching engines' own per-pc counters.
+    :mod:`repro.obs`: the fast path's own per-pc counters.
     """
 
     def __init__(
@@ -251,16 +249,14 @@ class Machine:
         self.geometry = geometry
         #: optional debug callback: trace_hook(pc, regs) before each step
         self.trace_hook = trace_hook
-        #: collect a per-pc PcSample on SimResult.obs (fast or compiled only)
+        #: collect a per-pc PcSample on SimResult.obs (fast only)
         self.obs = obs
         if engine is not None and engine not in ENGINES:
-            raise ValueError(
-                f"unknown engine {engine!r}: expected one of {ENGINES}"
-            )
-        #: explicit engine selection ("legacy" / "fast" / "compiled" /
-        #: "ooo"); None resolves at run() time (env var, obs, trace_hook)
+            raise ValueError(f"unknown engine {engine!r}: expected one of {ENGINES}")
+        #: explicit engine selection ("legacy" / "fast" / "ooo"); None
+        #: resolves at run() time (env var, obs, trace_hook)
         self.engine = engine
-        #: the last whole fast or compiled run before cache replay
+        #: the last whole fast run before cache replay
         #: (:class:`repro.arch.predecode.ArchRun`): ``arch_run.fold(g)``
         #: re-scores it under cache geometry ``g`` without re-executing
         self.arch_run = None
@@ -274,9 +270,9 @@ class Machine:
            ``fast`` (``legacy`` when a trace hook is installed); with
            ``obs=True`` an env ``legacy``/``ooo`` reads as ``fast``,
            since neither loop produces a per-pc sample;
-        2. a fault session must observe every step: ``compiled`` runs
-           ``fast``, and so does ``ooo`` unless the session is one of
-           its native recovery kinds (``ooo_native``);
+        2. a fault session must observe every step: ``ooo`` runs
+           ``fast`` unless the session is one of its native recovery
+           kinds (``ooo_native``);
         3. ``ooo`` with ``obs=True`` and no fault session runs ``fast``;
         4. ``inorder=True`` asks for an engine of the in-order timing
            model that serves the request, for a caller whose result must
@@ -293,8 +289,6 @@ class Machine:
             else:
                 engine = env or "fast"
         fx = self.faults
-        if engine == "compiled" and fx is not None:
-            return "fast"
         if engine == "ooo" and (
             self.obs if fx is None else not getattr(fx, "ooo_native", False)
         ):
@@ -312,10 +306,10 @@ class Machine:
         SimResult when the program halts first); ``resume_from``
         continues a snapshot.  ``run(checkpoint_at=N)`` +
         ``run(resume_from=snap)`` is bit-identical to one uninterrupted
-        run (docs/resilience.md).  The ``compiled`` and ``ooo`` engines
-        have no mid-run boundary and degrade to the predecoded stepper
-        whole-run, exactly as fault injection does; ``fast`` then steps
-        every instruction.
+        run (docs/resilience.md).  The ``ooo`` engine has no mid-run
+        boundary and degrades to the predecoded stepper whole-run,
+        exactly as fault injection does; ``fast`` then steps every
+        instruction.
         """
         engine = self.resolve_engine()
         if checkpoint_at is not None or resume_from is not None:
@@ -327,14 +321,10 @@ class Machine:
                 )
             if checkpoint_at is not None and checkpoint_at < 0:
                 raise ValueError("checkpoint_at must be >= 0")
-            if engine in ("compiled", "ooo"):
+            if engine == "ooo":
                 engine = "fast"
         if self.trace_hook is not None and engine != "legacy":
             raise ValueError("trace_hook requires the legacy path")
-        if engine == "compiled":
-            from repro.arch.compiled import run_compiled
-
-            return run_compiled(self)
         if self.obs and engine in ("legacy", "ooo"):
             raise ValueError("obs=True requires the predecoded fast path")
         if engine == "ooo":

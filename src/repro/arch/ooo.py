@@ -1,4 +1,4 @@
-"""R10K-style out-of-order engine: the fourth machine engine.
+"""R10K-style out-of-order engine: the third machine engine.
 
 The paper measures BITSPEC on an in-order 6-stage core; this module asks
 whether per-variable bitwidth speculation survives the machinery every
@@ -12,7 +12,7 @@ through the opcode table of :mod:`repro.arch.semantics` (the rows the
 verifier's lane executor runs too), which is what makes the committed
 contract (:data:`repro.arch.machine.COMMITTED_FIELDS` — traps, the out
 stream, memory/globals, instruction and misspeculation counts) bit-identical
-to the legacy/fast/compiled engines on every program.  Around that committed
+to the legacy/fast engines on every program.  Around that committed
 spine it keeps the real OoO structures and lets *them* produce the timing:
 
 * every architectural register (r0–r15 plus the renamed flags: the

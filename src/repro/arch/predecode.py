@@ -27,9 +27,9 @@ geometry (:meth:`ArchRun.fold`), which is how a DSE sweep scores cache
 sizes without re-executing the program.
 
 The loop is the cold tier of a two-tier engine.  It counts region
-entries on control transfers, and a region the run keeps entering is
-translated by :mod:`repro.arch.compiled` and runs as straight-line
-Python on the same state from then on (:func:`run_fast`).
+entries on control transfers, and a region the program's runs keep
+entering is translated by :mod:`repro.arch.compiled` and runs as
+straight-line Python on the same state from then on (:func:`run_fast`).
 
 The predecoded form is cached on the :class:`LinkedProgram` instance, so
 repeated simulations of one binary (different inputs, DTS reruns, the
@@ -431,11 +431,11 @@ def predecode(linked, narrow_rf: bool):
     return cache[narrow_rf]
 
 
-#: a region the run has entered this many times by a control transfer
-#: is translated (:mod:`repro.arch.compiled`) and runs translated from
-#: then on; ``None`` steps every instruction.  Chosen by measurement:
-#: roster-cold's cold simulations sum lowest near 64, and no serve-closed
-#: region is entered that often
+#: a region the program's runs have entered this many times in all by a
+#: control transfer is translated (:mod:`repro.arch.compiled`) and runs
+#: translated from then on; ``None`` steps every instruction.  Chosen by
+#: measurement: roster-cold's cold simulations sum lowest near 64, and no
+#: serve-closed region is entered that often
 TRANSLATE_AFTER = 64
 
 
@@ -448,12 +448,12 @@ def run_fast(machine, checkpoint_at=None, resume_from=None, *,
 
     The loop below steps the predecoded program one instruction at a
     time and counts region entries on control transfers only (taken
-    branches, calls, returns and misspeculation redirects).  A region
-    entered more than ``translate_after`` times (default
-    :data:`TRANSLATE_AFTER`; the compiled engine passes 0) is translated
-    and runs translated from then on — from its first entry if an
-    earlier run of the program translated it already — on the same
-    registers, memory, access log and per-pc arrays, through a
+    branches, calls, returns and misspeculation redirects) on the
+    program's image, across runs.  A region entered more than
+    ``translate_after`` times (default :data:`TRANSLATE_AFTER`) is
+    translated and runs translated from then on — from its first entry
+    if an earlier run translated it — on the same registers, memory,
+    access log and per-pc arrays, through a
     :class:`repro.arch.compiled.Tier` that lives as long as the run.
     The ``S`` slots carry the rest of the state across each hand-off in
     either direction, so the tiers agree on it at every region
@@ -1216,7 +1216,7 @@ def replay(hierarchy, log, fetches, inst_bytes,
 
 @dataclass
 class PcSample:
-    """Per-pc dynamic event counts from one fast or compiled run.
+    """Per-pc dynamic event counts from one fast run.
 
     Parallel arrays indexed by pc over the full image (code + skeleton).
     ``exec_counts[pc]`` is the number of dynamic executions; the other
@@ -1245,7 +1245,7 @@ class PcSample:
 
 
 class ArchRun:
-    """One fast or compiled execution with its cache traffic unscored.
+    """One fast execution with its cache traffic unscored.
 
     Everything here is independent of cache geometry: the per-pc event
     arrays, the output and registers, and the L1 access log.  :meth:`fold`
@@ -1324,10 +1324,10 @@ def fold_result(machine, run, events, served, hierarchy, memory):
     and :func:`tally_pcs` over every pc gives the aggregates.  The sample
     is kept on ``SimResult.obs`` when the machine runs with ``obs``.
 
-    Reached only through :meth:`ArchRun.fold`, by the predecoded stepper
-    (:func:`run_fast`), the compiled engine (:mod:`repro.arch.compiled`)
-    and every geometry re-score: they record the same nine per-pc arrays
-    and one log, so replay and aggregation are literally one code path.
+    Reached only through :meth:`ArchRun.fold`, by :func:`run_fast`
+    after a run on either tier and by every geometry re-score: the tiers
+    record the same nine per-pc arrays and one log, so replay and
+    aggregation are literally one code path.
     """
     from repro.arch.machine import SimResult
 

@@ -6,7 +6,7 @@ Examples::
     python -m repro.bench --roster full --configs baseline,bitspec-max \\
         --jobs 8 --cache-dir .benchcache --output BENCH_full.json
     python -m repro.bench --roster mini --jobs 1 --no-cache   # cold reference
-    python -m repro.bench --roster full --compare-engines fast,compiled
+    python -m repro.bench --roster full --compare-engines legacy,fast
 
 The emitted JSON is the repo's perf record: wall-clock for the whole
 campaign, per-workload simulation time, cache hit rate, and simulated
@@ -14,7 +14,7 @@ instructions per second.  See DESIGN.md ("The bench harness") for how to
 read it.
 
 ``--engine`` runs the whole matrix under one simulation engine
-("legacy" / "fast" / "compiled"); engines are bit-identical, so this
+("legacy" / "fast"); the in-order engines are bit-identical, so this
 changes throughput, not results.  ``--compare-engines`` switches to a
 single-process interleaved A/B timing mode (see
 :mod:`repro.bench.compare`) and emits a ``compare`` report instead of a

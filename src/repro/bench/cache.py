@@ -84,7 +84,7 @@ def run_key(
     """The content address of one (source × config × inputs) simulation.
 
     ``timing`` partitions on the cycle/energy model
-    (:func:`repro.arch.machine.timing_model`): the three in-order engines
+    (:func:`repro.arch.machine.timing_model`): the two in-order engines
     share records because they are bit-identical, but an ooo-engine run
     has its own cycles and counters and must never serve an in-order
     lookup (or vice versa).

@@ -13,9 +13,9 @@ Protocol per workload:
 1. compile once (memoized via :func:`repro.eval.harness.get_binary`) and
    install the run inputs;
 2. warm every engine once — this builds the predecode tables and
-   translates the compiled regions the run enters outside the timed
-   region (the timed runs take the same path, so they translate
-   nothing), and cross-checks that all engines report identical
+   translates the regions the run enters hot outside the timed region
+   (one hot only across runs translates in a timed run, which best-of
+   filters), and cross-checks that all engines report identical
    instruction counts (a cheap standing guard on the bit-identity
    contract; the full guarantee lives in
    ``tests/test_engine_equivalence.py``);
@@ -47,7 +47,7 @@ def _time_run(binary, engine: str) -> float:
 def compare_engines(
     workloads: Sequence[str],
     config: CompilerConfig,
-    engines: Sequence[str] = ("fast", "compiled"),
+    engines: Sequence[str] = ("legacy", "fast"),
     *,
     repeats: int = 3,
     progress: Optional[Callable[[str, str, float], None]] = None,

@@ -55,8 +55,8 @@ class BenchTask:
     profile_seed: int = 0
     run_kind: str = "test"
     run_seed: int = 0
-    #: simulation engine ("legacy" / "fast" / "compiled" / "ooo"; None =
-    #: default resolution).  The in-order engines are bit-identical, so
+    #: simulation engine ("legacy" / "fast" / "ooo"; None = default
+    #: resolution).  The in-order engines are bit-identical, so
     #: among them this changes *how* the cell simulates, never what it
     #: reports; "ooo" reports its own cycles and energy.
     engine: Optional[str] = None

@@ -298,7 +298,7 @@ class CompiledBinary:
         to ``SimResult.obs``.
 
         ``engine`` picks the execution engine ("legacy" / "fast" /
-        "compiled" / "ooo"); :meth:`Machine.resolve_engine` settles the
+        "ooo"); :meth:`Machine.resolve_engine` settles the
         rest (``REPRO_MACHINE_ENGINE``, ``obs``, ``faults``).  The
         in-order engines produce bit-identical results; "ooo" is held to
         their committed view (docs/engines.md).

@@ -77,7 +77,7 @@ def evaluate_points(
     Rows come back point-major in the order given (the executor preserves
     task order), with failures degraded to ``status="failed"`` rather than
     aborting the sweep.  ``engine`` picks the simulation engine for every
-    cell.  The three in-order engines are bit-identical, so the emitted
+    cell.  The two in-order engines are bit-identical, so the emitted
     document does not depend on which of them runs (the reproducibility
     gate holds across them); ``engine="ooo"`` measures the out-of-order
     timing/energy model instead — same committed counts, different

@@ -14,7 +14,7 @@ config it reads (:attr:`CompilerConfig.MACHINE_KNOBS`,
   cache geometry or DTS knobs compile once;
 * the :class:`SimResult` on the compile slice plus the cache geometry —
   configs that differ only in DTS knobs simulate once;
-* on the ``fast`` and ``compiled`` engines, which both leave an
+* on the ``fast`` engine, which leaves an
   :class:`repro.arch.predecode.ArchRun` on the machine, the
   architectural run on the compile slice alone — configs that differ
   only in cache geometry execute once and replay its L1 access log per
@@ -99,8 +99,7 @@ _BINARY_CACHE: dict = {}
 #: simulations, keyed on the compile slice, cache geometry and run inputs
 _SIM_CACHE: dict = {}
 #: workload -> (key without cache geometry, ArchRun): the latest
-#: fast- or compiled-engine execution of each workload, replayable per
-#: geometry
+#: fast-engine execution of each workload, replayable per geometry
 _ARCH_RUNS: dict = {}
 #: finished records, keyed by :func:`_run_key`
 _RUN_CACHE: dict = {}
@@ -209,8 +208,8 @@ def run(
     """Compile + simulate (memoized); checks output against the oracle.
 
     ``engine`` selects the simulation engine ("legacy" / "fast" /
-    "compiled" / "ooo"; default lets :class:`~repro.arch.machine.Machine`
-    resolve).  The in-order engines are bit-identical (docs/engines.md,
+    "ooo"; default lets :class:`~repro.arch.machine.Machine` resolve).
+    The in-order engines are bit-identical (docs/engines.md,
     ``tests/test_engine_equivalence.py``), so the engine itself is
     excluded from the disk-cache key — in-order records are
     interchangeable across those engines.  What *does* partition the

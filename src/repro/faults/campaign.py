@@ -170,8 +170,8 @@ def run_injection(
     """Replay one faulted run and classify it against the golden run.
 
     ``engine`` selects the simulation engine for the faulted run.  Fault
-    hooks degrade the compiled engine to the predecoded stepper for the
-    whole run (docs/engines.md), so classification is engine-invariant;
+    hooks keep ``fast`` on the predecoded stepper for the whole run
+    (docs/engines.md), so classification is engine-invariant;
     the engine is deliberately *not* recorded in the returned record —
     FAULTS documents must be byte-identical across engines
     (``tests/test_faults.py`` parity grid).

@@ -12,12 +12,13 @@ level                   what executes
 ``machine-baseline``    compiled ARM binary on ``repro.arch.machine``
 ``machine-bitspec-T``   compiled ARM_BS binary, T ∈ {max,avg,min}
 ``machine-thumb``       compiled THUMB binary
-``engines``             the T=MAX binary on the legacy, compiled and ooo engines
+``engines``             the T=MAX binary on legacy, translated fast, and ooo
 ======================  =====================================================
 
-The ``engines`` level is the fuzzing arm of the four-engine contract
+The ``engines`` level is the fuzzing arm of the engine contract
 (docs/engines.md): the T=MAX binary is re-run on the legacy interpreter
-and the compiled template JIT, and every ``SimResult`` field —
+and on ``fast`` with every region translated on first entry (the
+template JIT at threshold 0), and every ``SimResult`` field —
 aggregates, energy counters, class counts, final memory image — must
 equal the fast path's, not just the ``out()`` stream.  The out-of-order
 engine then re-runs the same binary and its *committed view*
@@ -173,17 +174,23 @@ def _check_energy(report: OracleReport, level: str, sim) -> None:
 
 
 def _check_engines(report: OracleReport, binary, inputs, fast_sim) -> None:
-    """The ``engines`` oracle level: the four-engine contract.
+    """The ``engines`` oracle level: the engine contract.
 
-    Re-runs the T=MAX binary on the legacy interpreter and the compiled
-    template JIT and requires every :class:`SimResult` field — not just
+    Re-runs the T=MAX binary on the legacy interpreter and on ``fast``
+    translating every region on first entry, and requires every
+    :class:`SimResult` field — not just
     the ``out()`` stream — to equal the fast path's; then re-runs it on
     the out-of-order engine and requires committed-view equality.
     """
     import dataclasses
 
-    for engine in ("legacy", "compiled"):
-        sim = binary.run(inputs, engine=engine)
+    from repro.arch.predecode import run_fast
+
+    for engine in ("legacy", "translated"):
+        if engine == "legacy":
+            sim = binary.run(inputs, engine="legacy")
+        else:
+            sim = run_fast(binary.machine(inputs), translate_after=0)
         for f in dataclasses.fields(type(fast_sim)):
             if f.name in ("counters", "memory", "obs"):
                 continue
@@ -207,7 +214,7 @@ def _check_engines(report: OracleReport, binary, inputs, fast_sim) -> None:
             report.invariant_failures.append(
                 f"engines: {engine} final memory image differs from fast"
             )
-        if engine == "compiled":
+        if engine == "translated":
             report.outputs["engines"] = sim.output
             report.misspeculations["engines"] = sim.misspeculations
 

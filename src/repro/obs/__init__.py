@@ -2,7 +2,7 @@
 
 The simulator answers *how much* energy a run used; this package answers
 *why*.  An obs-enabled run (``binary.run(inputs, obs=True)``, on the
-fast or compiled engine) returns a :class:`~repro.obs.events.PcSample` — per-pc
+fast engine) returns a :class:`~repro.obs.events.PcSample` — per-pc
 counts of the rare events the hot loop already notices — which
 :mod:`repro.obs.attribution` joins against the backend's link-time
 :class:`~repro.backend.layout.DebugInfo` to charge every instruction,

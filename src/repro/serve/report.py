@@ -336,7 +336,7 @@ def execute_request(canonical: dict, key: str) -> dict:
             ],
         )
 
-    # 3b. engine='ooo': live four-engine contract check — the out-of-order
+    # 3b. engine='ooo': live engine contract check — the out-of-order
     # engine must commit the same architectural state before the (engine-
     # independent) body goes out
     if requested_engine == "ooo":

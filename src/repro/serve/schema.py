@@ -47,6 +47,8 @@ REPORT_SCHEMA = 1
 MAX_SOURCE_BYTES = 256 * 1024
 MAX_INPUT_GLOBALS = 64
 MAX_INPUT_VALUES = 4096
+#: largest cache level a request may ask for (the simulator lists each set)
+MAX_CACHE_KB = 4096
 
 #: explicit-knob defaults: every :class:`repro.dse.space.SpecPoint` field
 #: at its default (``squeeze_ops`` by its op-set name), plus the
@@ -77,9 +79,9 @@ _KNOBS = {
     "dts": {"type": "boolean"},
     "dts_alpha": {"type": "number", "minimum": 1.0, "maximum": 3.0},
     "dts_bitwidth_aware": {"type": "boolean"},
-    "l1_kb": {"type": "integer", "minimum": 1},
+    "l1_kb": {"type": "integer", "minimum": 1, "maximum": MAX_CACHE_KB},
     "l1_ways": {"type": "integer", "minimum": 1},
-    "l2_kb": {"type": "integer", "minimum": 1},
+    "l2_kb": {"type": "integer", "minimum": 1, "maximum": MAX_CACHE_KB},
     "l2_ways": {"type": "integer", "minimum": 1},
     "max_spec_regions": {"type": "integer", "minimum": 0},
 }
@@ -227,13 +229,20 @@ def _walk(value, node: dict, path: str, errors: list):
     kind = node.get("type")
     if kind is not None and not _TYPES[kind](value):
         return _fail(errors, path, node, f"expected {kind}, got {type(value).__name__}")
-    if "enum" in node and value not in node["enum"]:
-        return _fail(errors, path, node, f"{value!r} is not one of {node['enum']}")
+    if "enum" in node:
+        if value not in node["enum"]:
+            return _fail(errors, path, node, f"{value!r} is not one of {node['enum']}")
+        value = node["enum"][node["enum"].index(value)]  # 8.0 names the point 8 does
     if kind == "string":
         if "pattern" in node and not re.search(node["pattern"], value):
             return _fail(errors, path, node, f"does not match {node['pattern']!r}")
-        if "maxBytes" in node and len(value.encode()) > node["maxBytes"]:
-            return _fail(errors, path, node, f"exceeds {node['maxBytes']} bytes")
+        if "maxBytes" in node:
+            try:  # json.loads lets in a lone surrogate, which is no UTF-8 text
+                size = len(value.encode())
+            except UnicodeEncodeError as exc:
+                return _fail(errors, path, node, f"not UTF-8 text: {exc.reason}")
+            if size > node["maxBytes"]:
+                return _fail(errors, path, node, f"exceeds {node['maxBytes']} bytes")
     elif kind in ("integer", "number"):
         value = float(value) if kind == "number" else value
         for bound, holds in _BOUNDS:
@@ -337,8 +346,8 @@ def request_key(canonical: dict) -> str:
     Excludes the tenant — tenants submitting identical work share cache
     entries (the multi-tenant storage tier) — and the simulation engine:
     the in-order engines are bit-identical, and the ``ooo`` spelling only
-    adds a committed-state cross-check without touching the body, so all
-    four spellings must hash to the same key and share one cache entry.
+    adds a committed-state cross-check without touching the body, so
+    every spelling must hash to the same key and share one cache entry.
     """
     from repro.bench.cache import energy_model_stamp
 

@@ -258,7 +258,7 @@ def confirm_counterexample(
 ) -> dict:
     """Replay a concretized counterexample through the full oracle stack.
 
-    Runs the IR interpreter plus all four machine engines on both
+    Runs the IR interpreter plus every machine engine on both
     worlds (the ooo engine shares the committed trap/output contract, so
     it participates in the unanimity vote).  ``diverged`` is True only
     when each world is internally unanimous *and* the two worlds

@@ -35,7 +35,7 @@ def pytest_generate_tests(metafunc):
 
     The selection comes from ``--engines``, so CI lanes (and developers
     bisecting a divergence) can narrow the matrix without editing tests:
-    ``pytest --engines compiled tests/test_machine_predecode.py``.
+    ``pytest --engines legacy tests/test_machine_predecode.py``.
     """
     if "engine" in metafunc.fixturenames:
         engines = parse_engine_list(metafunc.config.getoption("--engines"))

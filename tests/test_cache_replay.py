@@ -1,13 +1,14 @@
 """Cache replay: one batched run, re-scored under every cache geometry.
 
-The fast and compiled engines log the L1 access stream instead of
+The fast engine's two tiers log the L1 access stream instead of
 probing the cache model per step, and
 :func:`repro.arch.predecode.replay` feeds that log through a
 :class:`~repro.arch.cache.MemoryHierarchy` afterwards.  Cache geometry
 never changes architectural state, so one execution's
 :class:`~repro.arch.predecode.ArchRun` must fold, under *any* geometry,
-to exactly what simulating under that geometry produces.  The two
-engines must write the same log and per-pc arrays.  The reference is
+to exactly what simulating under that geometry produces.  The stepped
+and the translated runs must write the same log and per-pc arrays.  The
+reference is
 the legacy interpreter, which still probes the hierarchy on every
 access.
 """
@@ -20,7 +21,9 @@ import pytest
 
 from repro.arch.cache import CacheGeometry
 from repro.arch.checkpoint import Snapshot
+from repro.arch import predecode
 from repro.arch.machine import Machine
+from repro.arch.predecode import run_fast
 from repro.core.pipeline import CompilerConfig, set_global_inputs
 from repro.eval import harness
 from repro.eval.harness import BENCHMARKS, get_binary
@@ -60,14 +63,15 @@ def _machine(binary, inputs, engine, geometry=None, **kwargs):
 
 
 def assert_replays_match(binary, inputs, geometries, label, *, pcsample=False):
-    """Execute once on each batching engine: the compiled run's log and
-    per-pc arrays must equal the fast run's, and every geometry's replay
-    of either must equal a legacy run under that geometry (and, with
-    ``pcsample``, a compiled run's per-pc arrays under that geometry)."""
+    """Execute once at the default threshold and once translating every
+    region on first entry: the translated run's log and per-pc arrays
+    must equal the default run's, and every geometry's replay of either
+    must equal a legacy run under that geometry (and, with ``pcsample``,
+    a translated run's per-pc arrays under that geometry)."""
     arch_runs = {}
-    for engine in ("fast", "compiled"):
-        machine = _machine(binary, inputs, engine, obs=pcsample)
-        first = machine.run()
+    for engine, after in (("fast", None), ("translated", 0)):
+        machine = _machine(binary, inputs, "fast", obs=pcsample)
+        first = run_fast(machine, translate_after=after)
         arch = machine.arch_run
         assert arch is not None, f"{label}/{engine}"
         assert_sims_identical(
@@ -75,10 +79,10 @@ def assert_replays_match(binary, inputs, geometries, label, *, pcsample=False):
             f"{label}/{engine}",
         )
         arch_runs[engine] = arch
-    fast, compiled = arch_runs["fast"], arch_runs["compiled"]
-    assert compiled._events[-1] == fast._events[-1], f"{label}: logs differ"
-    assert compiled._events == fast._events, f"{label}: per-pc arrays differ"
-    assert (compiled.fetches, compiled.output, compiled.regs) == (
+    fast, translated = arch_runs["fast"], arch_runs["translated"]
+    assert translated._events[-1] == fast._events[-1], f"{label}: logs differ"
+    assert translated._events == fast._events, f"{label}: per-pc arrays differ"
+    assert (translated.fetches, translated.output, translated.regs) == (
         fast.fetches, fast.output, fast.regs
     ), label
     packed = _machine(binary, inputs, "fast", obs=pcsample)
@@ -96,7 +100,8 @@ def assert_replays_match(binary, inputs, geometries, label, *, pcsample=False):
         for engine, arch in arch_runs.items():
             assert_sims_identical(arch.fold(geometry), ref, f"{where}/{engine}")
         if pcsample:
-            direct = _machine(binary, inputs, "compiled", geometry, obs=True).run()
+            direct = run_fast(_machine(binary, inputs, "fast", geometry, obs=True),
+                              translate_after=0)
             for name in PCSAMPLE_ARRAYS:
                 assert getattr(replayed.obs, name) == getattr(direct.obs, name), (
                     f"{where}: PcSample.{name} differs"
@@ -245,8 +250,9 @@ def test_other_engines_simulate_every_geometry(monkeypatch):
 
 
 def test_compiled_geometry_sweep_executes_once_per_workload():
-    """The compiled engine leaves an ArchRun too, so its geometry
-    variants replay the held run exactly as the fast engine's do."""
+    """The translated tier leaves an ArchRun too, so geometry variants
+    of runs translated from the first entry replay the held run exactly
+    as the default threshold's do."""
     # sha's test input misses in L1 below 4 KiB only.  The workloads
     # alternate, as in a DSE grid: each held run waits while the other
     # workload runs
@@ -256,12 +262,12 @@ def test_compiled_geometry_sweep_executes_once_per_workload():
     fast = [harness.run(name, config, engine="fast") for name, config in cells]
     harness.clear_caches()
     with pytest.MonkeyPatch.context() as monkeypatch:
+        monkeypatch.setattr(predecode, "TRANSLATE_AFTER", 0)
         simulations = _count_runs(monkeypatch)
-        records = [harness.run(name, config, engine="compiled")
+        records = [harness.run(name, config, engine="fast")
                    for name, config in cells]
     assert len(simulations) == 2
     assert sorted(harness._ARCH_RUNS) == ["crc32", "sha"]
-    assert all(key[-2] == "compiled" for key, _ in harness._ARCH_RUNS.values())
     # crc32's run was packed when sha's ran; sha's, the newest, was not
     assert harness._ARCH_RUNS["crc32"][1]._packed is not None
     assert harness._ARCH_RUNS["sha"][1]._packed is None

@@ -8,8 +8,8 @@ fast engines:
 must equal one uninterrupted run in *every* SimResult field (energy
 counters and final memory image included) — the resume-equals-straight-
 run contract from "Correctness of Speculative Optimizations with
-Dynamic Deoptimization" (PAPERS.md), enforced bit-for-bit.  The
-batching engines (``compiled``/``ooo``) degrade to the predecoded
+Dynamic Deoptimization" (PAPERS.md), enforced bit-for-bit.  ``fast``'s
+translated tier and the ``ooo`` engine degrade to the predecoded
 stepper; the OoO committed view must still agree.
 
 Also pinned here: the on-disk snapshot format (atomic save, load,
@@ -24,6 +24,7 @@ from pathlib import Path
 
 import pytest
 
+from repro.arch import predecode
 from repro.arch.checkpoint import Snapshot, SnapshotError, program_fingerprint
 from repro.arch.machine import Machine, committed_view
 from repro.core.pipeline import CompilerConfig, compile_binary, set_global_inputs
@@ -208,17 +209,19 @@ def test_checkpoint_past_halt_returns_result():
 # -- engine degradation -------------------------------------------------------
 
 
-def test_compiled_engine_degrades_bit_identical():
+def test_compiled_engine_degrades_bit_identical(monkeypatch):
+    """A checkpoint on ``fast`` with every region translated on first
+    entry steps the whole run, and loses nothing for it."""
+    monkeypatch.setattr(predecode, "TRANSLATE_AFTER", 0)
     binary, inputs = _corpus_binary("seed000")
-    ref = _machine(binary, inputs, "compiled").run()
-    snap = _machine(binary, inputs, "compiled").run(
+    ref = _machine(binary, inputs, "fast").run()
+    snap = _machine(binary, inputs, "fast").run(
         checkpoint_at=ref.instructions // 2
     )
     assert isinstance(snap, Snapshot)
-    assert snap.engine == "fast"  # degraded whole-run
-    sim = _machine(binary, inputs, "compiled").run(resume_from=snap)
-    # the in-order trio is bit-identical, so degradation loses nothing
-    assert_sims_identical(sim, ref, "compiled-degraded")
+    assert snap.engine == "fast"
+    sim = _machine(binary, inputs, "fast").run(resume_from=snap)
+    assert_sims_identical(sim, ref, "translated-degraded")
 
 
 def test_ooo_engine_degrades_committed_view():

@@ -1,12 +1,14 @@
 """The translated tier: lazy, per-region, and holding no run state.
 
 :func:`repro.arch.compiled._build_image` only predecodes the program and
-finds its static region entries; the stepper translates a region once a
-run has entered it often enough (on the ``compiled`` spelling, on first
-entry).  The image on the :class:`LinkedProgram` keeps code only: every
-run binds it to state of its own in a :class:`repro.arch.compiled.Tier`.
-These tests pin the properties that design rests on: a run translates
-exactly the regions it enters hot and a warm run translates nothing;
+finds its static region entries; the stepper translates a region once
+the program's runs have entered it often enough (here mostly on first
+entry, at threshold 0).  The image on the :class:`LinkedProgram` keeps
+code and entry counts only: every run binds it to state of its own in a
+:class:`repro.arch.compiled.Tier`.  These tests pin the properties that
+design rests on: a run translates exactly the regions it enters hot and
+a warm run translates nothing; entry counts go on across runs, per
+threshold;
 runs under any geometry share the one image, whose region indices every
 later run's counters cover; a transfer that finds no region entry falls
 back to the stepper for that stretch only, bit-identically; a small
@@ -42,13 +44,15 @@ _EXIT_NAME = re.compile(r"_b\d+$")
 
 @pytest.fixture
 def binary(monkeypatch):
-    """The shared susan-edges binary with its compiled image dropped.
+    """The shared susan-edges binary with its compiled image dropped,
+    run at threshold 0 unless a test patches another.
 
     ``get_binary`` hands every test the same linked program, which caches
     its compiled image; monkeypatch restores that cache afterwards.
     """
     binary = get_binary(WORKLOAD, CompilerConfig.bitspec("max"))
     monkeypatch.delattr(binary.linked, "_compiled_cache", raising=False)
+    monkeypatch.setattr(predecode, "TRANSLATE_AFTER", 0)
     return binary
 
 
@@ -68,7 +72,7 @@ def tiers(monkeypatch):
     return built
 
 
-def _machine(binary, seed, engine="compiled", geometry=None, obs=False):
+def _machine(binary, seed, engine="fast", geometry=None, obs=False):
     set_global_inputs(binary.module, get_workload(WORKLOAD).inputs("test", seed))
     return Machine(binary.linked, binary.module, engine=engine,
                    geometry=geometry, obs=obs)
@@ -187,11 +191,11 @@ def test_missing_region_entry_falls_back_per_region(binary, monkeypatch,
     ] = compiled.CompiledImage(full.code, full.leaders - {dropped},
                                full.inst_bytes, full.delta, full.spec_mask)
     runs = []
-    run_fast = compiled.run_fast
+    run_fast = predecode.run_fast
 
-    def counting_run_fast(m, **kwargs):
+    def counting_run_fast(m, *args, **kwargs):
         runs.append(m)
-        return run_fast(m, **kwargs)
+        return run_fast(m, *args, **kwargs)
 
     handed_back = []
     tier_run = compiled.Tier.run
@@ -201,7 +205,7 @@ def test_missing_region_entry_falls_back_per_region(binary, monkeypatch,
         handed_back.append(nxt)
         return nxt
 
-    monkeypatch.setattr(compiled, "run_fast", counting_run_fast)
+    monkeypatch.setattr(predecode, "run_fast", counting_run_fast)
     monkeypatch.setattr(compiled.Tier, "run", recording_run)
     sim = machine.run()
     # one run, no whole-run replay: the stepper took over at the dropped
@@ -225,7 +229,7 @@ def test_small_threshold_hands_off_both_ways(binary, monkeypatch, tiers):
         return nxt
 
     monkeypatch.setattr(compiled.Tier, "run", recording_run)
-    sim = _machine(binary, 0, engine="fast", obs=True).run()
+    sim = _machine(binary, 0, obs=True).run()
     # translated code ran, returned cold pcs to the stepper mid-run, and
     # the stepper entered translated code again after each
     cold = [pc for pc in handed_back[:-1] if pc != HALT]
@@ -233,6 +237,35 @@ def test_small_threshold_hands_off_both_ways(binary, monkeypatch, tiers):
     ref = _stepped(binary, 0, monkeypatch, obs=True)
     assert_sims_identical(sim, ref, f"{WORKLOAD}/T2")
     assert sim.obs == ref.obs
+
+
+def test_entry_counts_go_on_across_runs(binary, monkeypatch):
+    """A region entered too rarely in one run to be translated is
+    translated by a repeat of the same run, from the count the first
+    run left on the image; a run at another threshold counts apart."""
+    monkeypatch.setattr(predecode, "TRANSLATE_AFTER", 64)
+    machine = _machine(binary, 0)
+    first = machine.run()
+    image = _image(machine)
+    budget = image.budgets[64]
+    # entered, but fewer than 64 times
+    warm = {pc: budget[pc] for pc in image.leaders - set(image.regions)
+            if 0 < budget[pc] < 64}
+    assert warm
+    for rerun in range(1, 9):
+        sim = _machine(binary, 0).run()
+        assert_sims_identical(sim, first, f"{WORKLOAD}/rerun{rerun}")
+        if rerun == 1:
+            assert any(budget[pc] < left for pc, left in warm.items())
+        if set(warm) & set(image.regions):
+            break
+    assert set(warm) & set(image.regions)
+
+    counts = {pc: budget[pc] for pc in image.leaders}
+    monkeypatch.setattr(predecode, "TRANSLATE_AFTER", 2)
+    _machine(binary, 0).run()
+    assert sorted(image.budgets) == [2, 64]
+    assert {pc: budget[pc] for pc in counts} == counts
 
 
 def _large_buffers(root, limit=1 << 20):
@@ -256,14 +289,15 @@ def _large_buffers(root, limit=1 << 20):
     return found
 
 
-@pytest.mark.parametrize("spelling", ("fast", "compiled"))
-def test_program_keeps_no_run_state(binary, monkeypatch, spelling):
-    """Only code persists on the program: after a run, nothing reachable
-    from the LinkedProgram holds a buffer of 1 MiB or more (a run's flat
-    memory is 4 MiB), and the run's state is freed as soon as its result
-    is dropped, with no reference cycle left for the garbage collector."""
-    monkeypatch.setattr(predecode, "TRANSLATE_AFTER", 2)
-    machine = _machine(binary, 0, engine=spelling)
+@pytest.mark.parametrize("after", (2, 0))
+def test_program_keeps_no_run_state(binary, monkeypatch, after):
+    """Only code and entry counts persist on the program: after a run,
+    nothing reachable from the LinkedProgram holds a buffer of 1 MiB or
+    more (a run's flat memory is 4 MiB), and the run's state is freed as
+    soon as its result is dropped, with no reference cycle left for the
+    garbage collector."""
+    monkeypatch.setattr(predecode, "TRANSLATE_AFTER", after)
+    machine = _machine(binary, 0)
     gc.collect()
     gc.disable()
     try:

@@ -1,8 +1,10 @@
-"""The cross-engine differential matrix: four engines, one semantics.
+"""The cross-engine differential matrix: three engines, one semantics.
 
-This is the enforcement arm of the four-engine contract (docs/engines.md):
-the legacy interpreter, the predecoded fast path and the compiled template
-JIT must be *bit-identical* on every observable — ``SimResult`` aggregates
+This is the enforcement arm of the engine contract (docs/engines.md): the
+legacy interpreter and the fast path, on its predecoded stepper and on its
+translated tier (the template JIT, here at threshold 0 so every region
+runs translated from its first entry), must be *bit-identical* on every
+observable — ``SimResult`` aggregates
 and energy counters, final memory images, per-pc observability samples,
 and fault-injection classification matrices — while the out-of-order
 engine (:mod:`repro.arch.ooo`), whose cycles and energy belong to its own
@@ -16,10 +18,10 @@ Coverage axes:
 * the full 14-workload benchmark roster under T=MAX (``slow``; a
   three-workload slice always runs);
 * a DSE smoke grid routed through :func:`repro.dse.runner.evaluate_points`
-  — the emitted rows must not depend on the engine;
+  — the emitted rows must not depend on the tier;
 * the fault-injection kind×seed parity grid — the canonical FAULTS JSON
-  must be byte-identical across engines;
-* per-pc observability: compiled-engine samples re-sum through
+  must be byte-identical across tiers;
+* per-pc observability: translated-tier samples re-sum through
   ``check_conservation`` integer-exactly, and equal the fast path's
   array-for-array on corpus programs;
 * the tiered engine's threshold: ``fast`` translating on first entry,
@@ -33,6 +35,7 @@ from pathlib import Path
 import pytest
 
 from repro.arch.machine import Machine
+from repro.arch.predecode import run_fast
 from repro.core.pipeline import CompilerConfig, compile_binary, set_global_inputs
 from repro.eval.harness import get_binary
 from repro.fuzz.corpus import load_program
@@ -81,15 +84,35 @@ def _corpus_binary(name: str, config: CompilerConfig):
     return binary, program.inputs_run
 
 
+#: the lanes held to ``fast``: the other engines, and ``fast`` with
+#: every region translated on first entry
+LANES = ("legacy", "translated", "ooo")
+
+
 def _run(binary, inputs, engine: str, obs: bool = False):
     if inputs:
         set_global_inputs(binary.module, inputs)
+    if engine == "translated":
+        machine = Machine(binary.linked, binary.module, engine="fast", obs=obs)
+        return run_fast(machine, translate_after=0)
     return Machine(binary.linked, binary.module, engine=engine, obs=obs).run()
+
+
+def _on_translated_tier(monkeypatch) -> None:
+    """From here on ``fast`` translates every region on first entry, and
+    no memo hands back a result an earlier run computed."""
+    from repro.arch import predecode
+    from repro.eval import harness
+    from repro.faults import campaign
+
+    monkeypatch.setattr(predecode, "TRANSLATE_AFTER", 0)
+    monkeypatch.setattr(campaign, "_GOLDEN", {})
+    harness.clear_caches()
 
 
 def _assert_all_engines_identical(binary, inputs, label: str) -> None:
     ref = _run(binary, inputs, "fast")
-    for engine in ("legacy", "compiled", "ooo"):
+    for engine in LANES:
         assert_engine_matches(
             _run(binary, inputs, engine), ref, engine, f"{label}/{engine}"
         )
@@ -136,7 +159,7 @@ def test_workload_smoke_compiled_vs_fast(workload_name):
     inputs = get_workload(workload_name).inputs("test", 0)
     ref = _run(binary, inputs, "fast")
     assert_sims_identical(
-        _run(binary, inputs, "compiled"), ref, f"{workload_name}/compiled"
+        _run(binary, inputs, "translated"), ref, f"{workload_name}/translated"
     )
 
 
@@ -164,7 +187,7 @@ def test_workload_roster_all_engines():
         inputs = get_workload(workload_name).inputs("test", 0)
         ref = _run(binary, inputs, "fast")
         assert ref.instructions > 0
-        for engine in ("legacy", "compiled", "ooo"):
+        for engine in LANES:
             assert_engine_matches(
                 _run(binary, inputs, engine), ref, engine,
                 f"{workload_name}/{engine}",
@@ -189,13 +212,14 @@ def test_workload_roster_tiers(tier, monkeypatch):
 @pytest.mark.parametrize("workload_name,heuristic", OBS_CELLS,
                          ids=[f"{w}-{h}" for w, h in OBS_CELLS])
 def test_obs_conservation_on_compiled(workload_name, heuristic):
-    """Compiled per-pc tallies re-sum to the SimResult aggregates exactly."""
+    """Translated-tier per-pc tallies re-sum to the SimResult aggregates
+    exactly."""
     from repro.obs.attribution import attribute, check_conservation
 
     config = CompilerConfig.bitspec(heuristic)
     binary = get_binary(workload_name, config)
     inputs = get_workload(workload_name).inputs("test", 0)
-    sim = _run(binary, inputs, "compiled", obs=True)
+    sim = _run(binary, inputs, "translated", obs=True)
     assert sim.obs is not None
     mismatches = check_conservation(attribute(binary.linked, sim.obs), sim)
     assert mismatches == [], f"{workload_name}/{heuristic}: {mismatches}"
@@ -208,31 +232,31 @@ def test_obs_trace_equivalence_compiled_vs_fast(name):
 
     binary, inputs = _corpus_binary(name, CompilerConfig.bitspec("max"))
     fast = _run(binary, inputs, "fast", obs=True)
-    compiled = _run(binary, inputs, "compiled", obs=True)
-    assert fast.obs is not None and compiled.obs is not None
+    translated = _run(binary, inputs, "translated", obs=True)
+    assert fast.obs is not None and translated.obs is not None
     for f in dataclasses.fields(PcSample):
-        a, b = getattr(compiled.obs, f.name), getattr(fast.obs, f.name)
+        a, b = getattr(translated.obs, f.name), getattr(fast.obs, f.name)
         assert a == b, f"{name}: obs.{f.name} differs"
 
 
 # -- DSE smoke grid -----------------------------------------------------------
 
 
-def test_dse_smoke_grid_engine_invariant():
-    """evaluate_points emits identical rows whichever engine simulates."""
+def test_dse_smoke_grid_engine_invariant(monkeypatch):
+    """evaluate_points emits identical rows whichever tier simulates."""
     from repro.dse.runner import evaluate_points
     from repro.dse.space import SpecSpace
 
     space = SpecSpace(slice_width=(8, 32), l1_kb=(4, 8))
     rows = {}
-    for engine in ("fast", "compiled"):
-        rows[engine] = [
+    for tier in ("fast", "translated"):
+        if tier == "translated":
+            _on_translated_tier(monkeypatch)
+        rows[tier] = [
             r.as_dict()
-            for r in evaluate_points(
-                space.points(), ("crc32",), jobs=1, engine=engine
-            )
+            for r in evaluate_points(space.points(), ("crc32",), jobs=1)
         ]
-    assert rows["fast"] == rows["compiled"]
+    assert rows["fast"] == rows["translated"]
     assert all(r["status"] == "ok" for r in rows["fast"])
     assert len(rows["fast"]) == space.size
 
@@ -240,15 +264,17 @@ def test_dse_smoke_grid_engine_invariant():
 # -- fault-injection parity ---------------------------------------------------
 
 
-def test_fault_campaign_kind_seed_parity():
+def test_fault_campaign_kind_seed_parity(monkeypatch):
     """The kind×seed grid classifies identically and serializes
-    byte-identically whichever engine executes the faulted runs."""
+    byte-identically whichever tier runs the golden runs."""
     from repro.faults.campaign import run_campaign, to_canonical_json
     from repro.faults.plan import FAULT_KINDS
 
     documents = {}
-    for engine in ("fast", "compiled"):
-        documents[engine] = to_canonical_json(
+    for tier in ("fast", "translated"):
+        if tier == "translated":
+            _on_translated_tier(monkeypatch)
+        documents[tier] = to_canonical_json(
             run_campaign(
                 workloads=("crc32",),
                 config_names=("bitspec-max",),
@@ -256,21 +282,21 @@ def test_fault_campaign_kind_seed_parity():
                 seed=0,
                 per_kind=2,
                 jobs=1,
-                engine=engine,
             )
         )
-    assert documents["fast"] == documents["compiled"]
+    assert documents["fast"] == documents["translated"]
     assert '"engine"' not in documents["fast"]  # engines never leak into FAULTS json
 
 
 @pytest.mark.slow
-def test_fault_replay_corpus_parity():
+def test_fault_replay_corpus_parity(monkeypatch):
     from repro.faults.campaign import replay_corpus, to_canonical_json
 
-    documents = {
-        engine: to_canonical_json(
-            replay_corpus(CORPUS_DIR, count=2, per_kind=1, seed=0, engine=engine)
+    documents = {}
+    for tier in ("fast", "translated"):
+        if tier == "translated":
+            _on_translated_tier(monkeypatch)
+        documents[tier] = to_canonical_json(
+            replay_corpus(CORPUS_DIR, count=2, per_kind=1, seed=0)
         )
-        for engine in ("fast", "compiled")
-    }
-    assert documents["fast"] == documents["compiled"]
+    assert documents["fast"] == documents["translated"]

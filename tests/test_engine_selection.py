@@ -10,6 +10,7 @@ table below drives every rung through both, and reads which engine
 actually ran off the machine state each one leaves behind.
 """
 
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -72,6 +73,25 @@ def test_pytest_engines_option_rejects_unknown_engine_up_front():
     assert "unknown engines" in proc.stderr
 
 
+@pytest.mark.parametrize("argv", [
+    ["repro.bench", "--engine", "compiled"],
+    ["repro.bench", "--compare-engines", "legacy,compiled"],
+    ["repro.dse", "sweep", "--engine", "compiled"],
+    ["repro.faults", "campaign", "--engine", "compiled"],
+], ids=lambda argv: "-".join(argv))
+def test_clis_reject_the_retired_spelling(argv, capsys):
+    """Every ``--engine`` flag refuses ``compiled`` before running
+    anything, and names the engines it takes."""
+    import importlib
+
+    main = importlib.import_module(f"{argv[0]}.__main__").main
+    with pytest.raises(SystemExit) as excinfo:
+        main(argv[1:])
+    assert excinfo.value.code == 2
+    err = capsys.readouterr().err
+    assert "compiled" in err and all(engine in err for engine in ENGINES)
+
+
 # -- the engine ladder ---------------------------------------------------------
 
 LOOP = """
@@ -94,44 +114,46 @@ STEP = "step"
 #: a recovery-kind session that never fires: the OoO model runs it natively
 NATIVE = "native"
 
+#: the retired ``compiled`` spelling, rejected with the valid set named
+_RETIRED = f"expected one of {ENGINES}"
 _TRACE = "trace_hook requires the legacy path"
 _OBS = "obs=True requires the predecoded fast path"
 _SPLIT = "does not compose with fault"
 
 #: (requested engine, REPRO_MACHINE_ENGINE, obs, trace_hook, fault session,
-#:  checkpoint) -> (resolve_engine(), engine that ran or the error raised)
+#:  checkpoint) -> (resolve_engine() or the error it raises, engine that
+#:  ran or the error raised); no rung lets the retired ``compiled`` through
 LADDER = [
     # explicit engine, then env, then default
     ((None, "", False, False, None, False), ("fast", "fast")),
-    ((None, "compiled", False, False, None, False), ("compiled", "compiled")),
+    ((None, "compiled", False, False, None, False), (_RETIRED, None)),
     ((None, "ooo", False, False, None, False), ("ooo", "ooo")),
     (("legacy", "compiled", False, False, None, False), ("legacy", "legacy")),
-    (("compiled", "legacy", False, False, None, False),
-     ("compiled", "compiled")),
+    (("compiled", "legacy", False, False, None, False), (_RETIRED, None)),
     # trace_hook: legacy by default, an error on every other engine
     ((None, "", False, True, None, False), ("legacy", "legacy")),
-    ((None, "compiled", False, True, None, False), ("compiled", _TRACE)),
+    ((None, "compiled", False, True, None, False), (_RETIRED, None)),
     (("fast", "", False, True, None, False), ("fast", _TRACE)),
     (("ooo", "", False, True, None, False), ("ooo", _TRACE)),
     ((None, "", True, True, None, False), ("fast", _TRACE)),
-    # obs: an env legacy/ooo reads as fast, compiled keeps its sample
+    # obs: an env legacy/ooo reads as fast
     ((None, "", True, False, None, False), ("fast", "fast")),
     ((None, "legacy", True, False, None, False), ("fast", "fast")),
     ((None, "ooo", True, False, None, False), ("fast", "fast")),
-    ((None, "compiled", True, False, None, False), ("compiled", "compiled")),
+    ((None, "compiled", True, False, None, False), (_RETIRED, None)),
     (("ooo", "", True, False, None, False), ("fast", "fast")),
     (("legacy", "", True, False, None, False), ("legacy", _OBS)),
     # fault sessions step on fast, except the OoO model's native kinds
-    (("compiled", "", False, False, STEP, False), ("fast", "fast")),
-    ((None, "compiled", False, False, STEP, False), ("fast", "fast")),
+    (("compiled", "", False, False, STEP, False), (_RETIRED, None)),
+    ((None, "compiled", False, False, STEP, False), (_RETIRED, None)),
     (("ooo", "", False, False, STEP, False), ("fast", "fast")),
     (("ooo", "", False, False, NATIVE, False), ("ooo", "ooo")),
     (("ooo", "", True, False, NATIVE, False), ("ooo", _OBS)),
-    (("compiled", "", False, False, NATIVE, False), ("fast", "fast")),
+    (("compiled", "", False, False, NATIVE, False), (_RETIRED, None)),
     (("legacy", "", False, False, STEP, False), ("legacy", "legacy")),
     # checkpoints stop on a stepping engine, never beside a fault session
     ((None, "", False, False, None, True), ("fast", "fast")),
-    (("compiled", "", False, False, None, True), ("compiled", "fast")),
+    (("compiled", "", False, False, None, True), (_RETIRED, None)),
     ((None, "ooo", False, False, None, True), ("ooo", "fast")),
     (("legacy", "", False, False, None, True), ("legacy", "legacy")),
     (("fast", "", False, False, STEP, True), ("fast", _SPLIT)),
@@ -154,48 +176,35 @@ def _session(kind):
     return None
 
 
-@pytest.fixture
-def compiled_runs(monkeypatch):
-    """The machines the compiled engine ran, recorded at its entry point
-    (both spellings build and cache translated regions)."""
-    from repro.arch import compiled
-
-    ran = []
-    run_compiled = compiled.run_compiled
-
-    def recording(machine):
-        ran.append(machine)
-        return run_compiled(machine)
-
-    monkeypatch.setattr(compiled, "run_compiled", recording)
-    return ran
-
-
-def _engine_ran(machine, result, compiled_runs):
-    """Which engine produced ``result``, from the state it left behind;
-    both in-order spellings leave an ArchRun, so ``compiled`` is told
-    from ``fast`` by the recorded entry point."""
+def _engine_ran(machine, result):
+    """Which engine produced ``result``, from the state it left behind."""
     if isinstance(result, Snapshot):
         return result.engine
     if result.ooo is not None:
         return "ooo"
-    if machine.arch_run is None:
-        return "legacy"
-    return "compiled" if any(m is machine for m in compiled_runs) else "fast"
+    return "legacy" if machine.arch_run is None else "fast"
 
 
 @pytest.mark.parametrize(
     "row, expected", LADDER,
     ids=["-".join(str(a) for a in row) for row, _ in LADDER],
 )
-def test_engine_ladder(loop_binary, monkeypatch, compiled_runs, row, expected):
+def test_engine_ladder(loop_binary, monkeypatch, row, expected):
     engine, env, obs, hook, faults, checkpoint = row
     resolved, ran = expected
     monkeypatch.setenv("REPRO_MACHINE_ENGINE", env)
-    machine = Machine(
-        loop_binary.linked, loop_binary.module, engine=engine, obs=obs,
-        trace_hook=_hook if hook else None, faults=_session(faults),
-    )
+
+    def build():
+        return Machine(
+            loop_binary.linked, loop_binary.module, engine=engine, obs=obs,
+            trace_hook=_hook if hook else None, faults=_session(faults),
+        )
+
+    if resolved == _RETIRED:
+        with pytest.raises(ValueError, match=re.escape(_RETIRED)):
+            build().resolve_engine()
+        return
+    machine = build()
     assert machine.resolve_engine() == resolved
     run_kwargs = {"checkpoint_at": 5} if checkpoint else {}
     if ran not in ENGINES:
@@ -203,25 +212,25 @@ def test_engine_ladder(loop_binary, monkeypatch, compiled_runs, row, expected):
             machine.run(**run_kwargs)
         return
     result = machine.run(**run_kwargs)
-    assert _engine_ran(machine, result, compiled_runs) == ran
+    assert _engine_ran(machine, result) == ran
     if checkpoint:
         assert isinstance(result, Snapshot)
     elif obs and ran != "ooo":
         assert result.obs is not None
 
 
-def test_obs_env_engine_agrees_across_entry_points(loop_binary, monkeypatch,
-                                                  compiled_runs):
+def test_obs_env_engine_agrees_across_entry_points(loop_binary, monkeypatch):
     """``CompiledBinary.machine`` leaves the choice to the Machine: with
-    ``REPRO_MACHINE_ENGINE=compiled`` an obs run compiles either way."""
-    monkeypatch.setenv("REPRO_MACHINE_ENGINE", "compiled")
+    ``REPRO_MACHINE_ENGINE=ooo`` an obs run takes ``fast`` either way."""
+    monkeypatch.setenv("REPRO_MACHINE_ENGINE", "ooo")
     for machine in (
         loop_binary.machine(obs=True),
         Machine(loop_binary.linked, loop_binary.module, obs=True),
     ):
-        assert machine.resolve_engine() == "compiled"
+        assert machine.engine is None
+        assert machine.resolve_engine() == "fast"
         sim = machine.run()
-        assert _engine_ran(machine, sim, compiled_runs) == "compiled"
+        assert _engine_ran(machine, sim) == "fast"
         assert sim.obs is not None
 
 
@@ -233,8 +242,8 @@ INORDER = [
     (("legacy", False), "legacy"),
     (("legacy", True), "fast"),
     (("fast", False), "fast"),
-    (("compiled", False), "compiled"),
-    (("compiled", True), "compiled"),
+    (("compiled", False), _RETIRED),
+    (("compiled", True), _RETIRED),
     (("ooo", False), "fast"),
     (("ooo", True), "fast"),
 ]
@@ -247,6 +256,10 @@ INORDER = [
 def test_inorder_resolution(loop_binary, monkeypatch, row, expected):
     engine, obs = row
     monkeypatch.delenv("REPRO_MACHINE_ENGINE", raising=False)
+    if expected == _RETIRED:
+        with pytest.raises(ValueError, match=re.escape(_RETIRED)):
+            Machine(loop_binary.linked, loop_binary.module, engine=engine)
+        return
     machine = Machine(loop_binary.linked, loop_binary.module, engine=engine,
                       obs=obs)
     assert machine.resolve_engine(inorder=True) == expected

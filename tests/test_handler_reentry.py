@@ -14,10 +14,10 @@ hand-built SIR program, below the verifier:
 * every speculative add overflows the 8-bit slice, so control must walk
   entry → hA → hB deterministically, with exactly two misspeculations.
 
-Pinned at the IR interpreter and all three machine engines (legacy,
-predecoded, compiled), which must agree bit-for-bit: output ``[600]`` and
-a misspeculation count of 2.  A seeded sweep slides the misspeculating
-pcs across block offsets so the compiled engine's mid-region redirect
+Pinned at the IR interpreter, every machine engine and the fast engine's
+translated tier, which must agree bit-for-bit: output ``[600]`` and a
+misspeculation count of 2.  A seeded sweep slides the misspeculating
+pcs across block offsets so the translated tier's mid-region redirect
 fires at varying block-boundary positions.  The construction deliberately bypasses the
 SIR verifier — it checks the squeezer's single-world invariants, and this
 program exists precisely to exercise hardware behavior the squeezer never
@@ -27,6 +27,7 @@ generates.
 import pytest
 
 from repro.arch.machine import Machine
+from repro.arch.predecode import run_fast
 from repro.backend.isel import select_module
 from repro.backend.layout import link_program
 from repro.backend.regalloc import RegisterAllocator
@@ -98,13 +99,7 @@ def test_interpreter_reenters_through_both_handlers():
 
 
 def test_machine_reenters_through_both_handlers(engine):
-    """Every engine walks entry → hA → hB: exactly 2 misspecs.
-
-    For the compiled engine this is the misspec-inside-handler re-entry
-    property: the first redirect aborts a compiled region mid-block, the
-    dispatcher re-enters at hA's region, and *that* region's own misspec
-    must redirect again — a fallback-inside-fallback path.
-    """
+    """Every engine walks entry → hA → hB: exactly 2 misspecs."""
     module = build_reentry_module()
     linked = _link(module)
     sim = Machine(
@@ -112,6 +107,17 @@ def test_machine_reenters_through_both_handlers(engine):
     ).run()
     assert sim.output == [600]
     assert sim.misspeculations == 2
+
+
+def test_tiers_reenter_through_both_handlers(tier):
+    """``fast`` at each threshold walks entry → hA → hB: 2 misspecs.
+
+    On the translated tier this is the misspec-inside-handler re-entry
+    property: the first redirect aborts a translated region mid-block,
+    the dispatcher re-enters at hA's region, and *that* region's own
+    misspec must redirect again — a fallback-inside-fallback path.
+    """
+    test_machine_reenters_through_both_handlers("fast")
 
 
 def test_engines_and_interpreter_agree_exactly():
@@ -210,10 +216,16 @@ def test_seeded_block_boundary_redirect_sweep(seed):
     ).run()
     assert ref.output == [600]
     assert ref.misspeculations == 2
-    for engine in ("legacy", "compiled", "ooo"):
-        sim = Machine(
-            module=module, linked=linked, engine=engine, step_limit=10_000
-        ).run()
+    for engine in ("legacy", "translated", "ooo"):
+        machine = Machine(
+            module=module, linked=linked,
+            engine="fast" if engine == "translated" else engine,
+            step_limit=10_000,
+        )
+        if engine == "translated":
+            sim = run_fast(machine, translate_after=0)
+        else:
+            sim = machine.run()
         assert_engine_matches(
             sim, ref, engine,
             f"seed={seed} pads=({pad_entry},{pad_handler})/{engine}",

@@ -1,9 +1,10 @@
 """Engine-matrix differential tests: every engine vs the fast-path reference.
 
-The Machine has four engines.  The three in-order ones — the legacy
-instruction-at-a-time interpreter, the predecoded fast path
-(:mod:`repro.arch.predecode`) and the compiled template JIT
-(:mod:`repro.arch.compiled`) — must be *bit-identical*: same output
+The Machine has three engines.  The two in-order ones — the legacy
+instruction-at-a-time interpreter and the fast path, which steps the
+predecoded program (:mod:`repro.arch.predecode`) and runs hot regions
+through a template JIT (:mod:`repro.arch.compiled`) — must be
+*bit-identical*: same output
 stream, same cycle and instruction counts, same per-width register-file
 traffic, same cache and misspeculation events.  Any divergence silently
 corrupts every energy figure, so equality is checked field-by-field, not
@@ -14,7 +15,7 @@ instruction/misspeculation counts (:func:`repro.arch.machine.committed_view`).
 
 Each test here takes the ``engine`` fixture (see conftest), so the matrix
 is (engine × corpus program × config) and (engine × workload × config);
-``pytest --engines compiled`` narrows it when bisecting.  The ``tier``
+``pytest --engines legacy`` narrows it when bisecting.  The ``tier``
 fixture adds the tiered engine's own axis: ``fast`` at translation
 thresholds 0, 2 and never, each against every instruction stepped, per
 pc.  The reference
@@ -24,12 +25,19 @@ cross-engine matrix over the full corpus lives in
 """
 
 import dataclasses
+import re
 from pathlib import Path
 
 import pytest
 
 from repro.arch.energy import EnergyCounters
-from repro.arch.machine import Machine, MachineError, SimResult, committed_view
+from repro.arch.machine import (
+    ENGINES,
+    Machine,
+    MachineError,
+    SimResult,
+    committed_view,
+)
 from repro.core.pipeline import CompilerConfig, compile_binary, set_global_inputs
 from repro.eval.harness import get_binary
 from repro.fuzz.corpus import load_program
@@ -272,29 +280,34 @@ def test_legacy_env_escape_hatch(monkeypatch):
     assert_sims_identical(fast, legacy, "bitcount/env-escape")
 
 
-def test_engine_env_var_selects_compiled(monkeypatch):
+def test_engine_env_var_selects_ooo(monkeypatch):
     """REPRO_MACHINE_ENGINE picks an engine when nothing explicit does."""
     binary = get_binary("crc32", CompilerConfig.bitspec("max"))
     inputs = get_workload("crc32").inputs("test", 0)
     set_global_inputs(binary.module, inputs)
-    monkeypatch.setenv("REPRO_MACHINE_ENGINE", "compiled")
+    monkeypatch.setenv("REPRO_MACHINE_ENGINE", "ooo")
     machine = Machine(binary.linked, binary.module)
-    assert machine.resolve_engine() == "compiled"
-    compiled = machine.run()
+    assert machine.resolve_engine() == "ooo"
+    ooo = machine.run()
+    assert ooo.ooo is not None
     monkeypatch.delenv("REPRO_MACHINE_ENGINE")
     fast = Machine(binary.linked, binary.module, engine="fast").run()
-    assert_sims_identical(compiled, fast, "crc32/env-engine")
+    assert_committed_identical(ooo, fast, "crc32/env-engine")
     # explicit arguments beat the environment
     monkeypatch.setenv("REPRO_MACHINE_ENGINE", "legacy")
     assert Machine(
-        binary.linked, binary.module, engine="compiled"
-    ).resolve_engine() == "compiled"
+        binary.linked, binary.module, engine="ooo"
+    ).resolve_engine() == "ooo"
 
 
 def test_engine_env_var_rejects_unknown(monkeypatch):
+    """An unknown engine, the retired ``compiled`` among them, fails
+    with the valid set named, from the environment and as an argument."""
     binary = get_binary("crc32", CompilerConfig.baseline())
-    monkeypatch.setenv("REPRO_MACHINE_ENGINE", "warp")
-    with pytest.raises(ValueError):
-        Machine(binary.linked, binary.module).resolve_engine()
-    with pytest.raises(ValueError):
-        Machine(binary.linked, binary.module, engine="warp")
+    valid = re.escape(f"expected one of {ENGINES}")
+    for spelling in ("warp", "compiled"):
+        monkeypatch.setenv("REPRO_MACHINE_ENGINE", spelling)
+        with pytest.raises(ValueError, match=valid):
+            Machine(binary.linked, binary.module).resolve_engine()
+        with pytest.raises(ValueError, match=valid):
+            Machine(binary.linked, binary.module, engine=spelling)

@@ -20,6 +20,7 @@ import pytest
 from repro.arch.cache import CacheGeometry
 from repro.arch.energy import EnergyCounters
 from repro.arch.machine import Machine
+from repro.arch import predecode
 from repro.arch.predecode import PC_COUNTER_FIELDS
 from repro.core.pipeline import CompilerConfig, compile_binary
 from repro.eval import harness
@@ -100,15 +101,14 @@ def test_conservation_toy_with_misspeculation():
     ],
     ids=["crc32-misspec", "crc32", "sha-baseline", "bitcount-min"],
 )
-def test_conservation_on_workloads(workload, config, profile_kind):
-    """Both batching engines conserve, and so does their run re-scored
+def test_conservation_on_workloads(workload, config, profile_kind, monkeypatch):
+    """Both of ``fast``'s tiers conserve, and so does a run re-scored
     under a second cache geometry through ``ArchRun.fold``."""
     binary = harness.get_binary(workload, config, profile_kind=profile_kind)
     inputs = get_workload(workload).inputs("test", 0)
-    sims = {
-        engine: _assert_conserved(binary, inputs, engine)[0]
-        for engine in ("fast", "compiled")
-    }
+    sims = {"fast": _assert_conserved(binary, inputs, "fast")[0]}
+    monkeypatch.setattr(predecode, "TRANSLATE_AFTER", 0)
+    sims["translated"] = _assert_conserved(binary, inputs, "fast")[0]
     machine = binary.machine(inputs, obs=True, engine="fast")
     machine.run()
     rescored = machine.arch_run.fold(SMALL_CACHES)
@@ -361,7 +361,7 @@ def test_obs_report_golden_mini_roster():
     )
 
 
-def test_report_json_artifact():
+def test_report_json_artifact(monkeypatch):
     import json
 
     report = build_report(
@@ -369,6 +369,12 @@ def test_report_json_artifact():
     )
     data = render_json(report)
     json.dumps(data)  # must be serializable
+    # the same document with every region translated on first entry
+    monkeypatch.setattr(predecode, "TRANSLATE_AFTER", 0)
+    harness.clear_caches()
+    assert render_json(build_report(
+        "crc32", CompilerConfig.bitspec("max"), profile_kind="train"
+    )) == data
     assert data["conservation"]["exact"] is True
     assert data["totals"]["misspeculations"] == report.sim.misspeculations
     assert data["top_misspeculating"]  # train-profile crc32 really misspeculates

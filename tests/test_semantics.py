@@ -4,7 +4,8 @@
 computes and when a ``bs_*`` op misspeculates.  ``ooo`` and the
 verifier's executor compute through it; ``legacy``, the predecoded
 stepper (``fast`` with translation off) and the translated regions
-(``compiled``) keep their own inlined copies.  These tests run every row
+(``compiled``: ``fast`` translating every region on first entry) keep
+their own inlined copies.  These tests run every row
 on all five copies — the executor with concrete inputs — over an edge
 grid plus random operands, at op widths 1/2/4 and slice widths
 4/8/16/32, and compare each copy with the table: output values, carries,
@@ -290,8 +291,11 @@ def _run(copy: str, linked: LinkedProgram):
     saved = predecode.TRANSLATE_AFTER
     if copy == "fast":
         predecode.TRANSLATE_AFTER = None  # step every region
+    elif copy == "compiled":
+        predecode.TRANSLATE_AFTER = 0  # translate every region
     try:
-        result = Machine(linked, Module(), engine=copy).run()
+        engine = "fast" if copy == "compiled" else copy
+        result = Machine(linked, Module(), engine=engine).run()
     except MachineError as exc:
         return str(exc), None, None
     finally:

@@ -12,6 +12,9 @@ import json
 
 import pytest
 
+from repro.arch.cache import CacheGeometry
+from repro.arch.machine import ENGINES
+from repro.core.documents import canonical_json
 from repro.dse.space import SpecPoint
 from repro.serve.client import http_request, submit_report
 from repro.serve.report import execute_request
@@ -119,15 +122,18 @@ class TestSchema:
     def test_key_excludes_engine_spelling(self):
         keys = {
             request_key(validate_request(good_doc(engine=engine)))
-            for engine in ("legacy", "fast", "compiled", "ooo")
+            for engine in ENGINES
         }
         keys.add(request_key(validate_request(good_doc())))
         assert len(keys) == 1
 
     def test_unknown_engine_rejected(self):
-        with pytest.raises(RequestValidationError) as excinfo:
-            validate_request(good_doc(engine="warp"))
-        assert any(e["path"] == "engine" for e in excinfo.value.errors)
+        # the retired 'compiled' spelling is as unknown as a typo
+        for engine in ("warp", "compiled"):
+            with pytest.raises(RequestValidationError) as excinfo:
+                validate_request(good_doc(engine=engine))
+            assert [e["path"] for e in excinfo.value.errors] == ["engine"]
+            assert str([None, *ENGINES]) in excinfo.value.errors[0]["message"]
 
     def test_key_dedupes_preset_and_knob_spellings(self):
         # the knob defaults ARE bitspec-max, so the fully-spelled-out
@@ -239,6 +245,36 @@ class TestSchema:
             validate_request(good_doc(config={"l1_kb": 3}))
         assert [e["path"] for e in excinfo.value.errors] == ["config"]
 
+    @pytest.mark.parametrize("knob", ["l1_kb", "l2_kb"])
+    def test_cache_sizes_bounded_before_any_cache_is_built(self, knob, monkeypatch):
+        """A huge power-of-two size is refused at its own path by the
+        schema, and a buildable one is checked by arithmetic alone."""
+        import repro.arch.cache as cache
+
+        def no_cache(*args, **kwargs):
+            raise AssertionError("validation built a cache")
+
+        monkeypatch.setattr(cache, "Cache", no_cache)
+        with pytest.raises(RequestValidationError) as excinfo:
+            validate_request(good_doc(config={knob: 1 << 62}))
+        assert [e["path"] for e in excinfo.value.errors] == [f"config.{knob}"]
+        stated = REQUEST_SCHEMA["properties"]["config"]["properties"][knob]
+        assert str(stated["maximum"]) in excinfo.value.errors[0]["message"]
+        assert validate_request(good_doc(config={knob: stated["maximum"]}))
+        with pytest.raises(ValueError, match="power of two"):
+            CacheGeometry(**{knob: 12}).validate()
+
+    def test_lone_surrogate_in_source_is_a_validation_error(self):
+        with pytest.raises(RequestValidationError) as excinfo:
+            validate_request(json.loads('{"source": "u32 x;\\ud800"}'))
+        assert [e["path"] for e in excinfo.value.errors] == ["source"]
+
+    def test_integral_float_knob_names_the_int_point(self):
+        as_float = validate_request(good_doc(config={"slice_width": 8.0}))
+        as_int = validate_request(good_doc(config={"slice_width": 8}))
+        assert request_key(as_float) == request_key(as_int)
+        assert canonical_json(as_float) == canonical_json(as_int)
+
 
 # -- pure execution ------------------------------------------------------------
 
@@ -288,13 +324,13 @@ class TestExecuteRequest:
         assert first == second
 
     def test_envelope_byte_identical_across_engines(self):
-        # all four engine spellings share one request key and must produce
+        # every engine spelling shares one request key and must produce
         # byte-identical report bodies; 'ooo' additionally runs the live
         # committed-state cross-check, which must pass silently
         reference = validate_request(good_doc())
         key = request_key(reference)
         expected = canonical_body(execute_request(reference, key)["body"])
-        for engine in ("legacy", "fast", "compiled", "ooo"):
+        for engine in ENGINES:
             canonical = validate_request(good_doc(engine=engine))
             envelope = execute_request(canonical, key)
             assert envelope["status"] == 200, engine
@@ -307,7 +343,7 @@ class TestExecuteRequest:
         reference = validate_request(good_doc(report=report))
         key = request_key(reference)
         expected = canonical_body(execute_request(reference, key)["body"])
-        for engine in ("legacy", "fast", "compiled", "ooo"):
+        for engine in ENGINES:
             canonical = validate_request(good_doc(engine=engine, report=report))
             envelope = execute_request(canonical, key)
             assert envelope["status"] == 200, engine

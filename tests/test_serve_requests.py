@@ -27,7 +27,6 @@ import os
 import random
 from pathlib import Path
 
-from repro.arch.machine import ENGINES
 from repro.core.documents import canonical_json
 from repro.core.pipeline import PRESETS
 from repro.serve.schema import RequestValidationError, request_key, validate_request
@@ -115,9 +114,8 @@ def expected(doc) -> dict:
     }
 
 
-#: cache geometry knobs: validation builds the cache, whose set list grows
-#: with its size, so a huge power-of-two size would exhaust memory (no
-#: limit caps it yet); the corpus draws no huge integer for these
+#: cache geometry knobs: the corpus draws no integer above the schema's
+#: 4096 KiB cap for these, so the recorded documents keep their cases
 CACHE_KNOBS = ("l1_kb", "l1_ways", "l2_kb", "l2_ways")
 
 
@@ -158,7 +156,8 @@ def build_corpus(seed: int = 0, bases: int = 6, mutations: int = 1100):
     rng = random.Random(seed)
     cases = [(i, []) for i in range(bases)]
     for i in range(bases):
-        for engine in (None, *ENGINES):
+        # the retired 'compiled' spelling stays, now as a rejection
+        for engine in (None, "legacy", "fast", "compiled", "ooo"):
             cases.append((i, [["set", ["engine"], engine]]))
         cases.append((i, [["drop", ["report"]], ["drop", ["inputs"]], ["drop", ["tenant"]]]))
         cases.append((i, [["drop", ["config"]]]))
