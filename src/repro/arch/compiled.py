@@ -62,7 +62,6 @@ import builtins
 from struct import Struct
 from types import CodeType, FunctionType
 
-from repro.arch.cache import L1_LINE_SHIFT
 from repro.arch.machine import MachineError
 from repro.arch.predecode import (
     OP_ADC,
@@ -74,13 +73,11 @@ from repro.arch.predecode import (
     OP_BCOND,
     OP_BL,
     OP_BS_BIN,
-    OP_BS_CMP,
     OP_BS_LDR,
     OP_BS_TRUNC,
     OP_BS_TRUNC_HI,
     OP_BX,
     OP_CMP,
-    OP_CMP64HI,
     OP_CMP64LO,
     OP_DIV,
     OP_ERROR,
@@ -98,6 +95,7 @@ from repro.arch.predecode import (
     OP_SUBSPI,
     OP_UMULL,
     SPEC_OPS,
+    _iline_shift,
     _pc_bits,
     fold_result,  # noqa: F401 - perf/tracing.py spans it under this name
     predecode,
@@ -375,7 +373,7 @@ class _RegionEmitter:
         self.code = code
         self.start = start
         self.n = n
-        self.inst_bytes = inst_bytes
+        self.ishift = _iline_shift(inst_bytes)
         self.delta = delta
         self.spec_mask = spec_mask
         self.region_idx = region_idx
@@ -421,13 +419,10 @@ class _RegionEmitter:
 
     def rd(self, d):
         """Read descriptor -> (expression, max possible value)."""
-        k = d[0]
-        if k == 0:
-            return repr(d[1]), d[1]
-        if k == 2:
-            return self.reg(13), 0xFFFFFFFF
-        name = self.reg(d[1])
-        shift, mask = d[2], d[3]
+        r, shift, mask, const = d
+        if not mask:
+            return repr(const), const
+        name = self.reg(r)
         if mask == 0xFFFFFFFF and shift == 0:
             return name, 0xFFFFFFFF
         if shift:
@@ -572,7 +567,7 @@ class _RegionEmitter:
                 if self.llr in t[1]:
                     self.hz_offsets.append(off)
                 self.llr = None
-            line_no = (pc * self.inst_bytes) >> L1_LINE_SHIFT
+            line_no = pc >> self.ishift
             if line_no != prev_line_no:
                 if prev_line_no is None:
                     # region entry: the line may equal the icache's last
@@ -638,8 +633,8 @@ class _RegionEmitter:
             elif sub == 4:
                 self.wr(0, t[5], f"{a} ^ {b}", amax | bmax)
             elif sub == 5:
-                if t[4][0] == 0:
-                    c = t[4][1]
+                if not t[4][2]:
+                    c = t[4][3]
                     if c < 32:
                         self.wr(0, t[5], f"({a} << {c}) & {mask:#x}", mask)
                     else:
@@ -650,8 +645,8 @@ class _RegionEmitter:
                             f"(({a} << b_) & {mask:#x}) if b_ < 32 else 0",
                             mask)
             elif sub == 6:
-                if t[4][0] == 0:
-                    c = t[4][1]
+                if not t[4][2]:
+                    c = t[4][3]
                     if c < 32:
                         self.wr(0, t[5], f"{a} >> {c}", amax >> c)
                     else:
@@ -668,8 +663,8 @@ class _RegionEmitter:
                 ae = a if amax <= tmask else f"({a} & {tmask:#x})"
                 self.line(0, f"a_ = {ae}")
                 self.line(0, f"a_ = a_ - {m} if a_ >= {sb} else a_")
-                if t[4][0] == 0:
-                    sh = min(t[4][1], bits - 1)
+                if not t[4][2]:
+                    sh = min(t[4][3], bits - 1)
                     self.wr(0, t[5], f"(a_ >> {sh}) & {tmask:#x}", tmask)
                 else:
                     self.line(0, f"b_ = {b}")
@@ -760,7 +755,7 @@ class _RegionEmitter:
             self.emit_exit(0, off + 1, self.ret_target(t[2]))
             return "end"
 
-        if op == OP_CMP or op == OP_BS_CMP:
+        if op == OP_CMP:
             a, amax = self.rd(t[2])
             b, bmax = self.rd(t[3])
             self.set_cmp(0, a, b, t[4], amax, bmax)
@@ -788,8 +783,8 @@ class _RegionEmitter:
                 self.line(0, f"w_ = {a} ^ {b}")
                 wmax = amax | bmax
             elif sub == 5:
-                if t[4][0] == 0:
-                    c = t[4][1]
+                if not t[4][2]:
+                    c = t[4][3]
                     if c < 32:
                         self.line(0, f"w_ = {a} << {c}")
                         wmax = amax << c
@@ -800,8 +795,8 @@ class _RegionEmitter:
                     self.line(0, f"b_ = {b}")
                     self.line(0, f"w_ = ({a} << b_) if b_ < 32 else 0")
             else:
-                if t[4][0] == 0:
-                    c = t[4][1]
+                if not t[4][2]:
+                    c = t[4][3]
                     if c < 32:
                         self.line(0, f"w_ = {a} >> {c}")
                         wmax = amax >> c
@@ -861,23 +856,18 @@ class _RegionEmitter:
             self.llr = t[6]
             return None
 
-        if op == OP_EXT:
+        if op == OP_EXT:  # sxt
             e, vmax = self.rd(t[2])
-            ty = t[3]
-            if ty is None:
+            bits = t[3].bits
+            sb = 1 << (bits - 1)
+            m = 1 << bits
+            if vmax < sb:
                 self.wr(0, t[4], e, vmax)
-            else:  # sxt
-                bits = ty.bits
-                sb = 1 << (bits - 1)
-                m = 1 << bits
-                if vmax < sb:
-                    self.wr(0, t[4], e, vmax)
-                else:
-                    self.line(0, f"v_ = {e}")
-                    self.line(0,
-                              f"v_ = (v_ - {m}) & 0xFFFFFFFF "
-                              f"if v_ >= {sb} else v_")
-                    self.wr(0, t[4], "v_", 0xFFFFFFFF)
+            else:
+                self.line(0, f"v_ = {e}")
+                self.line(0, f"v_ = (v_ - {m}) & 0xFFFFFFFF "
+                             f"if v_ >= {sb} else v_")
+                self.wr(0, t[4], "v_", 0xFFFFFFFF)
             return None
 
         if op == OP_MOVCOND:
@@ -1016,12 +1006,6 @@ class _RegionEmitter:
             self.wrote(13)
             sign = "-" if op == OP_SUBSPI else "+"
             self.line(0, f"{name} = ({name} {sign} {t[2]}) & 0xFFFFFFFF")
-            return None
-
-        if op == OP_CMP64HI:
-            a, amax = self.rd(t[2])
-            b, bmax = self.rd(t[3])
-            self.set_cmp(0, a, b, "hi", amax, bmax)
             return None
 
         if op == OP_CMP64LO:

@@ -78,7 +78,6 @@ from repro.ir.types import int_type
     OP_B,
     OP_CMP,
     OP_BS_BIN,
-    OP_BS_CMP,
     OP_BS_TRUNC,
     OP_BS_TRUNC_HI,
     OP_BS_LDR,
@@ -97,12 +96,11 @@ from repro.ir.types import int_type
     OP_BX,
     OP_SUBSPI,
     OP_ADDSPI,
-    OP_CMP64HI,
     OP_CMP64LO,
     OP_OUT,
     OP_NOP,
     OP_ERROR,
-) = range(32)
+) = range(30)
 
 #: opcode ids that resolve a speculation (the engines' four spec sites)
 SPEC_OPS = frozenset({OP_BS_BIN, OP_BS_TRUNC, OP_BS_TRUNC_HI, OP_BS_LDR})
@@ -135,17 +133,24 @@ class _PredecodeError(Exception):
 
 
 def _read_desc(op, eff, narrow_rf):
-    """Operand -> (kind, a, b, c); records the static rf-read effect."""
+    """Operand -> (reg, shift, mask, const); records the static rf-read
+    effect.
+
+    The operand's value is ``(regs[reg] >> shift) & mask`` when ``mask``
+    is non-zero and ``const`` when it is zero: a register slice has
+    ``const`` 0, ``sp`` is the full slice of r13 and an immediate is
+    ``(0, 0, 0, value)``.
+    """
     if type(op) is Slice:
         size = op.size if op.size <= 4 else 4
         width = size if narrow_rf else 4
         eff[_RF_R_ID[width]] = eff.get(_RF_R_ID[width], 0) + 1
-        return (1, op.reg, op.offset * 8, _MASKS[size])
+        return (op.reg, op.offset * 8, _MASKS[size], 0)
     if type(op) is Imm:
-        return (0, op.value & 0xFFFFFFFF, 0, 0)
+        return (0, 0, 0, op.value & 0xFFFFFFFF)
     if op == "sp":
         eff[C_RF_R4] = eff.get(C_RF_R4, 0) + 1
-        return (2, 0, 0, 0)
+        return (13, 0, 0xFFFFFFFF, 0)
     raise _PredecodeError(f"cannot read operand {op!r}")
 
 
@@ -246,12 +251,6 @@ def _predecode_inst(inst, narrow_rf):
         _bump(eff, C_ALU8)
         _bump(eff, K_ALU8)
         return (OP_BS_BIN, hazard, _BS_SUB[opcode], a, b, dst, wr_width), eff
-    if opcode == "bs_cmp":
-        a = _read_desc(inst.uses[0], eff, narrow_rf)
-        b = _read_desc(inst.uses[1], eff, narrow_rf)
-        _bump(eff, C_ALU8)
-        _bump(eff, K_ALU8)
-        return (OP_BS_CMP, hazard, a, b, inst.width), eff
     if opcode == "bs_trunc":
         a = _read_desc(inst.uses[0], eff, narrow_rf)
         dst = _write_desc(inst.defs[0], eff, narrow_rf, count=False)
@@ -264,26 +263,22 @@ def _predecode_inst(inst, narrow_rf):
         _bump(eff, C_ALU8)
         _bump(eff, K_ALU8)
         return (OP_BS_TRUNC_HI, hazard, a), eff
+    if opcode in ("cmp", "bs_cmp", "cmp64hi", "cmp64lo"):
+        a = _read_desc(inst.uses[0], eff, narrow_rf)
+        b = _read_desc(inst.uses[1], eff, narrow_rf)
+        if opcode == "bs_cmp":
+            _bump(eff, C_ALU8)
+            _bump(eff, K_ALU8)
+        else:
+            _bump(eff, C_ALU32)
+            _bump(eff, K_ALU32)
+        if opcode == "cmp64lo":
+            return (OP_CMP64LO, hazard, a, b), eff
+        # cmp64hi leaves its halves under the width "hi" for cmp64lo
+        width = "hi" if opcode == "cmp64hi" else inst.width
+        return (OP_CMP, hazard, a, b, width), eff
     if opcode.startswith("bs_"):
         raise _PredecodeError(f"unknown speculative opcode {opcode!r}")
-    if opcode == "cmp":
-        a = _read_desc(inst.uses[0], eff, narrow_rf)
-        b = _read_desc(inst.uses[1], eff, narrow_rf)
-        _bump(eff, C_ALU32)
-        _bump(eff, K_ALU32)
-        return (OP_CMP, hazard, a, b, inst.width), eff
-    if opcode == "cmp64hi":
-        a = _read_desc(inst.uses[0], eff, narrow_rf)
-        b = _read_desc(inst.uses[1], eff, narrow_rf)
-        _bump(eff, C_ALU32)
-        _bump(eff, K_ALU32)
-        return (OP_CMP64HI, hazard, a, b), eff
-    if opcode == "cmp64lo":
-        a = _read_desc(inst.uses[0], eff, narrow_rf)
-        b = _read_desc(inst.uses[1], eff, narrow_rf)
-        _bump(eff, C_ALU32)
-        _bump(eff, K_ALU32)
-        return (OP_CMP64LO, hazard, a, b), eff
     if opcode == "b":
         _bump(eff, C_BRANCHES)
         _bump(eff, C_TAKEN)
@@ -310,17 +305,17 @@ def _predecode_inst(inst, narrow_rf):
         src = inst.uses[0]
         a = _read_desc(src, eff, narrow_rf)
         dst = _write_desc(inst.defs[0], eff, narrow_rf)
-        src_ty = None
-        if opcode == "sxt":
-            src_bits = (src.size if type(src) is Slice else 4) * 8
-            src_ty = int_type(src_bits)
         if narrow_rf and inst.width == 1:
             _bump(eff, C_ALU8)
             _bump(eff, K_ALU8)
         else:
             _bump(eff, C_MOVE)
             _bump(eff, K_MOVE)
-        return (OP_EXT, hazard, a, src_ty, dst), eff
+        if opcode != "sxt":
+            # the slice write zero-extends or truncates: a move
+            return (OP_MOV, hazard, a, dst), eff
+        src_bits = (src.size if type(src) is Slice else 4) * 8
+        return (OP_EXT, hazard, a, int_type(src_bits), dst), eff
     if opcode == "mul":
         a = _read_desc(inst.uses[0], eff, narrow_rf)
         b = _read_desc(inst.uses[1], eff, narrow_rf)
@@ -433,9 +428,11 @@ def predecode(linked, narrow_rf: bool):
 
 #: a region the program's runs have entered this many times in all by a
 #: control transfer is translated (:mod:`repro.arch.compiled`) and runs
-#: translated from then on; ``None`` steps every instruction.  Chosen by
-#: measurement: roster-cold's cold simulations sum lowest near 64, and no
-#: serve-closed region is entered that often
+#: translated from then on.  Set to ``None`` (the tests' "never" lane),
+#: the engine steps every instruction; ``run_fast(translate_after=None)``
+#: instead means "use this constant".  Chosen by measurement:
+#: roster-cold's cold simulations sum lowest near 64, and no serve-closed
+#: region is entered that often
 TRANSLATE_AFTER = 64
 
 
@@ -450,10 +447,9 @@ def run_fast(machine, checkpoint_at=None, resume_from=None, *,
     time and counts region entries on control transfers only (taken
     branches, calls, returns and misspeculation redirects) on the
     program's image, across runs.  A region entered more than
-    ``translate_after`` times (default :data:`TRANSLATE_AFTER`) is
-    translated and runs translated from then on — from its first entry
-    if an earlier run translated it — on the same registers, memory,
-    access log and per-pc arrays, through a
+    ``translate_after`` times is translated and runs translated from
+    then on — from its first entry if an earlier run translated it — on
+    the same registers, memory, access log and per-pc arrays, through a
     :class:`repro.arch.compiled.Tier` that lives as long as the run.
     The ``S`` slots carry the rest of the state across each hand-off in
     either direction, so the tiers agree on it at every region
@@ -461,6 +457,10 @@ def run_fast(machine, checkpoint_at=None, resume_from=None, *,
     region starts at, hands the stepper that pc.  The fold adds the
     translated executions to the stepped ones.  A fault session or a
     checkpoint steps every instruction.
+
+    ``translate_after=None`` (the default) reads :data:`TRANSLATE_AFTER`
+    at call time, and a ``None`` there steps every instruction; an
+    integer, 0 included, is the threshold itself.
 
     ``checkpoint_at=N`` returns a
     :class:`repro.arch.checkpoint.Snapshot` at the first
@@ -485,8 +485,7 @@ def run_fast(machine, checkpoint_at=None, resume_from=None, *,
     spec_mask = slice_mask(machine.slice_width)
     if translate_after is None:
         translate_after = TRANSLATE_AFTER
-    # the I-line of pc is ``pc >> ishift``: instructions are 2 or 4 bytes
-    ishift = L1_LINE_SHIFT + 1 - inst_bytes.bit_length()
+    ishift = _iline_shift(inst_bytes)
     pc_bits = _pc_bits(n_insts)
 
     output: list = []
@@ -656,15 +655,9 @@ def run_fast(machine, checkpoint_at=None, resume_from=None, *,
 
                 if op == OP_ALU:
                     d = t[3]
-                    k = d[0]
-                    a = ((regs[d[1]] >> d[2]) & d[3]) if k == 1 else (
-                        d[1] if k == 0 else regs[13]
-                    )
+                    a = ((regs[d[0]] >> d[1]) & d[2]) if d[2] else d[3]
                     d = t[4]
-                    k = d[0]
-                    b = ((regs[d[1]] >> d[2]) & d[3]) if k == 1 else (
-                        d[1] if k == 0 else regs[13]
-                    )
+                    b = ((regs[d[0]] >> d[1]) & d[2]) if d[2] else d[3]
                     sub = t[2]
                     mask = t[6]
                     if sub == 0:
@@ -690,19 +683,13 @@ def run_fast(machine, checkpoint_at=None, resume_from=None, *,
                     regs[r] = (regs[r] & w[3]) | ((value & w[2]) << w[1])
                 elif op == OP_MOV:
                     d = t[2]
-                    k = d[0]
-                    value = ((regs[d[1]] >> d[2]) & d[3]) if k == 1 else (
-                        d[1] if k == 0 else regs[13]
-                    )
+                    value = ((regs[d[0]] >> d[1]) & d[2]) if d[2] else d[3]
                     w = t[3]
                     r = w[0]
                     regs[r] = (regs[r] & w[3]) | ((value & w[2]) << w[1])
                 elif op == OP_LOAD:
                     d = t[2]
-                    k = d[0]
-                    base = ((regs[d[1]] >> d[2]) & d[3]) if k == 1 else (
-                        d[1] if k == 0 else regs[13]
-                    )
+                    base = ((regs[d[0]] >> d[1]) & d[2]) if d[2] else d[3]
                     addr = (base + t[3]) & 0xFFFFFFFF
                     value = mem_load(addr, t[4])
                     w = t[5]
@@ -712,15 +699,9 @@ def run_fast(machine, checkpoint_at=None, resume_from=None, *,
                     last_load_reg = t[6]
                 elif op == OP_STORE:
                     d = t[2]
-                    k = d[0]
-                    value = ((regs[d[1]] >> d[2]) & d[3]) if k == 1 else (
-                        d[1] if k == 0 else regs[13]
-                    )
+                    value = ((regs[d[0]] >> d[1]) & d[2]) if d[2] else d[3]
                     d = t[3]
-                    k = d[0]
-                    base = ((regs[d[1]] >> d[2]) & d[3]) if k == 1 else (
-                        d[1] if k == 0 else regs[13]
-                    )
+                    base = ((regs[d[0]] >> d[1]) & d[2]) if d[2] else d[3]
                     addr = (base + t[4]) & 0xFFFFFFFF
                     mem_store(addr, value, t[5])
                     # legacy path discards the store's stall cycles; levels only
@@ -745,27 +726,15 @@ def run_fast(machine, checkpoint_at=None, resume_from=None, *,
                     budget[next_pc] = left - 1
                 elif op == OP_CMP:
                     d = t[2]
-                    k = d[0]
-                    a = ((regs[d[1]] >> d[2]) & d[3]) if k == 1 else (
-                        d[1] if k == 0 else regs[13]
-                    )
+                    a = ((regs[d[0]] >> d[1]) & d[2]) if d[2] else d[3]
                     d = t[3]
-                    k = d[0]
-                    b = ((regs[d[1]] >> d[2]) & d[3]) if k == 1 else (
-                        d[1] if k == 0 else regs[13]
-                    )
+                    b = ((regs[d[0]] >> d[1]) & d[2]) if d[2] else d[3]
                     cmp_state = (a, b, t[4])
                 elif op == OP_BS_BIN:
                     d = t[3]
-                    k = d[0]
-                    a = ((regs[d[1]] >> d[2]) & d[3]) if k == 1 else (
-                        d[1] if k == 0 else regs[13]
-                    )
+                    a = ((regs[d[0]] >> d[1]) & d[2]) if d[2] else d[3]
                     d = t[4]
-                    k = d[0]
-                    b = ((regs[d[1]] >> d[2]) & d[3]) if k == 1 else (
-                        d[1] if k == 0 else regs[13]
-                    )
+                    b = ((regs[d[0]] >> d[1]) & d[2]) if d[2] else d[3]
                     sub = t[2]
                     if sub == 0:
                         wide = a + b
@@ -797,24 +766,9 @@ def run_fast(machine, checkpoint_at=None, resume_from=None, *,
                         w = t[5]
                         r = w[0]
                         regs[r] = (regs[r] & w[3]) | ((wide & w[2]) << w[1])
-                elif op == OP_BS_CMP:
-                    d = t[2]
-                    k = d[0]
-                    a = ((regs[d[1]] >> d[2]) & d[3]) if k == 1 else (
-                        d[1] if k == 0 else regs[13]
-                    )
-                    d = t[3]
-                    k = d[0]
-                    b = ((regs[d[1]] >> d[2]) & d[3]) if k == 1 else (
-                        d[1] if k == 0 else regs[13]
-                    )
-                    cmp_state = (a, b, t[4])
                 elif op == OP_BS_TRUNC:
                     d = t[2]
-                    k = d[0]
-                    value = ((regs[d[1]] >> d[2]) & d[3]) if k == 1 else (
-                        d[1] if k == 0 else regs[13]
-                    )
+                    value = ((regs[d[0]] >> d[1]) & d[2]) if d[2] else d[3]
                     miss = value > spec_mask
                     if fx is not None:
                         miss = fx.spec_outcome(miss)
@@ -833,10 +787,7 @@ def run_fast(machine, checkpoint_at=None, resume_from=None, *,
                         regs[r] = (regs[r] & w[3]) | ((value & w[2]) << w[1])
                 elif op == OP_BS_TRUNC_HI:
                     d = t[2]
-                    k = d[0]
-                    value = ((regs[d[1]] >> d[2]) & d[3]) if k == 1 else (
-                        d[1] if k == 0 else regs[13]
-                    )
+                    value = ((regs[d[0]] >> d[1]) & d[2]) if d[2] else d[3]
                     miss = value != 0
                     if fx is not None:
                         miss = fx.spec_outcome(miss)
@@ -851,10 +802,7 @@ def run_fast(machine, checkpoint_at=None, resume_from=None, *,
                             budget[next_pc] = left - 1
                 elif op == OP_BS_LDR:
                     d = t[2]
-                    k = d[0]
-                    addr = ((regs[d[1]] >> d[2]) & d[3]) if k == 1 else (
-                        d[1] if k == 0 else regs[13]
-                    )
+                    addr = ((regs[d[0]] >> d[1]) & d[2]) if d[2] else d[3]
                     value = mem_load(addr, t[3])
                     log_append(addr << pc_bits | pc)
                     miss = value > spec_mask
@@ -876,13 +824,8 @@ def run_fast(machine, checkpoint_at=None, resume_from=None, *,
                         last_load_reg = t[6]
                 elif op == OP_EXT:
                     d = t[2]
-                    k = d[0]
-                    value = ((regs[d[1]] >> d[2]) & d[3]) if k == 1 else (
-                        d[1] if k == 0 else regs[13]
-                    )
-                    ty = t[3]
-                    if ty is not None:  # sxt
-                        value = ty.to_signed(value) & 0xFFFFFFFF
+                    value = ((regs[d[0]] >> d[1]) & d[2]) if d[2] else d[3]
+                    value = t[3].to_signed(value) & 0xFFFFFFFF
                     w = t[4]
                     r = w[0]
                     regs[r] = (regs[r] & w[3]) | ((value & w[2]) << w[1])
@@ -892,39 +835,24 @@ def run_fast(machine, checkpoint_at=None, resume_from=None, *,
                     if evaluate_icmp(t[2], a, b, ty):
                         movcond_pc[pc] += 1
                         d = t[3]
-                        k = d[0]
-                        value = ((regs[d[1]] >> d[2]) & d[3]) if k == 1 else (
-                            d[1] if k == 0 else regs[13]
-                        )
+                        value = ((regs[d[0]] >> d[1]) & d[2]) if d[2] else d[3]
                         w = t[5]
                         r = w[0]
                         regs[r] = (regs[r] & w[3]) | ((value & w[2]) << w[1])
                 elif op == OP_MUL:
                     d = t[2]
-                    k = d[0]
-                    a = ((regs[d[1]] >> d[2]) & d[3]) if k == 1 else (
-                        d[1] if k == 0 else regs[13]
-                    )
+                    a = ((regs[d[0]] >> d[1]) & d[2]) if d[2] else d[3]
                     d = t[3]
-                    k = d[0]
-                    b = ((regs[d[1]] >> d[2]) & d[3]) if k == 1 else (
-                        d[1] if k == 0 else regs[13]
-                    )
+                    b = ((regs[d[0]] >> d[1]) & d[2]) if d[2] else d[3]
                     value = (a * b) & t[5]
                     w = t[4]
                     r = w[0]
                     regs[r] = (regs[r] & w[3]) | ((value & w[2]) << w[1])
                 elif op == OP_UMULL:
                     d = t[2]
-                    k = d[0]
-                    a = ((regs[d[1]] >> d[2]) & d[3]) if k == 1 else (
-                        d[1] if k == 0 else regs[13]
-                    )
+                    a = ((regs[d[0]] >> d[1]) & d[2]) if d[2] else d[3]
                     d = t[3]
-                    k = d[0]
-                    b = ((regs[d[1]] >> d[2]) & d[3]) if k == 1 else (
-                        d[1] if k == 0 else regs[13]
-                    )
+                    b = ((regs[d[0]] >> d[1]) & d[2]) if d[2] else d[3]
                     product = a * b
                     w = t[4]
                     r = w[0]
@@ -936,15 +864,9 @@ def run_fast(machine, checkpoint_at=None, resume_from=None, *,
                     regs[r] = (regs[r] & w[3]) | ((value & w[2]) << w[1])
                 elif op == OP_DIV:
                     d = t[3]
-                    k = d[0]
-                    a = ((regs[d[1]] >> d[2]) & d[3]) if k == 1 else (
-                        d[1] if k == 0 else regs[13]
-                    )
+                    a = ((regs[d[0]] >> d[1]) & d[2]) if d[2] else d[3]
                     d = t[4]
-                    k = d[0]
-                    b = ((regs[d[1]] >> d[2]) & d[3]) if k == 1 else (
-                        d[1] if k == 0 else regs[13]
-                    )
+                    b = ((regs[d[0]] >> d[1]) & d[2]) if d[2] else d[3]
                     if b == 0:
                         raise MachineError("division by zero")
                     sub = t[2]
@@ -967,15 +889,9 @@ def run_fast(machine, checkpoint_at=None, resume_from=None, *,
                     regs[r] = (regs[r] & w[3]) | ((value & w[2]) << w[1])
                 elif op == OP_ADDS or op == OP_ADC:
                     d = t[2]
-                    k = d[0]
-                    a = ((regs[d[1]] >> d[2]) & d[3]) if k == 1 else (
-                        d[1] if k == 0 else regs[13]
-                    )
+                    a = ((regs[d[0]] >> d[1]) & d[2]) if d[2] else d[3]
                     d = t[3]
-                    k = d[0]
-                    b = ((regs[d[1]] >> d[2]) & d[3]) if k == 1 else (
-                        d[1] if k == 0 else regs[13]
-                    )
+                    b = ((regs[d[0]] >> d[1]) & d[2]) if d[2] else d[3]
                     full = a + b + (carry if op == OP_ADC else 0)
                     carry = full >> 32
                     value = full & 0xFFFFFFFF
@@ -984,15 +900,9 @@ def run_fast(machine, checkpoint_at=None, resume_from=None, *,
                     regs[r] = (regs[r] & w[3]) | ((value & w[2]) << w[1])
                 elif op == OP_SUBS:
                     d = t[2]
-                    k = d[0]
-                    a = ((regs[d[1]] >> d[2]) & d[3]) if k == 1 else (
-                        d[1] if k == 0 else regs[13]
-                    )
+                    a = ((regs[d[0]] >> d[1]) & d[2]) if d[2] else d[3]
                     d = t[3]
-                    k = d[0]
-                    b = ((regs[d[1]] >> d[2]) & d[3]) if k == 1 else (
-                        d[1] if k == 0 else regs[13]
-                    )
+                    b = ((regs[d[0]] >> d[1]) & d[2]) if d[2] else d[3]
                     carry = 1 if a >= b else 0
                     value = (a - b) & 0xFFFFFFFF
                     w = t[4]
@@ -1000,15 +910,9 @@ def run_fast(machine, checkpoint_at=None, resume_from=None, *,
                     regs[r] = (regs[r] & w[3]) | ((value & w[2]) << w[1])
                 elif op == OP_SBC:
                     d = t[2]
-                    k = d[0]
-                    a = ((regs[d[1]] >> d[2]) & d[3]) if k == 1 else (
-                        d[1] if k == 0 else regs[13]
-                    )
+                    a = ((regs[d[0]] >> d[1]) & d[2]) if d[2] else d[3]
                     d = t[3]
-                    k = d[0]
-                    b = ((regs[d[1]] >> d[2]) & d[3]) if k == 1 else (
-                        d[1] if k == 0 else regs[13]
-                    )
+                    b = ((regs[d[0]] >> d[1]) & d[2]) if d[2] else d[3]
                     full = a - b - (1 - carry)
                     carry = 1 if full >= 0 else 0
                     value = full & 0xFFFFFFFF
@@ -1017,15 +921,9 @@ def run_fast(machine, checkpoint_at=None, resume_from=None, *,
                     regs[r] = (regs[r] & w[3]) | ((value & w[2]) << w[1])
                 elif op == OP_ADDSL or op == OP_ORRSL:
                     d = t[2]
-                    k = d[0]
-                    a = ((regs[d[1]] >> d[2]) & d[3]) if k == 1 else (
-                        d[1] if k == 0 else regs[13]
-                    )
+                    a = ((regs[d[0]] >> d[1]) & d[2]) if d[2] else d[3]
                     d = t[3]
-                    k = d[0]
-                    b = ((regs[d[1]] >> d[2]) & d[3]) if k == 1 else (
-                        d[1] if k == 0 else regs[13]
-                    )
+                    b = ((regs[d[0]] >> d[1]) & d[2]) if d[2] else d[3]
                     shift = t[4]
                     if op == OP_ADDSL:
                         value = (a + (b << shift)) & 0xFFFFFFFF
@@ -1057,37 +955,16 @@ def run_fast(machine, checkpoint_at=None, resume_from=None, *,
                     regs[13] = (regs[13] - t[2]) & 0xFFFFFFFF
                 elif op == OP_ADDSPI:
                     regs[13] = (regs[13] + t[2]) & 0xFFFFFFFF
-                elif op == OP_CMP64HI:
-                    d = t[2]
-                    k = d[0]
-                    a = ((regs[d[1]] >> d[2]) & d[3]) if k == 1 else (
-                        d[1] if k == 0 else regs[13]
-                    )
-                    d = t[3]
-                    k = d[0]
-                    b = ((regs[d[1]] >> d[2]) & d[3]) if k == 1 else (
-                        d[1] if k == 0 else regs[13]
-                    )
-                    cmp_state = (a, b, "hi")
                 elif op == OP_CMP64LO:
                     a_hi, b_hi, _tag = cmp_state
                     d = t[2]
-                    k = d[0]
-                    a = ((regs[d[1]] >> d[2]) & d[3]) if k == 1 else (
-                        d[1] if k == 0 else regs[13]
-                    )
+                    a = ((regs[d[0]] >> d[1]) & d[2]) if d[2] else d[3]
                     d = t[3]
-                    k = d[0]
-                    b = ((regs[d[1]] >> d[2]) & d[3]) if k == 1 else (
-                        d[1] if k == 0 else regs[13]
-                    )
+                    b = ((regs[d[0]] >> d[1]) & d[2]) if d[2] else d[3]
                     cmp_state = ((a_hi << 32) | a, (b_hi << 32) | b, 8)
                 elif op == OP_OUT:
                     d = t[2]
-                    k = d[0]
-                    value = ((regs[d[1]] >> d[2]) & d[3]) if k == 1 else (
-                        d[1] if k == 0 else regs[13]
-                    )
+                    value = ((regs[d[0]] >> d[1]) & d[2]) if d[2] else d[3]
                     output.append(value)
                 elif op == OP_NOP:
                     pass
@@ -1117,6 +994,18 @@ def _pc_bits(n_insts: int) -> int:
     return n_insts.bit_length()
 
 
+def _iline_shift(inst_bytes: int) -> int:
+    """The I-line of pc is ``pc >> _iline_shift(inst_bytes)``.
+
+    Instructions are 2 or 4 bytes, a power of two, so this is the line
+    ``(pc * inst_bytes) >> L1_LINE_SHIFT`` that the legacy engine
+    fetches.  The stepper, the translated regions and :func:`replay` all
+    take the line from here, so the icache shadow the tiers hand each
+    other (``S[4]``) means one thing in both.
+    """
+    return L1_LINE_SHIFT + 1 - inst_bytes.bit_length()
+
+
 def replay(hierarchy, log, fetches, inst_bytes,
            ic_l2_pc, ic_mem_pc, d_l2_pc, d_mem_pc) -> None:
     """Feed a :func:`run_fast` access log through ``hierarchy``'s LRU model.
@@ -1134,8 +1023,7 @@ def replay(hierarchy, log, fetches, inst_bytes,
     pc_bits = _pc_bits(len(ic_l2_pc))
     pc_mask = (1 << pc_bits) - 1
     d_shift = pc_bits + L1_LINE_SHIFT
-    # the I-line of pc is ``pc >> i_shift``: instructions are 2 or 4 bytes
-    i_shift = L1_LINE_SHIFT + 1 - inst_bytes.bit_length()
+    i_shift = _iline_shift(inst_bytes)
     icache, dcache, l2 = hierarchy.icache, hierarchy.dcache, hierarchy.l2
     i_sets, i_mask, i_ways = icache._lines, icache._set_mask, icache.ways
     d_sets, d_mask, d_ways = dcache._lines, dcache._set_mask, dcache.ways

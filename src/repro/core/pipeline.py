@@ -285,7 +285,6 @@ class CompiledBinary:
     def run(
         self,
         inputs: Optional[dict] = None,
-        entry: str = "main",
         *,
         obs: bool = False,
         faults=None,
@@ -311,8 +310,6 @@ class CompiledBinary:
         campaigns shrink it so a corrupted loop counter cannot spin for
         the full default budget).
         """
-        if entry != "main":
-            raise ValueError("the machine image always enters at main")
         return self.machine(
             inputs, obs=obs, faults=faults, step_limit=step_limit, engine=engine
         ).run()
@@ -339,12 +336,12 @@ class CompiledBinary:
         )
 
     def interpret(
-        self, inputs: Optional[dict] = None, entry: str = "main", trace: bool = False
+        self, inputs: Optional[dict] = None, trace: bool = False
     ) -> RunResult:
         """Run the (post-middle-end) IR on the functional simulator."""
         if inputs:
             set_global_inputs(self.module, inputs)
-        return Interpreter(self.module, trace=trace).run(entry)
+        return Interpreter(self.module, trace=trace).run()
 
     def fingerprint(self) -> str:
         """SHA-256 over the linked machine image (config + instructions).
@@ -367,7 +364,6 @@ def compile_binary(
     config: CompilerConfig,
     *,
     profile_inputs: Optional[dict] = None,
-    entry: str = "main",
     name: str = "program",
     stage_hook: Optional[Callable[[str, Module], None]] = None,
     strict: Optional[bool] = None,
@@ -392,7 +388,7 @@ def compile_binary(
         strict = os.environ.get("REPRO_STRICT_COMPILE", "") == "1"
     with pass_stats.collecting() as stats_scope:
         binary = _compile_binary(
-            source, config, profile_inputs, entry, name, hook, strict
+            source, config, profile_inputs, name, hook, strict
         )
     binary.pass_stats = pass_stats.snapshot(stats_scope)
     return binary
@@ -469,7 +465,7 @@ def _squeeze_with_fallback(binary, module, profile, config, strict) -> set:
 
 
 def _compile_binary(
-    source, config, profile_inputs, entry, name, hook, strict
+    source, config, profile_inputs, name, hook, strict
 ) -> CompiledBinary:
     module = build_module(source, config.expander, name)
     hook("frontend+expander", module)
@@ -489,7 +485,7 @@ def _compile_binary(
         hook("cfg-prep", module)
         if profile_inputs:
             set_global_inputs(module, profile_inputs)
-        profile = BitwidthProfile.collect(module, entry)
+        profile = BitwidthProfile.collect(module)
         binary.profile = profile
         fallback = _squeeze_with_fallback(binary, module, profile, config, strict)
         hook("squeeze", module)

@@ -12,11 +12,13 @@ threshold;
 runs under any geometry share the one image, whose region indices every
 later run's counters cover; a transfer that finds no region entry falls
 back to the stepper for that stretch only, bit-identically; a small
-threshold hands control between the tiers both ways; and nothing a run
-allocated outlives it.
+threshold hands control between the tiers both ways; nothing a run
+allocated outlives it; and the generated source stays byte for byte what
+it was.
 """
 
 import gc
+import hashlib
 import re
 import sys
 from array import array
@@ -309,3 +311,52 @@ def test_program_keeps_no_run_state(binary, monkeypatch, after):
         gc.enable()
     assert _image(_machine(binary, 0)).regions  # the run translated
     assert _large_buffers(binary.linked) == []
+
+
+#: SHA-256 (first 16 hex digits) of every region source the image
+#: compiles in one threshold-0 run from a fresh image, in translation
+#: order, with the number of regions
+REGION_SOURCE_DIGESTS = {
+    ("crc32", "baseline"): (19, "c3e9988b7693fb0f"),
+    ("crc32", "bitspec-max"): (19, "aac0c4955c6c48ef"),
+    ("crc32", "thumb"): (19, "59623a217aff17db"),
+    ("sha", "baseline"): (22, "4a3a508f25292d0d"),
+    ("sha", "bitspec-max"): (22, "363f4cacb3e96a84"),
+    ("sha", "thumb"): (24, "84a6a91a3306cb02"),
+    ("dijkstra", "baseline"): (65, "ac25fc5497bbc434"),
+    ("dijkstra", "bitspec-max"): (47, "83ccda3ec284d5c8"),
+    ("dijkstra", "thumb"): (70, "9d8a33f530bedda5"),
+    ("susan-edges", "baseline"): (14, "d2007c762b6d3397"),
+    ("susan-edges", "bitspec-max"): (13, "69d070981869b045"),
+    ("susan-edges", "thumb"): (14, "802ba6cae0c12875"),
+}
+
+_PRESETS = {"bitspec-max": CompilerConfig.bitspec("max"),
+            "baseline": CompilerConfig.baseline(),
+            "thumb": CompilerConfig.thumb()}
+
+
+@pytest.mark.parametrize("preset", sorted(_PRESETS))
+@pytest.mark.parametrize("workload", ("crc32", "sha", "dijkstra",
+                                      "susan-edges"))
+def test_translated_source_is_pinned(workload, preset, monkeypatch):
+    """The translator's output, byte for byte.
+
+    Every region :meth:`CompiledImage.translate` compiles in a
+    threshold-0 run is hashed, so a change to the predecoded form or the
+    emitter that is meant to be output-neutral shows here first.  A
+    change that does alter generated code re-records the digests (the
+    failure message prints them) and names the cause in CHANGES.md.
+    """
+    binary = get_binary(workload, _PRESETS[preset])
+    monkeypatch.delattr(binary.linked, "_compiled_cache", raising=False)
+    calls = _counting_compile(monkeypatch)
+    set_global_inputs(binary.module, get_workload(workload).inputs("test", 0))
+    predecode.run_fast(Machine(binary.linked, binary.module, engine="fast"),
+                       translate_after=0)
+    digest = hashlib.sha256()
+    for args in calls:
+        digest.update(args[0].encode())
+    got = (len(calls), digest.hexdigest()[:16])
+    assert got == REGION_SOURCE_DIGESTS.get((workload, preset)), (
+        f"({workload!r}, {preset!r}): {got!r},")
